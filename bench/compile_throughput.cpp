@@ -5,9 +5,9 @@
 /// function, for every back-end. Scenarios:
 ///
 ///  * fresh:    a new assembler per module compile (classic batch mode).
-///  * reused:   one compiler instance recompiling the same module with
-///              reset-not-freed state and module-level symbol batching;
-///              after warmup this must be allocation-free (docs/PERF.md).
+///  * reused:   one compiler instance recompiling the same module into
+///              one assembler with reset-not-freed state; after warmup
+///              this must be allocation-free (docs/PERF.md).
 ///  * parallel: the sharded parallel module compiler with a reused worker
 ///              pool, one row per --threads entry. Measured on wall-clock
 ///              time (the other scenarios use process-CPU time, which by
@@ -104,7 +104,6 @@ struct Result {
   /// stitch volume — the O(relocs)-not-O(bytes) claim of docs/PERF.md
   /// "Two-pass emission" made visible in the committed baseline.
   bool HasEmit = false;
-  const char *EmitMode = "copy";
   double CompileNs = 0, ReserveNs = 0, PlaceNs = 0, StitchNs = 0;
   double StitchRelocs = 0, PlacedBytes = 0;
 };
@@ -200,8 +199,8 @@ Result measureFreshTpde(const char *Name, const char *Scenario,
 }
 
 /// TPDE with full state reuse: one adapter/compiler/assembler, recompiled
-/// through the module-level symbol-batching fast path. Steady state must
-/// not touch the heap — for both targets and any module size (the
+/// through compile(), which resets the assembler itself. Steady state
+/// must not touch the heap — for both targets and any module size (the
 /// "reused_large" row guards the 10k-function steady state).
 template <typename CompilerT>
 Result measureReused(const char *Name, const char *Scenario, tir::Module &M,
@@ -211,7 +210,7 @@ Result measureReused(const char *Name, const char *Scenario, tir::Module &M,
   CompilerT Compiler(Adapter, Asm);
   // Warmup grows all scratch buffers to their high-water mark.
   for (unsigned I = 0; I < 4; ++I) {
-    if (!Compiler.compileReuse()) {
+    if (!Compiler.compile()) {
       std::fprintf(stderr, "compilation failed (%s %s)\n", Name, Scenario);
       std::exit(1);
     }
@@ -227,7 +226,7 @@ Result measureReused(const char *Name, const char *Scenario, tir::Module &M,
     CpuTimer T;
     T.start();
     for (unsigned I = 0; I < NIters; ++I)
-      OK &= Compiler.compileReuse();
+      OK &= Compiler.compile();
     T.stop();
     Funcs += static_cast<u64>(NumFuncs) * NIters;
     return static_cast<double>(NumFuncs) * NIters / (T.ms() / 1000.0);
@@ -282,7 +281,6 @@ Result measureParallel(const char *Name, const char *Scenario, ModuleT &M,
       Acc.StitchNs += ES.StitchNs;
       Acc.StitchRelocs += ES.StitchRelocs;
       Acc.PlacedBytes += ES.PlacedBytes;
-      Acc.InPlace = ES.InPlace;
     }
     T.stop();
     Funcs += static_cast<u64>(NumFuncs) * NIters;
@@ -297,7 +295,6 @@ Result measureParallel(const char *Name, const char *Scenario, ModuleT &M,
   R.NewCallsPerFunc = static_cast<double>(W.newCalls()) / Funcs;
   R.NewBytesPerFunc = static_cast<double>(W.newBytes()) / Funcs;
   R.HasEmit = true;
-  R.EmitMode = Acc.InPlace ? "in_place" : "copy";
   double N = static_cast<double>(NumCompiles);
   R.CompileNs = static_cast<double>(Acc.CompileNs) / N;
   R.ReserveNs = static_cast<double>(Acc.ReserveNs) / N;
@@ -577,17 +574,16 @@ int main(int argc, char **argv) {
   // part of producing the output is reserve + stitch, and the stitch
   // scales with the relocation count, never the section bytes (the bytes
   // move in the parallel place phase).
-  std::printf("\n%-12s %-15s %3s %-9s %10s %10s %10s %10s %12s %12s\n",
-              "backend", "mode", "thr", "emit", "compile_us", "reserve_us",
+  std::printf("\n%-12s %-15s %3s %10s %10s %10s %10s %12s %12s\n",
+              "backend", "mode", "thr", "compile_us", "reserve_us",
               "place_us", "stitch_us", "stitch_reloc", "placed_bytes");
   for (const Result &R : Results)
     if (R.HasEmit)
-      std::printf("%-12s %-15s %3u %-9s %10.1f %10.1f %10.1f %10.1f %12.0f "
+      std::printf("%-12s %-15s %3u %10.1f %10.1f %10.1f %10.1f %12.0f "
                   "%12.0f\n",
                   R.Backend.c_str(), R.Scenario.c_str(), R.Threads,
-                  R.EmitMode, R.CompileNs / 1e3, R.ReserveNs / 1e3,
-                  R.PlaceNs / 1e3, R.StitchNs / 1e3, R.StitchRelocs,
-                  R.PlacedBytes);
+                  R.CompileNs / 1e3, R.ReserveNs / 1e3, R.PlaceNs / 1e3,
+                  R.StitchNs / 1e3, R.StitchRelocs, R.PlacedBytes);
 
   FILE *F = std::fopen("BENCH_compile_throughput.json", "w");
   if (!F) {
@@ -622,12 +618,12 @@ int main(int argc, char **argv) {
                  R.NewCallsPerFunc, R.NewBytesPerFunc);
     if (R.HasEmit)
       std::fprintf(F,
-                   ", \"emit_mode\": \"%s\", \"compile_ns\": %.0f, "
+                   ", \"compile_ns\": %.0f, "
                    "\"reserve_ns\": %.0f, \"place_ns\": %.0f, "
                    "\"stitch_ns\": %.0f, \"stitch_relocs\": %.0f, "
                    "\"placed_bytes\": %.0f",
-                   R.EmitMode, R.CompileNs, R.ReserveNs, R.PlaceNs,
-                   R.StitchNs, R.StitchRelocs, R.PlacedBytes);
+                   R.CompileNs, R.ReserveNs, R.PlaceNs, R.StitchNs,
+                   R.StitchRelocs, R.PlacedBytes);
     std::fprintf(F, "}%s\n", I + 1 < Results.size() ? "," : "");
   }
   std::fprintf(F, "  ]\n}\n");

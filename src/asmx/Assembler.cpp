@@ -58,18 +58,19 @@ SymRef Assembler::createSymbol(std::string_view Name, Linkage L, bool IsFunc) {
   return SymRef{Idx};
 }
 
-void Assembler::rewindForRecompile(u32 SymbolWatermark) {
-  assert(SymbolWatermark <= Syms.size() && "watermark past symbol table");
-  for (u32 I = SymbolWatermark; I < Syms.size(); ++I)
-    if (Syms[I].NameId != ~0u)
-      SymOfName[Syms[I].NameId] = ~0u;
-  Syms.resize(SymbolWatermark);
-  for (Symbol &S : Syms) {
-    S.Defined = false;
-    S.Off = 0;
-    S.Size = 0;
-  }
-  clearEmission();
+void Assembler::reset() {
+  for (const Symbol &S : Syms)
+    if (S.NameId != ~0u)
+      SymOfName[S.NameId] = ~0u;
+  Syms.clear();
+  for (Section &S : Secs)
+    S.reset();
+  Relocs.clear();
+  Labels.clear();
+  Fixups.clear();
+  Err.clear();
+  ErrCode = support::CompileErr::Ok;
+  RoDedupSyms.clear();
 }
 
 bool Assembler::roDedupEligible(const Assembler &Src) {
@@ -267,9 +268,9 @@ void Assembler::stitchFrom(const Assembler &Src, const MergePlan &Plan) {
   // placeholder to the stronger registration; defineSymbol() diagnoses
   // duplicate strong definitions and keeps the first weak one.
   // Undefined symbols nothing in the source references are dropped, like
-  // a linker would: shard fragments declare the whole module's symbol
-  // table, and copying every declaration into every fragment would make
-  // the final merge quadratic in module size for no information gain.
+  // a linker would: a source that declares the whole module's symbol
+  // table would otherwise copy every declaration into the output, making
+  // a K-fragment merge quadratic in module size for no information gain.
   MergeRefd.assign(Src.Syms.size(), 0);
   for (const Reloc &R : Src.Relocs)
     MergeRefd[R.Sym.Idx] = 1;

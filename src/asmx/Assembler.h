@@ -52,12 +52,12 @@ struct Label {
   bool isValid() const { return Idx != ~0u; }
 };
 
-/// Dense epoch-guarded SymRef cache for on-demand (sparse) symbol
+/// Dense epoch-guarded SymRef cache for on-demand symbol
 /// materialization. Slot I holds the symbol materialized for entity I
 /// (function index, global index) during the compile identified by the
 /// caller's epoch; one epoch bump invalidates every slot in O(1) — no
 /// per-entity clear when the assembler's symbol table restarts between
-/// shard compiles. The invalidation contract lives here, once, for
+/// compiles. The invalidation contract lives here, once, for
 /// every user (CompilerBase::funcSym, tpde_tir::TirGlobalSyms): slots
 /// start stamped 0 and callers' epochs start at 1, so a fresh or
 /// resized cache never yields a stale SymRef.
@@ -190,7 +190,7 @@ public:
 struct Symbol {
   std::string_view Name;
   /// Interned-name id (StringPool::InvalidId for anonymous symbols); lets
-  /// rewindForRecompile() drop the name->symbol mapping without hashing.
+  /// reset() drop the name->symbol mapping without hashing.
   u32 NameId = ~0u;
   Linkage Link = Linkage::External;
   bool Defined = false;
@@ -238,10 +238,10 @@ public:
   /// double hash. Registering a name that already exists returns the
   /// existing entry with linkage/kind updated — a later *definition*
   /// conflict is diagnosed in defineSymbol(). This is also the on-demand
-  /// (sparse) materialization entry point: the code generators call it
-  /// at a call target's / global's first reference, so a shard compile
-  /// only ever pays for symbols it actually touches (O(defined +
-  /// referenced), never O(module)).
+  /// materialization entry point: the code generators call it at a
+  /// definition's or reference's first use, so a compile only ever pays
+  /// for symbols it actually touches (O(defined + referenced), never
+  /// O(module)).
   SymRef createSymbol(std::string_view Name, Linkage L, bool IsFunc);
   /// Convenience form of createSymbol() for plain undefined-external
   /// data references.
@@ -297,35 +297,13 @@ public:
 
   /// Rewinds the whole assembler to an empty module while keeping every
   /// buffer's capacity and the interned name pool, so the next compile
-  /// into this assembler does not allocate.
-  void reset() {
-    clearEmission();
-    Syms.clear();
-    std::fill(SymOfName.begin(), SymOfName.end(), ~0u);
-    ++Epoch;
-  }
-
-  /// Counts the reset() calls so far. Module compilers use it to detect
-  /// that the symbol table they registered is still intact and can be
-  /// reused on a recompile (module-level symbol batching): the fast path
-  /// is valid only while the epoch recorded at registration time matches.
-  u64 resetEpoch() const { return Epoch; }
-
-  /// Like reset(), but keeps the first \p SymbolWatermark symbols as
-  /// *declarations*: names, linkage, and function-ness survive while
-  /// definitions, sections, relocations, and labels are dropped. Symbols
-  /// past the watermark (e.g. anonymous constant-pool entries created
-  /// during function compilation) are removed entirely. Does not bump
-  /// resetEpoch(), so a recompile loop stays on the fast path.
-  ///
-  /// Unlike reset(), the cost is proportional to the *current* symbol
-  /// table, never to the interned-name pool: only the name slots of the
-  /// dropped symbols are unmapped (reset() refills the whole id->symbol
-  /// map). rewindForRecompile(0) is therefore the sparse-mode per-shard
-  /// rewind — a worker whose previous shard materialized S symbols pays
-  /// O(S) to start the next shard, regardless of how many names its pool
-  /// has accumulated across the module.
-  void rewindForRecompile(u32 SymbolWatermark);
+  /// into this assembler does not allocate. The cost is proportional to
+  /// the symbol table being dropped, never to the name pool: createSymbol()
+  /// is the only writer of the name->symbol map, so unmapping the table's
+  /// own names empties it. A parallel worker whose previous shard created
+  /// S symbols therefore pays O(S) to start the next shard, however many
+  /// names its pool has accumulated across the module.
+  void reset();
 
   /// Appends \p Src's sections, symbols, and relocations to this module.
   ///
@@ -370,8 +348,8 @@ public:
   // section bytes), place all fragments' text/data bytes concurrently,
   // and keep only the O(symbols + relocs) stitch on the serial path —
   // the zero-merge emission scheme of docs/PERF.md ("Two-pass
-  // emission"). The copy-merge above remains as the one-fragment and
-  // fallback path and shares these primitives, so the two paths cannot
+  // emission"). mergeFrom() above is the one-fragment form (the driver's
+  // snapshot merges) built from these primitives, so the two cannot
   // drift.
 
   /// Pass 1: extends this module's text, data, and BSS exactly as
@@ -405,22 +383,6 @@ public:
   void stitchFrom(const Assembler &Src, const MergePlan &Plan);
 
 private:
-  /// Shared tail of reset() and rewindForRecompile(): drops everything
-  /// that belongs to one compile's emitted output (sections, relocations,
-  /// labels, fixups, error state) while keeping capacity. Any new pooled
-  /// emission container must be cleared HERE so the symbol-batched
-  /// rewind path cannot drift from the full reset.
-  void clearEmission() {
-    for (Section &S : Secs)
-      S.reset();
-    Relocs.clear();
-    Labels.clear();
-    Fixups.clear();
-    Err.clear();
-    ErrCode = support::CompileErr::Ok;
-    RoDedupSyms.clear();
-  }
-
   struct LabelInfo {
     u64 Off = 0;
     bool Bound = false;
@@ -449,7 +411,7 @@ private:
   std::vector<Symbol> Syms;
   support::StringPool Names;
   /// Name id -> symbol index (~0 = none). Indexed by StringPool id, so it
-  /// only ever grows with the pool; reset() refills with ~0.
+  /// only ever grows with the pool; reset() unmaps the table's names.
   std::vector<u32> SymOfName;
   std::vector<Reloc> Relocs;
   std::vector<LabelInfo> Labels;
@@ -474,7 +436,6 @@ private:
   std::vector<u32> MergeRoOrder;
   std::vector<u32> MergeRoSym;
   support::DenseMap<u64, u32> RoDedupSyms;
-  u64 Epoch = 0;
 };
 
 } // namespace tpde::asmx

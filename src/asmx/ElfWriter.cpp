@@ -111,14 +111,13 @@ std::vector<u8> tpde::asmx::writeElfObject(const Assembler &A,
   // --- Symbol table: null, locals, then globals (ELF requirement). ------
   //
   // The emitted order is *canonical*: a pure function of the symbols'
-  // content, independent of the assembler's insertion order. A serial
-  // whole-module compile registers symbols in module order while the
-  // parallel driver's merge materializes them in shard/first-reference
-  // order — canonicalizing here makes the two paths' objects
-  // byte-identical (the determinism contract of core/ParallelCompiler.h).
-  // Undefined symbols no relocation references are skipped entirely:
-  // they carry no linker-visible information, and the sparse
-  // (on-demand) compile paths never create them in the first place.
+  // content, independent of the assembler's insertion order, which
+  // depends on how the output was assembled (one compile, or the
+  // parallel driver's shard merges) — canonicalizing here makes the two
+  // paths' objects byte-identical (the determinism contract of
+  // core/ParallelCompiler.h). Undefined symbols no relocation references
+  // are skipped entirely: they carry no linker-visible information, and
+  // the on-demand compiles never create them in the first place.
   StrTab Str;
   std::vector<Elf64Sym> ElfSyms;
   ElfSyms.push_back(Elf64Sym{});
@@ -205,7 +204,7 @@ std::vector<u8> tpde::asmx::writeElfObject(const Assembler &A,
     Reserve += V.size() * sizeof(Elf64Rela);
   std::vector<u8> Out;
   Out.reserve(Reserve);
-  Out.resize(sizeof(Elf64Ehdr), 0);
+  Out.assign(sizeof(Elf64Ehdr), 0);
   auto alignOut = [&Out](u64 Align) {
     while (Out.size() % Align)
       Out.push_back(0);

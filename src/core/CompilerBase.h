@@ -2,9 +2,11 @@
 ///
 /// \file
 /// The code generation pass of the TPDE framework (paper §3.4). It drives
-/// compilation of whole modules: for every function it runs the analysis
-/// pass and then compiles block by block in layout order, calling back into
-/// the derived compiler for instruction semantics. The framework owns
+/// compilation of whole modules, or of function ranges for the parallel
+/// driver's shards: each compile resets its assembler and creates symbols
+/// at first use, then for every function runs the analysis pass and
+/// compiles block by block in layout order, calling back into the
+/// derived compiler for instruction semantics. The framework owns
 /// register allocation (greedy, round-robin eviction, fixed-register loop
 /// heuristic), value spilling, stack frame slots, phi moves with
 /// parallel-move/cycle resolution, and block-boundary register state.
@@ -25,6 +27,8 @@
 ///   setupArguments()                       argument assignment init
 ///   compileInst(val) -> bool               one IR instruction
 ///   defineGlobals()                        module-level data emission
+///   declareGlobals()                       range compiles only: prepare
+///                                          on-demand global symbols
 ///   forEachStackVar(cb(size, align))       static stack variables
 ///
 //===----------------------------------------------------------------------===//
@@ -421,13 +425,11 @@ public:
   Adapter &adapter() { return A; }
   asmx::Assembler &assembler() { return Asm; }
 
-  /// Symbol of function \p FuncIdx, materialized on demand: the dense
-  /// compile paths (compileModule/recompileModule) register every
-  /// function up front and this is a plain cached read, while the sparse
-  /// range path (compileFunctionRange) creates the symbol at first use —
-  /// a shard compile touching K call targets pays O(K), not O(module).
-  /// The cache is epoch-guarded (asmx::EpochSymCache), so invalidating
-  /// it between shard compiles is O(1).
+  /// Symbol of function \p FuncIdx, created at first use (its definition
+  /// or its first call) and a plain cached read afterwards — a compile
+  /// touching K functions pays O(K) symbol records, never O(module). The
+  /// cache is epoch-guarded (asmx::EpochSymCache), so invalidating it
+  /// between compiles is O(1).
   asmx::SymRef funcSym(u32 FuncIdx) {
     return FuncSyms.sym(FuncIdx, SymEpoch, [&] {
       auto F = A.funcRef(FuncIdx);
@@ -436,10 +438,11 @@ public:
     });
   }
 
-  /// Epoch of the current module compile's symbol materialization caches
+  /// Epoch of the current compile's symbol materialization caches
   /// (funcSym and the derived compiler's global-symbol table). Bumped
-  /// whenever the assembler's symbol table restarts; a cache slot stamped
-  /// with an older epoch holds a stale SymRef and must be re-created.
+  /// with every compile, which restarts the assembler's symbol table; a
+  /// cache slot stamped with an older epoch holds a stale SymRef and
+  /// must be re-created.
   u64 moduleSymEpoch() const { return SymEpoch; }
 
   /// Frame offset of stack variable index \p I.
@@ -556,48 +559,36 @@ public:
   // =====================================================================
   // Module driver
   // =====================================================================
+  //
+  // Every entry point resets the assembler itself (at a cost
+  // proportional to the previous compile's symbol table) and creates
+  // function and global symbols on first use — funcSym() and the derived
+  // compiler's global-symbol accessor. A compile's symbol table, and with
+  // it the parallel driver's fragment snapshot and merge cost, therefore
+  // holds exactly what the compile defines or references: O(defined +
+  // referenced), never O(module). Cross-shard references still relocate
+  // by name: Assembler::mergeFrom() binds a shard's declarations to the
+  // defining shard's symbols.
 
-  /// Compiles all functions of the adapter's module. Returns false if any
-  /// instruction could not be compiled. The assembler must be fresh (or
-  /// reset()); use recompileModule() to recompile with symbol reuse.
+  /// Compiles all functions of the adapter's module, plus its global
+  /// data, into the assembler. Returns false if any instruction could
+  /// not be compiled.
   bool compileModule() {
-    return compileModuleImpl</*EmitData=*/true>(0, A.funcCount(),
-                                               /*ManageAsm=*/false);
-  }
-
-  /// Recompiles the module into the same assembler, reusing the interned
-  /// symbol table built by the previous compile (module-level symbol
-  /// batching): sections and relocations are rewound, but the per-module
-  /// createSymbol pass is skipped entirely. Falls back to a full reset +
-  /// compile when the assembler was reset (or never saw this module).
-  bool recompileModule() {
-    return compileModuleImpl</*EmitData=*/true>(0, A.funcCount(),
-                                               /*ManageAsm=*/true);
+    return compileModuleImpl</*EmitData=*/true>(0, A.funcCount());
   }
 
   /// Shard entry point for the parallel module driver: compiles and
-  /// defines only the functions in [Begin, End). Runs in *sparse* symbol
-  /// mode — no module-level registration pass at all: the shard's own
-  /// function symbols, its call targets, and any referenced globals are
-  /// materialized at first use (funcSym() / the derived compiler's
-  /// global-symbol accessor), so the assembler's table — and with it the
-  /// fragment snapshot and merge cost — is O(defined + referenced) for
-  /// the shard, never O(module). Cross-shard references still relocate by
-  /// name: Assembler::mergeFrom() binds the on-demand declarations to the
-  /// defining shard's symbols. Global *data* is not emitted — the driver
-  /// merges it from a compileGlobalsOnly() fragment. Manages the
-  /// assembler itself (sparse rewind; cost proportional to the previous
-  /// shard's table).
+  /// defines only the functions in [Begin, End). Global *data* is not
+  /// emitted — the driver merges it from a compileGlobalsOnly() fragment.
   bool compileFunctionRange(u32 Begin, u32 End) {
-    return compileModuleImpl</*EmitData=*/false>(Begin, End,
-                                                /*ManageAsm=*/true);
+    return compileModuleImpl</*EmitData=*/false>(Begin, End);
   }
 
-  /// Emits the module-level fragment only: global data/BSS definitions
-  /// plus declarations of every function. Counterpart of
-  /// compileFunctionRange() for the parallel driver.
+  /// Emits the module-level fragment only: the global data/BSS
+  /// definitions. Counterpart of compileFunctionRange() for the parallel
+  /// driver.
   bool compileGlobalsOnly() {
-    return compileModuleImpl</*EmitData=*/true>(0, 0, /*ManageAsm=*/true);
+    return compileModuleImpl</*EmitData=*/true>(0, 0);
   }
 
   /// Structured diagnostic of the last failed compile (Ok after success).
@@ -606,24 +597,14 @@ public:
   /// across compiles, keeping the clean-compile path allocation-free.
   const support::CompileStatus &status() const { return Status; }
 
-  /// EmitData selects between the two module symbol strategies:
-  ///
-  ///  * EmitData=true (compileModule/recompileModule/compileGlobalsOnly):
-  ///    the *dense* mode — global data is emitted and every module symbol
-  ///    is registered up front (once per module compile; the symbol-
-  ///    batching cache can skip even that on a recompile).
-  ///  * EmitData=false (compileFunctionRange): the *sparse* mode — no
-  ///    module-level registration pass. Symbols are materialized on
-  ///    demand (funcSym(), the derived compiler's global accessor), so a
-  ///    shard compile costs O(defined + referenced) symbol records. This
-  ///    mode requires the derived compiler to provide declareGlobals()
-  ///    (prepare the on-demand global-symbol cache, register nothing) — a
-  ///    hard compile error at the call site, not a runtime assert — while
-  ///    plain compileModule() keeps working for back-ends that have not
-  ///    opted into parallel range compilation yet (both TIR targets have;
-  ///    see TirCompilerX64/TirCompilerA64).
-  template <bool EmitData>
-  bool compileModuleImpl(u32 Begin, u32 End, bool ManageAsm) {
+  /// Resets the assembler and compiles functions [Begin, End) into it.
+  /// EmitData only chooses how globals are set up: defineGlobals() emits their
+  /// data and definitions, declareGlobals() just prepares the on-demand
+  /// global-symbol cache. The latter is required only where range
+  /// compiles are instantiated — a hard compile error at the call site,
+  /// so plain compileModule() works for back-ends that have not opted
+  /// into parallel range compilation.
+  template <bool EmitData> bool compileModuleImpl(u32 Begin, u32 End) {
     Status.clear();
     // Optional adapter capacity hints: size the per-function scratch for
     // the module's largest function up front so the compile loop never
@@ -633,71 +614,16 @@ public:
       BlockLabels.reserve(A.maxBlockCount());
       An.reserve(A.maxValueCount(), A.maxBlockCount());
     }
-    u32 N = A.funcCount();
-    if constexpr (!EmitData) {
-      // Sparse shard compile. The rewind drops the previous shard's
-      // (sparse) symbol table at a cost proportional to that table — a
-      // full reset() would refill the whole interned-name map, which for
-      // a worker that has visited many shards is O(module) again. The
-      // on-demand caches are invalidated by one epoch bump, and the
-      // dense-mode cache is disarmed: the table no longer holds any
-      // watermark-prefixed module registration.
-      assert(ManageAsm && "range compiles always manage the assembler");
-      Asm.rewindForRecompile(0);
-      SymCacheValid = false;
-      ++SymEpoch;
-      sizeSymCaches(N);
-      derived()->declareGlobals();
-    } else {
-      // Globals participate in the cache key where the derived compiler
-      // exposes a count: adding/removing a module global between
-      // recompiles must force the fallback, or reuse would index a stale
-      // GlobalSyms table. (Renaming symbols while keeping counts is not
-      // detected — the reuse contract is "same module", this guard just
-      // downgrades the common mutation from UB to a clean rebuild.)
-      u32 Globals = 0;
-      if constexpr (requires { derived()->moduleGlobalCount(); })
-        Globals = derived()->moduleGlobalCount();
-      bool Reuse = false;
-      if (ManageAsm) {
-        // Module-level symbol batching: if the assembler still carries
-        // the symbol table this compiler registered (same reset epoch,
-        // same function and global counts), rewind to it instead of
-        // rebuilding.
-        if (SymCacheValid && SymCacheEpoch == Asm.resetEpoch() &&
-            SymCacheFuncCount == N && SymCacheGlobalCount == Globals &&
-            SymCacheWatermark <= Asm.symbolCount()) {
-          Asm.rewindForRecompile(SymCacheWatermark);
-          Reuse = true;
-        } else {
-          Asm.reset();
-          SymCacheValid = false;
-        }
-      }
-      if (!Reuse) {
-        // The table restarts: every cached SymRef (funcSym, the derived
-        // global table) is stale. On the reuse path the epoch is kept —
-        // the rewound table preserves the registered prefix, so the
-        // caches stay valid and the per-module createSymbol pass is
-        // skipped entirely.
-        ++SymEpoch;
-        sizeSymCaches(N);
-      }
+    // The table restarts, so one epoch bump makes every cached SymRef
+    // (funcSym, the derived global table) stale.
+    Asm.reset();
+    ++SymEpoch;
+    const u32 N = A.funcCount();
+    FuncSyms.resize(N);
+    if constexpr (EmitData)
       derived()->defineGlobals();
-      if (!Reuse) {
-        // Dense registration pass: every slot is stale after the epoch
-        // bump above, so funcSym() materializes each in module order.
-        for (u32 I = 0; I < N; ++I)
-          funcSym(I);
-        SymCacheValid = true;
-        SymCacheEpoch = Asm.resetEpoch();
-        SymCacheWatermark = Asm.symbolCount();
-        SymCacheFuncCount = N;
-        SymCacheGlobalCount = Globals;
-      }
-      assert(Asm.symbolCount() == SymCacheWatermark &&
-             "module symbol setup must be identical on the reuse path");
-    }
+    else
+      derived()->declareGlobals();
     if (End > N)
       End = N;
     for (u32 I = Begin; I < End; ++I) {
@@ -1187,25 +1113,11 @@ protected:
   u32 CurBlock = 0;
   /// Current function epoch for lazy Assigns invalidation (never 0).
   u32 CurEpoch = 0;
-  // Module-level symbol batching cache (recompileModule): the assembler
-  // symbol prefix [0, Watermark) holds exactly this module's globals +
-  // function symbols, registered while the assembler was at reset epoch
-  // SymCacheEpoch. Sparse range compiles disarm it — their tables carry
-  // no module prefix.
-  bool SymCacheValid = false;
-  u64 SymCacheEpoch = 0;
-  u32 SymCacheWatermark = 0;
-  u32 SymCacheFuncCount = 0;
-  u32 SymCacheGlobalCount = 0;
-  /// Epoch of the funcSym()/global-symbol caches; bumped whenever the
-  /// assembler's symbol table restarts (per shard compile in sparse
-  /// mode), which invalidates every slot in O(1). Starts at 0 with all
-  /// slots stamped 0 — the first compile bumps before any lookup.
+  /// Epoch of the funcSym()/global-symbol caches; bumped by every compile
+  /// (the assembler's symbol table restarts), which invalidates every
+  /// slot in O(1). Starts at 0 with all slots stamped 0 — the first
+  /// compile bumps before any lookup.
   u64 SymEpoch = 0;
-
-  /// Sizes the epoch-guarded symbol caches; steady-state no-op once the
-  /// module's function count is stable (docs/PERF.md).
-  void sizeSymCaches(u32 N) { FuncSyms.resize(N); }
 };
 
 } // namespace tpde::core

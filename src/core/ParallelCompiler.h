@@ -48,20 +48,19 @@
 ///  3. The final merge walks fragments in shard-index order on the calling
 ///     thread (module-level globals fragment first).
 ///
-/// Two-pass (zero-merge) emission: with ParallelCompileOptions::
-/// InPlaceEmission (the default) the driver does not serially *copy* any
-/// fragment's text/data bytes into the output. The compile pass doubles
-/// as an exact pre-measure — every fragment's final section sizes are
-/// known once the shard pass (plus recovery) finishes — so the driver
-/// reserves each fragment's slice of the output sections in shard order
-/// (Assembler::reserveFrom, O(1) per shard in section bytes), lets the
-/// worker pool memcpy all fragments into their disjoint slices
+/// Two-pass (zero-merge) emission: the driver never serially *copies* a
+/// shard fragment's text/data bytes into the output. The compile pass
+/// doubles as an exact pre-measure — every fragment's final section
+/// sizes are known once the shard pass (plus recovery) finishes — so the
+/// driver reserves each fragment's slice of the output sections in shard
+/// order (Assembler::reserveFrom, O(1) per shard in section bytes), lets
+/// the worker pool memcpy all fragments into their disjoint slices
 /// concurrently (Assembler::placeFrom), and keeps only the
 /// O(symbols + relocs) stitch (Assembler::stitchFrom) on the serial
-/// path. Output is byte-identical to the copy-merge fallback and to a
-/// serial compile — the three primitives *are* mergeFrom, resequenced —
-/// and emitStats() exposes the per-phase cost breakdown the bench rows
-/// record (docs/PERF.md "Two-pass emission").
+/// path. Output is byte-identical to a serial compile — the three
+/// primitives *are* mergeFrom, resequenced — and emitStats() exposes the
+/// per-phase cost breakdown the bench rows record (docs/PERF.md
+/// "Two-pass emission").
 ///
 /// Cross-shard references (calls, global addresses) work because the code
 /// generators only ever reference symbols through relocations: a shard
@@ -82,16 +81,15 @@
 /// several independent modules into one batch and needs each job's
 /// output *separately* — byte-identical to compiling that job alone,
 /// because the output is the value of a content-addressed cache entry
-/// (docs/SERVICE.md). compileJobs() extends the determinism contract to
-/// that shape: each job's function range is subdivided with the same
-/// weighted rule a solo compile of that range would use (so no shard
-/// ever straddles a job boundary), the shards run through the one
-/// work-stealing pass, and every job's assembler is then rebuilt from
-/// the shared module-level globals fragment plus exactly its own shards,
-/// merged in shard order. Per-job failure isolation follows the same
-/// rules as graceful degradation: a failing function fails its job with
-/// a structured diagnostic; batch neighbors are unaffected
-/// (tests/service_test.cpp).
+/// (docs/SERVICE.md). compileJobs() is the driver's one compile path:
+/// each job's function range is subdivided with the same weighted rule
+/// (so no shard ever straddles a job boundary), the shards run through
+/// the one work-stealing pass, and every job's assembler is then rebuilt
+/// from the shared module-level globals fragment plus exactly its own
+/// shards, in shard order. A whole-module compile() is the one-job
+/// batch. Per-job failure isolation follows the same rules as graceful
+/// degradation: a failing function fails its job with a structured
+/// diagnostic; batch neighbors are unaffected (tests/service_test.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -141,29 +139,19 @@ struct ParallelCompileOptions {
   /// Worker threads including the calling thread; 0 means
   /// tpde::hardwareConcurrency().
   unsigned NumThreads = 0;
-  /// Shard granularity in functions. Part of the determinism contract:
-  /// the same module always decomposes into the same shards, whatever the
-  /// thread count. Smaller shards balance better; larger shards amortize
-  /// the per-shard snapshot/merge cost.
+  /// Shard granularity in functions: a job of F functions becomes
+  /// ceil(F / FuncsPerShard) shards whose boundaries equalize the
+  /// per-function size proxy (WorkerT::funcWeight), so modules with a few
+  /// giant functions balance across workers. Part of the determinism
+  /// contract: the same module always decomposes into the same shards,
+  /// whatever the thread count. Smaller shards balance better; larger
+  /// shards amortize the per-shard snapshot/merge cost.
   u32 FuncsPerShard = 4;
-  /// Weight shard boundaries by the per-function size proxy
-  /// (WorkerT::funcWeight) instead of cutting every FuncsPerShard
-  /// functions: the shard *count* stays ceil(Funcs / FuncsPerShard), but
-  /// the boundaries equalize accumulated weight, so modules with a few
-  /// giant functions balance across workers. Still a pure function of the
-  /// module — output is independent of the thread count either way.
-  bool SizeWeightedShards = true;
   /// Run the worker's verifier (WorkerT::verifyModule, when provided)
   /// before sharding; a malformed module is rejected with a VerifyFailed
   /// status and never reaches codegen. Off by default on the production
   /// path, on in the tests.
   bool Verify = false;
-  /// Two-pass zero-merge emission (see the file comment): reserve every
-  /// shard's output slice serially, place all text/data bytes in
-  /// parallel, stitch only symbols/relocations serially. Byte-identical
-  /// to the copy-merge fallback (false) for any thread count; the
-  /// fallback exists for A/B measurement and debugging.
-  bool InPlaceEmission = true;
 };
 
 /// Per-phase cost breakdown of the last compile()/compileJobs(), for the
@@ -171,20 +159,18 @@ struct ParallelCompileOptions {
 /// claim in docs/PERF.md. Wall-clock nanoseconds via tpde::nowNs().
 struct EmitStats {
   u64 CompileNs = 0; ///< Parallel shard pass incl. snapshots + recovery.
-  u64 ReserveNs = 0; ///< Serial slice reservation (in-place mode only).
+  u64 ReserveNs = 0; ///< Serial slice reservation.
   u64 PlaceNs = 0;   ///< Parallel in-place byte placement (pass 2).
-  u64 StitchNs = 0;  ///< Serial merge tail: rodata dedup, symbols, relocs
-                     ///< (in copy-merge mode: the whole byte-copy merge).
+  u64 StitchNs = 0;  ///< Serial merge tail: rodata dedup, symbols, relocs.
   u64 StitchRelocs = 0; ///< Relocations rebased by the serial stitch.
   u64 PlacedBytes = 0;  ///< Text+data bytes written by parallel placement.
-  bool InPlace = false; ///< Which emission path the last compile used.
 };
 
 /// Reusable parallel compilation pipeline for one module. Construction
 /// spawns the worker pool; compile() may be called repeatedly (e.g. a JIT
 /// recompiling on deoptimization) and is allocation-free in steady state:
-/// workers reuse their compiler/assembler state via the module-level
-/// symbol-batching fast path, and all fragments retain their capacity.
+/// workers reset their compiler/assembler state without freeing it, and
+/// all fragments retain their capacity.
 template <ParallelCompileWorker WorkerT>
 class ParallelModuleCompiler {
 public:
@@ -219,9 +205,10 @@ public:
   ParallelModuleCompiler(const ParallelModuleCompiler &) = delete;
   ParallelModuleCompiler &operator=(const ParallelModuleCompiler &) = delete;
 
-  /// Compiles the module into \p Out (which is reset first). Returns
-  /// false if any function failed to compile or the merged module is
-  /// inconsistent; status()/diagnostics() carry the structured errors.
+  /// Compiles the module into \p Out (which is reset first): the one-job
+  /// compileJobs(). Returns false if any function failed to compile or
+  /// the merged module is inconsistent; status()/diagnostics() carry the
+  /// structured errors.
   ///
   /// Failure semantics (graceful degradation): a failed shard's fragment
   /// is discarded and the shard is recompiled function-by-function on the
@@ -233,47 +220,10 @@ public:
   /// independent of thread count and schedule (first-error-wins keyed by
   /// shard order, never thread arrival).
   bool compile(asmx::Assembler &Out) {
-    FirstStatus.clear();
-    Diags.clear();
-    Stats = EmitStats{};
-    if (Opts.Verify && !verifyGate()) {
-      Out.reset();
-      return false;
-    }
-    computeShardBounds();
-    u64 T0 = nowNs();
-    runParallelPass();
-    Stats.CompileNs += nowNs() - T0;
-
-    // Deterministic merge: globals fragment first, then every shard in
-    // shard-index order — independent of which worker compiled what. The
-    // destination's interned-name pool is arena-backed, so a merge can
-    // throw bad_alloc — turn that into a module-level diagnostic instead
-    // of unwinding out of compile().
-    Out.reset();
-    try {
-      Out.mergeFrom(GlobalsFrag);
-      if (Opts.InPlaceEmission)
-        emitShardsInPlace(Out);
-      else
-        mergeShardsByCopy(Out);
-    } catch (...) {
-      support::CompileStatus D;
-      D.Err = support::CompileErr::OutOfMemory;
-      D.Message = "allocation failed merging the module";
-      Diags.push_back(std::move(D));
-    }
-    if (Out.hasError() && Diags.empty()) {
-      support::CompileStatus D;
-      D.Err = support::CompileErr::MergeError;
-      D.Message.assign(Out.errorMessage());
-      Diags.push_back(std::move(D));
-    }
-    if (!Diags.empty()) {
-      FirstStatus = Diags.front();
-      return false;
-    }
-    return !Out.hasError();
+    const u32 Bounds[2] = {0, WorkerT::funcCount(M)};
+    asmx::Assembler *const Outs[1] = {&Out};
+    support::CompileStatus St;
+    return compileJobs(Bounds, Outs, std::span(&St, 1));
   }
 
   /// Compiles a batch of K independent jobs that the caller concatenated
@@ -283,23 +233,24 @@ public:
   /// merged into *Outs[J] (reset first).
   ///
   /// Shard bounds are **job-aligned**: each job's range is subdivided
-  /// independently with the same weighted rule a solo compile of those
-  /// functions would use, so every shard belongs to exactly one job and
-  /// job J's output is rebuilt from whole fragments — the globals
-  /// fragment first, then the job's shards in index order, the exact
-  /// walk compile() does for a whole module. Outs[J]'s section bytes are
-  /// therefore identical to compiling job J's functions as their own
-  /// module (batch neighbors change only which *declarations* the
-  /// module-level fragment carries, and declarations contribute no
-  /// section bytes). The compile service's content-addressed cache
-  /// depends on this: a batched compile and a solo compile of the same
-  /// job must be byte-identical (tests/service_test.cpp asserts it).
+  /// independently with the same weighted rule, so every shard belongs to
+  /// exactly one job and job J's output is rebuilt from whole fragments —
+  /// the globals fragment first, then the job's shards in index order.
+  /// Outs[J]'s section bytes are therefore identical to compiling job J's
+  /// functions as their own module (the module-level fragment carries
+  /// only global data, and the service batches only jobs that share
+  /// it). The compile service's
+  /// content-addressed cache depends on this: a batched compile and a
+  /// solo compile of the same job must be byte-identical
+  /// (tests/service_test.cpp asserts it).
   ///
   /// JobStatus[J] receives job J's first diagnostic (Ok when clean); a
   /// module-level failure (verify gate, globals fragment) fails every
-  /// job. Failed functions inside one job degrade gracefully exactly as
-  /// in compile() — other jobs, and the failing job's good functions,
-  /// still produce output. Returns true iff every job compiled cleanly.
+  /// job. Failed functions inside one job degrade gracefully — other
+  /// jobs, and the failing job's good functions, still produce output.
+  /// Merge, stitch, and placement failures also land in diagnostics(),
+  /// attributed to the shard that surfaced them. Returns true iff every
+  /// job compiled cleanly.
   bool compileJobs(std::span<const u32> JobBounds,
                    std::span<asmx::Assembler *const> Outs,
                    std::span<support::CompileStatus> JobStatus) {
@@ -320,7 +271,7 @@ public:
       }
       return false;
     }
-    computeShardBoundsForJobs(JobBounds);
+    computeShardBounds(JobBounds);
     u64 T0 = nowNs();
     runParallelPass();
     Stats.CompileNs += nowNs() - T0;
@@ -343,120 +294,68 @@ public:
         JobStatus[J] = D;
     }
 
-    // Per-job ordered rebuilds. In-place mode shares one placement pass
-    // across the whole batch: every job's slices are reserved first (the
-    // job's own assembler is the destination), then the worker pool
-    // places all jobs' shards concurrently, then each job is stitched in
-    // shard order — each job's bytes identical to its solo compile.
-    if (Opts.InPlaceEmission) {
-      Stats.InPlace = true;
-      preparePlans();
-      u64 T = nowNs();
-      for (size_t J = 0; J < K; ++J) {
-        asmx::Assembler &Out = *Outs[J];
-        Out.reset();
-        if (ModDiag && JobStatus[J].ok())
-          JobStatus[J] = *ModDiag;
-        try {
-          Out.mergeFrom(GlobalsFrag);
-          for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S)
-            reserveShard(Out, S);
-        } catch (...) {
-          // Shards not yet reserved stay unplanned (PlaceOut == null):
-          // the placement and stitch passes skip them.
-          if (JobStatus[J].ok()) {
-            JobStatus[J].Err = support::CompileErr::OutOfMemory;
-            JobStatus[J].Message = "allocation failed merging job";
-          }
-        }
+    // Per-job ordered rebuilds sharing one placement pass across the
+    // whole batch: every job's slices are reserved first (the job's own
+    // assembler is the destination), then the worker pool places all
+    // jobs' shards concurrently, then each job is stitched in shard
+    // order. The destination's interned-name pool is arena-backed, so a
+    // merge can throw bad_alloc — that fails the job with a diagnostic
+    // instead of unwinding out of the compile.
+    preparePlans();
+    u64 T = nowNs();
+    for (size_t J = 0; J < K; ++J) {
+      asmx::Assembler &Out = *Outs[J];
+      Out.reset();
+      if (ModDiag && JobStatus[J].ok())
+        JobStatus[J] = *ModDiag;
+      try {
+        Out.mergeFrom(GlobalsFrag);
+        if (Out.hasError())
+          noteMergeError(JobStatus[J], Out, ~0u);
+        for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S)
+          reserveShard(Out, S);
+      } catch (...) {
+        // Shards not yet reserved stay unplanned (PlaceOut == null):
+        // the placement and stitch passes skip them.
+        failJob(JobStatus[J], support::CompileErr::OutOfMemory,
+                "allocation failed merging the module", ~0u);
       }
-      Stats.ReserveNs += nowNs() - T;
-      runPlacementPass();
-      for (u32 S = 0; S < NumShards; ++S) {
-        if (!PlaceFailed[S])
-          continue;
-        size_t J = static_cast<size_t>(
-            std::upper_bound(JobShardBegin.begin() + 1, JobShardBegin.end(),
-                             S) -
-            (JobShardBegin.begin() + 1));
-        if (JobStatus[J].ok()) {
-          JobStatus[J].Err = support::CompileErr::FaultInjected;
-          JobStatus[J].Message = "fault injected: section-place";
-        }
-      }
-      T = nowNs();
-      for (size_t J = 0; J < K; ++J) {
-        asmx::Assembler &Out = *Outs[J];
-        try {
-          for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S) {
-            if (!PlaceOut[S])
-              continue;
-            Stats.StitchRelocs += Frags[S]->relocs().size();
-            Out.stitchFrom(*Frags[S], Plans[S]);
-          }
-        } catch (...) {
-          if (JobStatus[J].ok()) {
-            JobStatus[J].Err = support::CompileErr::OutOfMemory;
-            JobStatus[J].Message = "allocation failed merging job";
-          }
-          continue;
-        }
-        if (Out.hasError() && JobStatus[J].ok()) {
-          JobStatus[J].Err =
-              Out.errorCode() == support::CompileErr::FaultInjected
-                  ? support::CompileErr::FaultInjected
-                  : support::CompileErr::MergeError;
-          JobStatus[J].Message.assign(Out.errorMessage());
-        }
-      }
-      Stats.StitchNs += nowNs() - T;
-    } else {
-      u64 T = nowNs();
-      for (size_t J = 0; J < K; ++J) {
-        asmx::Assembler &Out = *Outs[J];
-        Out.reset();
-        if (ModDiag && JobStatus[J].ok())
-          JobStatus[J] = *ModDiag;
-        try {
-          Out.mergeFrom(GlobalsFrag);
-          for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S) {
-            Stats.StitchRelocs += Frags[S]->relocs().size();
-            Out.mergeFrom(*Frags[S]);
-          }
-        } catch (...) {
-          if (JobStatus[J].ok()) {
-            JobStatus[J].Err = support::CompileErr::OutOfMemory;
-            JobStatus[J].Message = "allocation failed merging job";
-          }
-          continue;
-        }
-        if (Out.hasError() && JobStatus[J].ok()) {
-          JobStatus[J].Err =
-              Out.errorCode() == support::CompileErr::FaultInjected
-                  ? support::CompileErr::FaultInjected
-                  : support::CompileErr::MergeError;
-          JobStatus[J].Message.assign(Out.errorMessage());
-        }
-      }
-      Stats.StitchNs += nowNs() - T;
     }
+    Stats.ReserveNs += nowNs() - T;
+    runPlacementPass();
+    for (u32 S = 0; S < NumShards; ++S) {
+      // Terminal placement failure: runPlacementPass zero-filled the
+      // slice (the only source is the section-place fault site).
+      if (PlaceFailed[S])
+        failJob(JobStatus[jobOfShard(S)], support::CompileErr::FaultInjected,
+                "fault injected: section-place", S);
+    }
+    T = nowNs();
+    for (size_t J = 0; J < K; ++J) {
+      asmx::Assembler &Out = *Outs[J];
+      try {
+        for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S) {
+          if (!PlaceOut[S])
+            continue;
+          bool PrevErr = Out.hasError();
+          Stats.StitchRelocs += Frags[S]->relocs().size();
+          Out.stitchFrom(*Frags[S], Plans[S]);
+          if (!PrevErr && Out.hasError())
+            noteMergeError(JobStatus[J], Out, S);
+        }
+      } catch (...) {
+        failJob(JobStatus[J], support::CompileErr::OutOfMemory,
+                "allocation failed merging the module", ~0u);
+      }
+    }
+    Stats.StitchNs += nowNs() - T;
 
-    bool AllOK = true;
-    for (size_t J = 0; J < K; ++J)
-      if (!JobStatus[J].ok())
-        AllOK = false;
-    if (!FirstStatus.ok()) {
-      // verify gate already reported
-    } else if (!Diags.empty()) {
-      FirstStatus = Diags.front();
-    } else if (!AllOK) {
-      for (size_t J = 0; J < K; ++J)
-        if (!JobStatus[J].ok()) {
-          FirstStatus = JobStatus[J];
-          break;
-        }
-    }
-    return AllOK;
+    // Every job failure above also produced a diagnostic, so a clean
+    // diagnostics list means every job compiled cleanly.
+    if (Diags.empty())
+      return true;
+    FirstStatus = Diags.front();
+    return false;
   }
 
   /// First diagnostic of the last compile() — deterministically the one
@@ -484,7 +383,7 @@ public:
     return ShardStatus[S];
   }
   /// Per-phase cost breakdown of the last compile()/compileJobs() —
-  /// which emission path ran and where the wall-clock went.
+  /// where the wall-clock went.
   const EmitStats &emitStats() const { return Stats; }
 
 private:
@@ -499,8 +398,8 @@ private:
   /// into the pre-reserved output slice.
   enum class PassKind : u8 { Compile, Place };
 
-  /// Shared middle of compile()/compileJobs(): fragment setup, the
-  /// parallel shard pass over the current ShardBounds/NumShards, and the
+  /// The compile half of compileJobs(): fragment setup, the parallel
+  /// shard pass over the current ShardBounds/NumShards, and the
   /// single-threaded recovery pass. On return every shard fragment is
   /// final and Diags holds the recovery diagnostics, ordered by shard
   /// then function.
@@ -522,8 +421,8 @@ private:
     }
     JobCV.notify_all();
 
-    // The calling thread produces the module-level fragment (global data +
-    // declarations) and then joins shard compilation as worker 0.
+    // The calling thread produces the module-level fragment (global data)
+    // and then joins shard compilation as worker 0.
     bool GlobalsFailed = !compileGlobalsFrag();
     drainQueue(0, PassKind::Compile);
 
@@ -544,52 +443,6 @@ private:
     for (u32 S = 0; S < NumShards; ++S)
       if (ShardFailed[S])
         retryShard(S);
-  }
-
-  /// Copy-merge fallback for compile(): the pre-PR serial byte-copy walk.
-  void mergeShardsByCopy(asmx::Assembler &Out) {
-    u64 T = nowNs();
-    for (u32 S = 0; S < NumShards; ++S) {
-      bool PrevErr = Out.hasError();
-      Stats.StitchRelocs += Frags[S]->relocs().size();
-      Out.mergeFrom(*Frags[S]);
-      noteMergeError(Out, S, PrevErr);
-    }
-    Stats.StitchNs += nowNs() - T;
-  }
-
-  /// Two-pass emission for compile(): reserve every shard's slice of
-  /// \p Out in shard order, place all bytes on the worker pool, stitch
-  /// symbols/relocations serially. Byte-identical to mergeShardsByCopy.
-  void emitShardsInPlace(asmx::Assembler &Out) {
-    Stats.InPlace = true;
-    preparePlans();
-    u64 T = nowNs();
-    for (u32 S = 0; S < NumShards; ++S)
-      reserveShard(Out, S);
-    Stats.ReserveNs += nowNs() - T;
-    runPlacementPass();
-    for (u32 S = 0; S < NumShards; ++S) {
-      if (!PlaceFailed[S])
-        continue;
-      // Terminal placement failure: the slice was zero-filled by
-      // runPlacementPass; fail the compile with a shard-attributed
-      // diagnostic (the only source of a placement failure is the
-      // section-place fault site).
-      support::CompileStatus D;
-      D.Err = support::CompileErr::FaultInjected;
-      D.Shard = S;
-      D.Message = "fault injected: section-place";
-      Diags.push_back(std::move(D));
-    }
-    T = nowNs();
-    for (u32 S = 0; S < NumShards; ++S) {
-      bool PrevErr = Out.hasError();
-      Stats.StitchRelocs += Frags[S]->relocs().size();
-      Out.stitchFrom(*Frags[S], Plans[S]);
-      noteMergeError(Out, S, PrevErr);
-    }
-    Stats.StitchNs += nowNs() - T;
   }
 
   /// Sizes/clears the per-shard placement scratch (capacity retained
@@ -648,44 +501,52 @@ private:
     Stats.PlaceNs += nowNs() - T;
   }
 
-  /// Attributes a merge/stitch-stage inconsistency with no earlier
-  /// diagnostic to the shard whose merge surfaced it.
-  void noteMergeError(asmx::Assembler &Out, u32 S, bool PrevErr) {
-    if (!PrevErr && Out.hasError() && Diags.empty()) {
-      support::CompileStatus D;
-      D.Err = Out.errorCode() == support::CompileErr::FaultInjected
-                  ? support::CompileErr::FaultInjected
-                  : support::CompileErr::MergeError;
-      D.Shard = S;
-      D.Message.assign(Out.errorMessage());
+  /// Fails a job's merge with a diagnostic: \p JobSt keeps the job's
+  /// first error, and the diagnostic (attributed to shard \p S, ~0u when
+  /// no single shard caused it) joins diagnostics().
+  void failJob(support::CompileStatus &JobSt, support::CompileErr E,
+               std::string_view Msg, u32 S) {
+    support::CompileStatus D;
+    D.Err = E;
+    D.Shard = S;
+    D.Message.assign(Msg);
+    if (JobSt.ok())
+      JobSt = D;
+    Diags.push_back(std::move(D));
+  }
+
+  /// A merge/stitch-stage inconsistency that \p Out just recorded,
+  /// surfaced by shard \p S (~0u: the globals fragment). It fails the
+  /// job; it becomes a diagnostic only when nothing earlier did, so each
+  /// quarantined function still owns exactly one diagnostic.
+  void noteMergeError(support::CompileStatus &JobSt,
+                      const asmx::Assembler &Out, u32 S) {
+    support::CompileStatus D;
+    D.Err = Out.errorCode() == support::CompileErr::FaultInjected
+                ? support::CompileErr::FaultInjected
+                : support::CompileErr::MergeError;
+    D.Shard = S;
+    D.Message.assign(Out.errorMessage());
+    if (JobSt.ok())
+      JobSt = D;
+    if (Diags.empty())
       Diags.push_back(std::move(D));
-    }
   }
 
-  /// Deterministic shard decomposition. The shard count is
-  /// ceil(Funcs / FuncsPerShard) as in the unweighted scheme; with
-  /// SizeWeightedShards each boundary is placed where the accumulated
-  /// function weight reaches the next 1/NumShards slice of the total, so
-  /// skewed modules produce balanced shards. Every shard is non-empty and
-  /// the bounds depend only on the module and the options.
-  void computeShardBounds() {
-    const u32 NumFuncs = WorkerT::funcCount(M);
-    NumShards = (NumFuncs + Opts.FuncsPerShard - 1) / Opts.FuncsPerShard;
-    ShardBounds.clear();
-    ShardBounds.push_back(0);
-    if (NumShards == 0)
-      return;
-    appendWeightedBounds(0, NumFuncs, NumShards);
-    assert(ShardBounds.size() == NumShards + 1 && "bad shard decomposition");
+  /// Index of the job owning shard \p S.
+  size_t jobOfShard(u32 S) const {
+    return static_cast<size_t>(
+        std::upper_bound(JobShardBegin.begin() + 1, JobShardBegin.end(), S) -
+        (JobShardBegin.begin() + 1));
   }
 
-  /// Job-aligned shard decomposition for compileJobs(): every job's
-  /// range is subdivided on its own — shard count
-  /// ceil(JobFuncs / FuncsPerShard), weighted boundaries within the job
-  /// — so no shard straddles a job boundary and the bounds inside a job
-  /// depend only on that job's functions, never on its batch neighbors.
+  /// Deterministic, job-aligned shard decomposition: every job's range is
+  /// subdivided on its own — shard count ceil(JobFuncs / FuncsPerShard),
+  /// weighted boundaries within the job — so no shard straddles a job
+  /// boundary and the bounds inside a job depend only on that job's
+  /// functions, never on its batch neighbors or the thread count.
   /// JobShardBegin[J] is the index of job J's first shard (K+1 entries).
-  void computeShardBoundsForJobs(std::span<const u32> JobBounds) {
+  void computeShardBounds(std::span<const u32> JobBounds) {
     ShardBounds.clear();
     ShardBounds.push_back(0);
     JobShardBegin.clear();
@@ -703,17 +564,13 @@ private:
   }
 
   /// Appends the boundaries subdividing [Begin, End) into \p Shards
-  /// shards to ShardBounds (whose back() must already equal Begin). The
-  /// rule is shared by the whole-module and the per-job decomposition —
-  /// a pure function of the range's weights and FuncsPerShard.
+  /// shards to ShardBounds (whose back() must already equal Begin): each
+  /// boundary sits where the accumulated function weight reaches the next
+  /// 1/Shards slice of the range's total, so skewed ranges produce
+  /// balanced shards. Every shard is non-empty; the cut is a pure
+  /// function of the range's weights and FuncsPerShard.
   void appendWeightedBounds(u32 Begin, u32 End, u32 Shards) {
     assert(ShardBounds.back() == Begin && Shards > 0);
-    if (!Opts.SizeWeightedShards || Shards == 1) {
-      for (u32 S = 1; S < Shards; ++S)
-        ShardBounds.push_back(Begin + S * Opts.FuncsPerShard);
-      ShardBounds.push_back(End);
-      return;
-    }
     u64 Total = 0;
     for (u32 F = Begin; F < End; ++F)
       Total += weightOf(F);
@@ -818,11 +675,11 @@ private:
                 "fault injected: shard-compile");
       return;
     }
-    // compileRange rewinds (or resets) the worker's assembler itself; after
-    // the first compile this hits the symbol-batching fast path and the
+    // compileRange resets the worker's assembler itself, at a cost
+    // proportional to the previous shard's symbol table; once warm the
     // whole shard compile is allocation-free. A throwing compile (e.g. an
     // injected arena-growth failure) poisons only this shard: the worker's
-    // state is rewound wholesale at its next compileRange.
+    // state is reset wholesale at its next compileRange.
     bool OK = false;
     try {
       OK = W.W.compileRange(Begin, End);
@@ -1008,7 +865,7 @@ private:
   /// Shard S = functions [ShardBounds[S], ShardBounds[S+1]); capacity is
   /// retained across compiles (docs/PERF.md).
   std::vector<u32> ShardBounds;
-  /// compileJobs() only: job J owns shards
+  /// Job J owns shards
   /// [JobShardBegin[J], JobShardBegin[J+1]); K+1 entries.
   std::vector<u32> JobShardBegin;
   u32 NumShards = 0;

@@ -1,12 +1,13 @@
 //===- service/Admission.h - Tenant-fair admission control ------*- C++ -*-===//
 ///
 /// \file
-/// The compile service's overload-control layer: a bounded, multi-tenant
-/// admission queue that replaces the raw BoundedMpmcQueue
-/// (support/MpmcQueue.h) in front of the service workers. Three policies
-/// live here, all deterministic and all enforced under one mutex (the
-/// admission path is once-per-job, never the compile hot loop —
-/// docs/PERF.md's zero-allocation policy does not govern it):
+/// The compile service's overload-control layer: the bounded,
+/// multi-tenant admission queue in front of the service workers — the
+/// service's only job queue (the shard pass has its own work-stealing
+/// queue, support/WorkQueue.h). Three policies live here, all
+/// deterministic and all enforced under one mutex (the admission path is
+/// once-per-job, never the compile hot loop — docs/PERF.md's
+/// zero-allocation policy does not govern it):
 ///
 ///  * **Token-bucket quotas per tenant.** Each tenant owns a bucket of
 ///    BurstTokens capacity refilled at TokensPerSec; a submit costs one
@@ -40,8 +41,7 @@
 ///
 /// Admission is bounded in *time* as well as space: tryPush() never
 /// blocks, and pushWait() waits for ring space at most MaxWaitNs before
-/// giving up with Admit::Overloaded — the block-forever producer path of
-/// the raw MPMC queue does not exist here.
+/// giving up with Admit::Overloaded — no producer ever blocks forever.
 ///
 //===----------------------------------------------------------------------===//
 

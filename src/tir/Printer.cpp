@@ -136,7 +136,11 @@ public:
 private:
   std::string blockName(BlockRef B) const {
     const std::string &N = F.Blocks[B].Name;
-    return N.empty() ? "b" + std::to_string(B) : N;
+    if (!N.empty())
+      return N;
+    std::string S = "b";
+    S += std::to_string(B);
+    return S;
   }
 
   std::string valName(ValRef R) {
@@ -164,9 +168,12 @@ private:
     case ValKind::GlobalAddr:
       return "@" + M.Globals[V.Aux].Name;
     default:
+      std::string S = "%";
       if (std::string_view N = F.valueName(R); !N.empty())
-        return "%" + std::string(N);
-      return "%v" + std::to_string(R);
+        S += N;
+      else
+        S.append("v").append(std::to_string(R));
+      return S;
     }
   }
 

@@ -8,8 +8,8 @@
 /// the AAPCS64 call machinery (a64/CompilerA64.h), and the module/range
 /// drivers (core/CompilerBase.h) are all shared with the x64 back-end.
 /// It implements the full entry-point surface of TirCompilerX64 —
-/// compile(), compileReuse(), compileRange(), compileGlobals(), the
-/// declareGlobals() hook — so the backend-agnostic parallel driver
+/// compile(), compileRange(), compileGlobals(), the declareGlobals()
+/// hook — so the backend-agnostic parallel driver
 /// (core/ParallelCompiler.h) instantiates over it unchanged.
 ///
 /// The two fusions the paper calls out as critical (§3.4.4/§5.1.2) are
@@ -44,35 +44,23 @@ public:
 
   TirCompilerA64(TirAdapter &A, asmx::Assembler &Asm) : Base(A, Asm) {}
 
-  /// Compiles the whole module; returns false on unsupported constructs.
+  /// Compiles the whole module into the assembler (reset first); returns
+  /// false on unsupported constructs.
   bool compile() {
     Fused.reserve(this->A.maxValueCount());
     return this->compileModule();
   }
 
-  /// Recompiles the module, reusing the assembler's symbol table from the
-  /// previous compile (module-level symbol batching). No Assembler::reset()
-  /// needed — the compiler rewinds sections itself.
-  bool compileReuse() {
-    Fused.reserve(this->A.maxValueCount());
-    return this->recompileModule();
-  }
-
-  /// Compiles only functions [Begin, End); everything else is declared.
-  /// Shard entry point used by the parallel module compiler.
+  /// Compiles only functions [Begin, End); other functions and globals
+  /// appear only as the declarations the range references. Shard entry
+  /// point used by the parallel module compiler.
   bool compileRange(u32 Begin, u32 End) {
     Fused.reserve(this->A.maxValueCount());
     return this->compileFunctionRange(Begin, End);
   }
 
-  /// Emits the module-level fragment (global data + declarations) only.
+  /// Emits the module-level fragment (global data) only.
   bool compileGlobals() { return this->compileGlobalsOnly(); }
-
-  /// Cache-key input for the symbol-reuse fast path (CompilerBase): a
-  /// change in the module's global count must invalidate GlobalSyms.
-  u32 moduleGlobalCount() {
-    return static_cast<u32>(this->A.module().Globals.size());
-  }
 
   // =====================================================================
   // Framework hooks
@@ -80,13 +68,13 @@ public:
 
   void defineGlobals() {
     // Constant-pool symbols refer into the assembler's symbol table,
-    // which restarts per module compile (capacity retained).
+    // which restarts per compile (capacity retained).
     FpPool.clear();
     defineTirGlobals(this->Asm, this->A.module(), GlobalSyms,
                      this->moduleSymEpoch());
   }
 
-  /// Sparse-mode variant of defineGlobals() (shard compiles): registers
+  /// Range-compile variant of defineGlobals() (shard compiles): defines
   /// nothing — globalSym() materializes a global's symbol at its first
   /// reference, so a shard only pays for globals it touches.
   void declareGlobals() {

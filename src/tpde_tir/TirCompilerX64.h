@@ -29,52 +29,37 @@ public:
 
   TirCompilerX64(TirAdapter &A, asmx::Assembler &Asm) : Base(A, Asm) {}
 
-  /// Compiles the whole module; returns false on unsupported constructs.
+  /// Compiles the whole module into the assembler (reset first); returns
+  /// false on unsupported constructs.
   bool compile() {
     Fused.reserve(this->A.maxValueCount());
     return this->compileModule();
   }
 
-  /// Recompiles the module, reusing the assembler's symbol table from the
-  /// previous compile (module-level symbol batching). No Assembler::reset()
-  /// needed — the compiler rewinds sections itself.
-  bool compileReuse() {
-    Fused.reserve(this->A.maxValueCount());
-    return this->recompileModule();
-  }
-
-  /// Compiles only functions [Begin, End); everything else is declared.
-  /// Shard entry point used by the parallel module compiler.
+  /// Compiles only functions [Begin, End); other functions and globals
+  /// appear only as the declarations the range references. Shard entry
+  /// point used by the parallel module compiler.
   bool compileRange(u32 Begin, u32 End) {
     Fused.reserve(this->A.maxValueCount());
     return this->compileFunctionRange(Begin, End);
   }
 
-  /// Emits the module-level fragment (global data + declarations) only.
+  /// Emits the module-level fragment (global data) only.
   bool compileGlobals() { return this->compileGlobalsOnly(); }
-
-  /// Cache-key input for the symbol-reuse fast path (CompilerBase): a
-  /// change in the module's global count must invalidate GlobalSyms.
-  u32 moduleGlobalCount() {
-    return static_cast<u32>(this->A.module().Globals.size());
-  }
 
   // =====================================================================
   // Framework hooks
   // =====================================================================
 
   void defineGlobals() {
-    // On the symbol-reuse fast path the registrations (and GlobalSyms)
-    // from the previous compile are still valid; only the data emission
-    // and the definitions have to be redone. The cached constant-pool
-    // symbols refer into the assembler's symbol table, which restarts per
-    // module compile (capacity retained).
+    // Constant-pool symbols refer into the assembler's symbol table,
+    // which restarts per compile (capacity retained).
     FpPool.clear();
     defineTirGlobals(this->Asm, this->A.module(), GlobalSyms,
                      this->moduleSymEpoch());
   }
 
-  /// Sparse-mode variant of defineGlobals() (shard compiles): registers
+  /// Range-compile variant of defineGlobals() (shard compiles): defines
   /// nothing — globalSym() materializes a global's symbol at its first
   /// reference, so a shard only pays for globals it touches.
   void declareGlobals() {

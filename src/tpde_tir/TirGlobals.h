@@ -2,13 +2,11 @@
 ///
 /// \file
 /// Module-level global handling shared by the TIR instruction compilers of
-/// every target (x64, a64): symbol registration, data/BSS emission, and
-/// the declaration-only variant used by the parallel driver's shard
-/// compiles. The logic is entirely target-independent — it only touches
-/// the assembler's sections and symbol table — so keeping it in one place
-/// guarantees the symbol-table layout (and thus the symbol-batching reuse
-/// watermark) is identical across targets and across the define/declare
-/// entry points.
+/// every target (x64, a64): the on-demand global-symbol cache, data/BSS
+/// emission, and the FP constant pool. The logic is entirely
+/// target-independent — it only touches the assembler's sections and
+/// symbol table — so keeping it in one place guarantees the global data
+/// and pool layout is identical across targets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,19 +35,16 @@ inline asmx::Linkage tirGlobalLinkage(const tir::Global &G) {
 
 /// Epoch-guarded global-symbol cache shared by the TIR targets — the
 /// global-index twin of CompilerBase::funcSym(), built on the same
-/// asmx::EpochSymCache (one place owns the invalidation contract). The
-/// dense module entry points register every global up front (the
-/// defineTirGlobals loop), while the sparse shard path
-/// (compileFunctionRange) sizes the cache only (prepare) and
-/// materializes a global's symbol at its first reference (sym) — so a
-/// shard that touches K globals pays O(K) symbol records, never
-/// O(module). The epoch is CompilerBase::moduleSymEpoch(): one bump
-/// invalidates every slot without a per-global clear, and the
-/// symbol-batching reuse path (which keeps the epoch) keeps the cache.
+/// asmx::EpochSymCache (one place owns the invalidation contract). A
+/// global's symbol is created at its definition (defineTirGlobals) or
+/// its first reference (sym), so a shard that touches K globals pays
+/// O(K) symbol records, never O(module). The epoch is
+/// CompilerBase::moduleSymEpoch(): the per-compile bump invalidates every
+/// slot without a per-global clear.
 class TirGlobalSyms {
 public:
-  /// Sizes the cache for sparse on-demand use; registers nothing.
-  /// Steady-state no-op once the module's global count is stable.
+  /// Sizes the cache; registers nothing. Steady-state no-op once the
+  /// module's global count is stable.
   void prepare(const tir::Module &M) { Cache.resize(M.Globals.size()); }
 
   /// The symbol of global \p GI, materialized on demand (single
@@ -67,20 +62,18 @@ private:
   asmx::EpochSymCache Cache;
 };
 
-/// Registers and defines every module global: data/rodata bytes, BSS
-/// ranges, symbol definitions (the dense defineGlobals() hook). On the
-/// symbol-batching fast path (CompilerBase keeps moduleSymEpoch()
-/// unchanged) every cache slot still matches \p Epoch, so the
-/// registrations are skipped and only data emission and the definitions
-/// are redone — exactly the previous compile's symbol-table layout.
+/// Defines every module global with its data/rodata bytes or BSS range
+/// (the defineGlobals() hook). External declarations are left to
+/// TirGlobalSyms::sym(): like any other symbol, they appear only once
+/// code references them.
 inline void defineTirGlobals(asmx::Assembler &Asm, tir::Module &M,
                              TirGlobalSyms &GlobalSyms, u64 Epoch) {
   GlobalSyms.prepare(M);
   for (u32 GI = 0; GI < M.Globals.size(); ++GI) {
     const tir::Global &G = M.Globals[GI];
-    asmx::SymRef S = GlobalSyms.sym(Asm, M, GI, Epoch);
     if (!G.Defined)
       continue;
+    asmx::SymRef S = GlobalSyms.sym(Asm, M, GI, Epoch);
     if (G.Init.empty() && !G.ReadOnly) {
       asmx::Section &BSS = Asm.section(asmx::SecKind::BSS);
       u64 Al = G.Align < 1 ? 1 : G.Align;

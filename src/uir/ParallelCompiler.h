@@ -6,8 +6,8 @@
 /// bundle hundreds to thousands of compiled queries, and the sharded
 /// driver compiles them across workers exactly like the TIR back-ends —
 /// same determinism contract (byte-identical output for any thread
-/// count), same steady-state allocation guarantees, same sparse
-/// on-demand symbol mode per shard. All driver logic lives in the shared
+/// count), same steady-state allocation guarantees, same on-demand
+/// symbol creation per shard. All driver logic lives in the shared
 /// core template; this file only supplies the worker type (adapter +
 /// assembler + compiler bundle) and the one-shot convenience entry
 /// point.

@@ -41,9 +41,8 @@ struct UirServiceTraits {
   /// Appends \p Job's queries to \p Batch. Transactional: on a function
   /// name conflict (with the batch or within the job) Batch is left
   /// untouched and the job is deferred to another batch. UIR has no
-  /// module-level globals, so the batch's module fragment contributes
-  /// only declarations to each job's merged output — which keeps a
-  /// batched job's bytes identical to a solo compile.
+  /// module-level globals, so the batch's module fragment is empty —
+  /// which keeps a batched job's bytes identical to a solo compile.
   static bool appendTo(UModule &Batch, const UModule &Job);
 
   static void clearModule(UModule &M) { M.Funcs.clear(); }

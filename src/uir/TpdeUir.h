@@ -145,27 +145,24 @@ public:
 
   UirCompilerX64(UirAdapter &A, asmx::Assembler &Asm) : Base(A, Asm) {}
 
+  /// Compiles the whole module into the assembler (reset first).
   bool compile() { return this->compileModule(); }
 
-  /// Recompiles the module through the symbol-batching fast path
-  /// (module-level reuse; the compiler rewinds the assembler itself).
-  bool compileReuse() { return this->recompileModule(); }
-
-  /// Compiles only functions [Begin, End); sparse on-demand symbol mode.
-  /// Shard entry point used by the parallel module compiler.
+  /// Compiles only functions [Begin, End). Shard entry point used by the
+  /// parallel module compiler.
   bool compileRange(u32 Begin, u32 End) {
     return this->compileFunctionRange(Begin, End);
   }
 
   /// Emits the module-level fragment only (UIR has no global data, so
-  /// this is just the function declarations the merge will drop).
+  /// the fragment is empty).
   bool compileGlobals() { return this->compileGlobalsOnly(); }
 
   /// UIR modules carry no globals; only the per-module FP constant pool
   /// has to restart with each compile.
   void defineGlobals() { FpPool.clear(); }
-  /// Sparse-mode twin of defineGlobals() (shard compiles): nothing to
-  /// register — the FP pool fills on demand per shard and
+  /// Range-compile twin of defineGlobals() (shard compiles): nothing to
+  /// define — the FP pool fills on demand per shard and
   /// Assembler::mergeFrom() content-deduplicates it across shards.
   void declareGlobals() { FpPool.clear(); }
   template <typename Fn> void forEachStackVar(Fn) {}

@@ -149,7 +149,8 @@ std::vector<QueryPlan> tpde::uir::tpcdsLikePlans() {
   // shaped like TPC-DS scan-heavy aggregation queries.
   for (u32 Q = 0; Q < 20; ++Q) {
     QueryPlan P;
-    P.Name = "q" + std::to_string(Q + 1);
+    P.Name = "q";
+    P.Name += std::to_string(Q + 1);
     u32 NumPreds = 1 + Q % 4;
     for (u32 I = 0; I < NumPreds; ++I) {
       Pred Pr;
@@ -215,8 +216,11 @@ bool translateToTir(const UModule &M, tir::Module &Out) {
     std::vector<tir::ValRef> Map(F.Vals.size(), tir::InvalidRef);
     Map[0] = B.arg(0);
     Map[1] = B.arg(1);
-    for (u32 Blk = 0; Blk < F.Blocks.size(); ++Blk)
-      B.addBlock("b" + std::to_string(Blk));
+    for (u32 Blk = 0; Blk < F.Blocks.size(); ++Blk) {
+      std::string BlockName = "b";
+      BlockName += std::to_string(Blk);
+      B.addBlock(BlockName);
+    }
     auto val = [&](u32 V) -> tir::ValRef {
       if (Map[V] != tir::InvalidRef)
         return Map[V];

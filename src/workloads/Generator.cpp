@@ -358,7 +358,9 @@ void tpde::workloads::genModule(Module &M, const Profile &P) {
   for (u32 I = 0; I < P.NumFuncs; ++I) {
     Profile FP = P;
     FP.Seed = P.Seed * 1000003 + I;
-    Fns.push_back(genFunction(M, "f" + std::to_string(I), FP));
+    std::string Name = "f";
+    Name += std::to_string(I);
+    Fns.push_back(genFunction(M, Name, FP));
   }
   // Driver: xors all function results.
   FunctionBuilder B(M, "main_entry", Type::I64, {Type::I64, Type::I64});

@@ -225,12 +225,15 @@ public:
       u32 VN = this->A.valNumber(V);
       this->ensureAssignment(V, VN);
       core::Assignment &As = this->Assigns[VN];
-      u8 Banks[core::Assignment::MaxParts];
+      const u8 N = As.PartCount;
+      if (N > core::Assignment::MaxParts)
+        TPDE_UNREACHABLE("too many value parts");
+      u8 Banks[core::Assignment::MaxParts] = {};
       CCAssignerSysV::Loc Locs[core::Assignment::MaxParts];
-      for (u8 P = 0; P < As.PartCount; ++P)
+      for (u8 P = 0; P < N; ++P)
         Banks[P] = this->A.valPartBank(V, P);
-      CC.assignValue(Banks, As.PartCount, Locs);
-      for (u8 P = 0; P < As.PartCount; ++P) {
+      CC.assignValue(Banks, N, Locs);
+      for (u8 P = 0; P < N; ++P) {
         if (Locs[P].InReg) {
           core::Reg R(Locs[P].RegId);
           this->Regs.markUsed(R, VN, P);
@@ -261,7 +264,7 @@ public:
     Places.clear();
     for (ValRef V : Args) {
       u8 N = static_cast<u8>(this->A.valPartCount(V));
-      u8 Banks[core::Assignment::MaxParts];
+      u8 Banks[core::Assignment::MaxParts] = {};
       CCAssignerSysV::Loc Locs[core::Assignment::MaxParts];
       for (u8 P = 0; P < N; ++P)
         Banks[P] = this->A.valPartBank(V, P);

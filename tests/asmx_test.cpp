@@ -670,37 +670,6 @@ TEST(TwoPassEmission, SteadyStateSplitEmissionIsAllocationFree) {
       << " bytes)";
 }
 
-// --- rewindForRecompile (module-level symbol batching) ---------------------
-
-TEST(Rewind, KeepsDeclarationsDropsDefinitionsAndAnonymous) {
-  Assembler A;
-  SymRef F = A.createSymbol("f", Linkage::External, true);
-  SymRef G = A.createSymbol("g", Linkage::Internal, false);
-  u32 Watermark = A.symbolCount();
-  A.defineSymbol(F, SecKind::Text, 0, 4);
-  SymRef Anon = A.createSymbol("", Linkage::Internal, false);
-  A.defineSymbol(Anon, SecKind::ROData, 0, 8);
-  SymRef Named = A.createSymbol("late", Linkage::External, false);
-  A.section(SecKind::Text).appendLE<u32>(0x90909090);
-  A.addReloc(SecKind::Text, 0, RelocKind::PC32, F, -4);
-  (void)Named;
-
-  u64 Epoch = A.resetEpoch();
-  A.rewindForRecompile(Watermark);
-  EXPECT_EQ(A.resetEpoch(), Epoch) << "rewind must not invalidate the cache";
-  EXPECT_EQ(A.symbolCount(), Watermark);
-  EXPECT_EQ(A.section(SecKind::Text).size(), 0u);
-  EXPECT_TRUE(A.relocs().empty());
-  // Kept symbols are declarations again, same handles, same names.
-  EXPECT_EQ(A.findSymbol("f").Idx, F.Idx);
-  EXPECT_FALSE(A.symbol(F).Defined);
-  EXPECT_EQ(A.symbol(G).Link, Linkage::Internal);
-  // Dropped names are gone and can be re-created cleanly.
-  EXPECT_FALSE(A.findSymbol("late").isValid());
-  SymRef Again = A.createSymbol("late", Linkage::External, false);
-  EXPECT_EQ(Again.Idx, Watermark) << "new symbols reuse the truncated slots";
-}
-
 TEST(Merge, BssRebaseHonorsOveralignedSections) {
   // A fragment whose BSS holds a 32-byte-aligned member raises the
   // section alignment; the merge must rebase to that alignment so the
@@ -723,9 +692,8 @@ TEST(Merge, BssRebaseHonorsOveralignedSections) {
 
 TEST(Merge, UnreferencedDeclarationsAreDropped) {
   // Merging keeps only definitions and actually-referenced declarations
-  // (linker semantics): the sparse shard compiles never create
-  // unreferenced declarations, and any source that does (e.g. a dense
-  // globals fragment with its whole-module registration) must not make
+  // (linker semantics): the on-demand compiles never create
+  // unreferenced declarations, and any source that does must not make
   // merging K fragments quadratic in module size.
   Assembler Out, Frag;
   Frag.section(SecKind::Text).appendLE<u32>(0);
@@ -764,10 +732,10 @@ TEST(Sparse, GetOrCreateUpgradesUndefinedExternalOnly) {
 }
 
 TEST(Sparse, RewindToZeroIsTheShardRewind) {
-  // rewindForRecompile(0) drops the whole (sparse) table at a cost
-  // proportional to it — the per-shard rewind of the on-demand mode.
-  // Names must be re-creatable and, at steady state, re-creating them
-  // must not touch the heap (pool + capacity retained).
+  // reset() drops the whole table at a cost proportional to it — the
+  // per-shard reset of the on-demand mode. Names must be re-creatable
+  // and, at steady state, re-creating them must not touch the heap
+  // (pool + capacity retained).
   Assembler A;
   auto CompileShardLike = [&A](int Shard) {
     SymRef Own =
@@ -778,23 +746,21 @@ TEST(Sparse, RewindToZeroIsTheShardRewind) {
     A.addReloc(SecKind::Text, 0, RelocKind::PC32, Callee, -4);
   };
   CompileShardLike(0);
-  u64 Epoch = A.resetEpoch();
-  A.rewindForRecompile(0);
-  EXPECT_EQ(A.resetEpoch(), Epoch) << "sparse rewind is not a reset";
+  A.reset();
   EXPECT_EQ(A.symbolCount(), 0u);
   EXPECT_FALSE(A.findSymbol("f_a").isValid());
   EXPECT_FALSE(A.findSymbol("f_shared").isValid());
   // Warm both shard shapes, then assert the steady state.
   CompileShardLike(1);
-  A.rewindForRecompile(0);
+  A.reset();
   CompileShardLike(0);
-  A.rewindForRecompile(0);
+  A.reset();
   support::AllocWatch W;
   CompileShardLike(1);
-  A.rewindForRecompile(0);
+  A.reset();
   CompileShardLike(0);
   EXPECT_EQ(W.newCalls(), 0u)
-      << "steady-state sparse rewind/rebuild touched the heap";
+      << "steady-state sparse reset/rebuild touched the heap";
 }
 
 TEST(Sparse, SnapshotCarriesOnlyDefinedAndReferencedRecords) {

@@ -18,12 +18,14 @@
 #include "asmx/JITMapper.h"
 #include "support/AllocCounter.h"
 #include "support/WorkQueue.h"
+#include "tir/Builder.h"
 #include "tpde_tir/ParallelCompiler.h"
 #include "uir/ParallelCompiler.h"
 #include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -354,7 +356,6 @@ TEST(WeightedShards, DeterministicBoundsAndSerialText) {
   for (unsigned Threads : {1u, 3u, 8u}) {
     tpde_tir::ParallelCompileOptions Opts;
     Opts.NumThreads = Threads;
-    ASSERT_TRUE(Opts.SizeWeightedShards) << "weighted sharding is the default";
     tpde_tir::ParallelModuleCompiler PC(M, Opts);
     asmx::Assembler Out;
     ASSERT_TRUE(PC.compile(Out));
@@ -374,16 +375,6 @@ TEST(WeightedShards, DeterministicBoundsAndSerialText) {
     EXPECT_EQ(Text, SerialText) << "weighted shards broke the serial-text "
                                    "contract, threads=" << Threads;
   }
-
-  // The unweighted decomposition must produce the same serial text too.
-  tpde_tir::ParallelCompileOptions Fixed;
-  Fixed.NumThreads = 2;
-  Fixed.SizeWeightedShards = false;
-  tpde_tir::ParallelModuleCompiler PC(M, Fixed);
-  asmx::Assembler Out;
-  ASSERT_TRUE(PC.compile(Out));
-  std::vector<u8> Text(Out.text().Data.begin(), Out.text().Data.end());
-  EXPECT_EQ(Text, SerialText);
 }
 
 // --- AArch64: the driver's second instantiation ----------------------------
@@ -544,9 +535,9 @@ TEST(ParallelCorrectness, FailedShardFailsTheCompile) {
   EXPECT_FALSE(tpde_tir::compileModuleX64Parallel(M, Out, 2));
 }
 
-// --- On-demand (sparse) symbol materialization -----------------------------
+// --- On-demand symbol materialization --------------------------------------
 
-/// The tentpole property of the sparse mode: a shard compile's symbol
+/// The tentpole property of on-demand symbols: a shard compile's symbol
 /// table holds only the shard's own definitions plus what it actually
 /// references — never the whole module table. With the old per-shard
 /// registration pass this table held every function and global of the
@@ -571,6 +562,41 @@ TEST(SparseShardSymbols, ShardTableIsProportionalToShardNotModule) {
   ASSERT_TRUE(Compiler.compileRange(2, 4));
   EXPECT_EQ(W.newCalls(), 0u)
       << "steady-state sparse shard recompilation allocated";
+}
+
+/// The serial compile runs the same on-demand symbol mode as a shard: an
+/// external declaration that nothing calls never becomes a symbol, a
+/// function referenced only by a call appears as an undefined
+/// declaration, and the serial ELF object equals the one-thread parallel
+/// compile's.
+TEST(SparseShardSymbols, SerialCompileHoldsOnlyDefinedAndReferenced) {
+  tir::Module M;
+  tir::declareFunc(M, "unused_decl", tir::Type::I64, {tir::Type::I64});
+  u32 Callee =
+      tir::declareFunc(M, "called_decl", tir::Type::I64, {tir::Type::I64});
+  {
+    tir::FunctionBuilder B(M, "caller", tir::Type::I64, {tir::Type::I64});
+    B.setInsertPoint(B.addBlock());
+    B.ret(B.call(Callee, tir::Type::I64, {B.arg(0)}));
+    B.finish();
+  }
+
+  asmx::Assembler SerialAsm;
+  ASSERT_TRUE(tpde_tir::compileModuleX64(M, SerialAsm));
+  std::vector<std::string> Names;
+  for (const asmx::Symbol &S : SerialAsm.symbols())
+    Names.emplace_back(S.Name);
+  std::sort(Names.begin(), Names.end());
+  EXPECT_EQ(Names, (std::vector<std::string>{"called_decl", "caller"}))
+      << "the serial table must hold exactly the defined and referenced "
+         "symbols";
+  EXPECT_TRUE(SerialAsm.symbol(SerialAsm.findSymbol("caller")).Defined);
+  EXPECT_FALSE(SerialAsm.symbol(SerialAsm.findSymbol("called_decl")).Defined);
+
+  asmx::Assembler ParAsm;
+  ASSERT_TRUE(tpde_tir::compileModuleX64Parallel(M, ParAsm, 1));
+  EXPECT_EQ(asmx::writeElfObject(ParAsm, asmx::ElfMachine::X86_64),
+            asmx::writeElfObject(SerialAsm, asmx::ElfMachine::X86_64));
 }
 
 // --- Large-module determinism (the 10k-function acceptance suite) ----------
@@ -651,39 +677,32 @@ TEST(LargeModuleDeterminism, ElfIdenticalToSerialA64) {
   }
 }
 
-/// The copy-merge fallback (InPlaceEmission=false) and the default
-/// two-pass in-place path are the same merge resequenced — both must
-/// reproduce the serial module's full ELF object, and emitStats() must
-/// report which path ran plus a plausible cost breakdown (bytes placed
-/// never exceed the merged text+data, stitch visits every shard reloc).
-TEST(LargeModuleDeterminism, CopyMergeFallbackMatchesInPlace) {
+/// The two-pass emission path (reserve / parallel place / stitch) is the
+/// merge resequenced — it must reproduce the serial module's full ELF
+/// object, and emitStats() must report a plausible cost breakdown (bytes
+/// placed never exceed the merged text+data, stitch visits every shard
+/// reloc).
+TEST(LargeModuleDeterminism, TwoPassEmissionStatsAndSerialElf) {
   tir::Module M = makeModule(13, 40, true);
   asmx::Assembler SerialAsm;
   ASSERT_TRUE(tpde_tir::compileModuleX64(M, SerialAsm));
   std::vector<u8> SerialObj =
       asmx::writeElfObject(SerialAsm, asmx::ElfMachine::X86_64);
 
-  for (bool InPlace : {true, false}) {
-    tpde_tir::ParallelCompileOptions Opts;
-    Opts.NumThreads = 4;
-    Opts.InPlaceEmission = InPlace;
-    tpde_tir::ParallelModuleCompiler PC(M, Opts);
-    asmx::Assembler Out;
-    ASSERT_TRUE(PC.compile(Out)) << "in_place=" << InPlace;
-    const core::EmitStats &St = PC.emitStats();
-    EXPECT_EQ(St.InPlace, InPlace);
-    if (InPlace) {
-      EXPECT_GT(St.PlacedBytes, 0u);
-      EXPECT_LE(St.PlacedBytes,
-                Out.text().Data.size() +
-                    Out.section(asmx::SecKind::Data).Data.size())
-          << "placed more bytes than the merged output holds";
-    }
-    EXPECT_GT(St.StitchRelocs, 0u) << "shard relocs went unstitched";
-    EXPECT_EQ(asmx::writeElfObject(Out, asmx::ElfMachine::X86_64), SerialObj)
-        << "in_place=" << InPlace
-        << ": emission path diverged from the serial compile";
-  }
+  tpde_tir::ParallelCompileOptions Opts;
+  Opts.NumThreads = 4;
+  tpde_tir::ParallelModuleCompiler PC(M, Opts);
+  asmx::Assembler Out;
+  ASSERT_TRUE(PC.compile(Out));
+  const core::EmitStats &St = PC.emitStats();
+  EXPECT_GT(St.PlacedBytes, 0u);
+  EXPECT_LE(St.PlacedBytes,
+            Out.text().Data.size() +
+                Out.section(asmx::SecKind::Data).Data.size())
+      << "placed more bytes than the merged output holds";
+  EXPECT_GT(St.StitchRelocs, 0u) << "shard relocs went unstitched";
+  EXPECT_EQ(asmx::writeElfObject(Out, asmx::ElfMachine::X86_64), SerialObj)
+      << "emission path diverged from the serial compile";
 }
 
 // --- UIR: the database back-end through the same driver --------------------
@@ -819,20 +838,20 @@ TEST(UirParallelReuse, SteadyStateIsAllocationFreeSingleWorker) {
       << " times (" << W.newBytes() << " bytes)";
 }
 
-/// The serial reuse path (module-level symbol batching) holds for the
-/// database back-end too: recompiling a query module through one
-/// compiler is byte-identical and allocation-free once warm.
+/// Serial recompiles hold the same contract for the database back-end:
+/// recompiling a query module through one compiler and one assembler is
+/// byte-identical and allocation-free once warm.
 TEST(UirParallelReuse, SerialRecompileIsByteIdenticalAndAllocationFree) {
   uir::UModule M = makeQueryModule(7, 24);
   uir::UirAdapter A(M);
   asmx::Assembler Asm;
   uir::UirCompilerX64 C(A, Asm);
-  ASSERT_TRUE(C.compileReuse());
+  ASSERT_TRUE(C.compile());
   std::vector<u8> First(Asm.text().Data.begin(), Asm.text().Data.end());
   for (int I = 0; I < 2; ++I)
-    ASSERT_TRUE(C.compileReuse());
+    ASSERT_TRUE(C.compile());
   support::AllocWatch W;
-  ASSERT_TRUE(C.compileReuse());
+  ASSERT_TRUE(C.compile());
   EXPECT_EQ(W.newCalls(), 0u)
       << "steady-state UIR recompile allocated " << W.newCalls() << " times";
   EXPECT_TRUE(Asm.text().Data.size() == First.size() &&

@@ -17,8 +17,7 @@
 ///    structured diagnostic; an uncompilable job inside a batch fails
 ///    alone while its batch neighbors are served; the fault-injection
 ///    shard-compile site inside the service path recovers (fault builds).
-///  * Support primitives: bounded MPMC queue semantics, latency
-///    histogram quantiles.
+///  * Support primitives: latency histogram quantiles.
 ///  * Overload control (docs/SERVICE.md, "Overload control"): admission
 ///    queue unit tests (token-bucket quotas, weighted-fair dequeue, the
 ///    retry lane, bounded-wait admission), structured Overloaded /
@@ -32,7 +31,6 @@
 #include "service/Admission.h"
 #include "support/FaultInjector.h"
 #include "support/Histogram.h"
-#include "support/MpmcQueue.h"
 #include "tpde_tir/Service.h"
 #include "uir/Service.h"
 #include "workloads/Generator.h"
@@ -134,41 +132,6 @@ using QueryFn = i64 (*)(const i64 *const *, i64);
 } // namespace
 
 // --- support primitives ----------------------------------------------------
-
-TEST(MpmcQueue, FifoCloseAndDrainSemantics) {
-  support::BoundedMpmcQueue<int> Q(4);
-  EXPECT_TRUE(Q.tryPush(1));
-  EXPECT_TRUE(Q.tryPush(2));
-  EXPECT_TRUE(Q.tryPush(3));
-  EXPECT_TRUE(Q.tryPush(4));
-  EXPECT_FALSE(Q.tryPush(5)) << "queue is bounded";
-  int V = 0;
-  EXPECT_TRUE(Q.pop(V));
-  EXPECT_EQ(V, 1) << "FIFO order";
-  Q.close();
-  EXPECT_FALSE(Q.push(6)) << "closed queue rejects producers";
-  EXPECT_TRUE(Q.pop(V)) << "close drains remaining items";
-  EXPECT_EQ(V, 2);
-  EXPECT_TRUE(Q.pop(V));
-  EXPECT_TRUE(Q.pop(V));
-  EXPECT_EQ(V, 4);
-  EXPECT_FALSE(Q.pop(V)) << "closed and drained";
-}
-
-TEST(MpmcQueue, BlockingHandoffAcrossThreads) {
-  support::BoundedMpmcQueue<int> Q(2);
-  i64 Sum = 0;
-  std::thread Consumer([&] {
-    int V;
-    while (Q.pop(V))
-      Sum += V;
-  });
-  for (int I = 1; I <= 100; ++I)
-    EXPECT_TRUE(Q.push(I));
-  Q.close();
-  Consumer.join();
-  EXPECT_EQ(Sum, 5050);
-}
 
 TEST(LatencyHistogram, QuantilesAreConservativeUpperBounds) {
   support::LatencyHistogram H;

@@ -287,25 +287,6 @@ TEST(StateReuse, RecompileIsByteIdenticalAndAllocationFree) {
   EXPECT_EQ(textBytes(Asm), First);
 }
 
-/// Recompiling into the SAME assembler without reset() defines every
-/// function symbol twice; the module compile must report failure instead
-/// of silently emitting relocations against the first definition.
-TEST(StateReuse, RecompileWithoutResetFailsWithDuplicateSymbols) {
-  tir::Module M;
-  workloads::Profile P;
-  P.Seed = 3;
-  P.NumFuncs = 2;
-  workloads::genModule(M, P);
-
-  tpde_tir::TirAdapter Adapter(M);
-  asmx::Assembler Asm;
-  tpde_tir::TirCompilerX64 Compiler(Adapter, Asm);
-  ASSERT_TRUE(Compiler.compile());
-  EXPECT_FALSE(Compiler.compile()) << "missing Assembler::reset() between "
-                                      "compiles must surface as failure";
-  EXPECT_TRUE(Asm.hasError());
-}
-
 /// The O0-flavor IR (stack locals, loads/stores) exercises different
 /// instruction compilers; it must reach the same steady state.
 TEST(StateReuse, O0FlavorAlsoAllocationFree) {
@@ -328,12 +309,10 @@ TEST(StateReuse, O0FlavorAlsoAllocationFree) {
   EXPECT_EQ(W.newCalls(), 0u);
 }
 
-/// Module-level symbol batching: compileReuse() recompiles into the same
-/// assembler WITHOUT Assembler::reset(), rewinding sections but keeping
-/// the interned symbol table, so the per-module createSymbol pass is
-/// skipped. Must be byte-identical to the reset-based path, allocation
-/// free, and must actually stay on the fast path (the reset epoch never
-/// moves).
+/// Recompiling through one compiler into one assembler: compile() resets
+/// the assembler itself and recreates the same symbols on first use, so
+/// the output is byte-identical, the symbol table does not grow, and the
+/// steady state is allocation-free.
 TEST(StateReuse, SymbolBatchedRecompileIsByteIdenticalAndFast) {
   tir::Module M;
   workloads::Profile P;
@@ -349,54 +328,27 @@ TEST(StateReuse, SymbolBatchedRecompileIsByteIdenticalAndFast) {
   ASSERT_TRUE(Compiler.compile());
   std::vector<u8> First = textBytes(Asm);
   u32 Symbols = Asm.symbolCount();
-  u64 Epoch = Asm.resetEpoch();
 
-  // No reset() between compiles: compileReuse rewinds internally.
-  ASSERT_TRUE(Compiler.compileReuse());
+  // No reset() between compiles: compile() resets internally.
+  ASSERT_TRUE(Compiler.compile());
   EXPECT_EQ(textBytes(Asm), First);
   EXPECT_EQ(Asm.symbolCount(), Symbols)
       << "recompile must not grow the symbol table";
-  EXPECT_EQ(Asm.resetEpoch(), Epoch)
-      << "fast path must not fall back to a full reset";
 
   // Steady state: zero allocations, still identical.
-  ASSERT_TRUE(Compiler.compileReuse());
+  ASSERT_TRUE(Compiler.compile());
   support::AllocWatch W;
-  ASSERT_TRUE(Compiler.compileReuse());
+  ASSERT_TRUE(Compiler.compile());
   EXPECT_EQ(W.newCalls(), 0u)
-      << "symbol-batched recompilation allocated " << W.newCalls()
+      << "steady-state recompilation allocated " << W.newCalls()
       << " times (" << W.newBytes() << " bytes)";
   EXPECT_EQ(textBytes(Asm), First);
-  EXPECT_EQ(Asm.resetEpoch(), Epoch);
+  EXPECT_EQ(Asm.symbolCount(), Symbols);
 }
 
-/// The fast path must disengage when the assembler is reset underneath
-/// the compiler (cache invalidation by epoch), and re-arm afterwards.
-TEST(StateReuse, SymbolBatchingInvalidatesOnExternalReset) {
-  tir::Module M;
-  workloads::Profile P;
-  P.Seed = 21;
-  P.NumFuncs = 4;
-  workloads::genModule(M, P);
-
-  tpde_tir::TirAdapter Adapter(M);
-  asmx::Assembler Asm;
-  tpde_tir::TirCompilerX64 Compiler(Adapter, Asm);
-  ASSERT_TRUE(Compiler.compile());
-  std::vector<u8> First = textBytes(Asm);
-
-  Asm.reset(); // external reset: the cached symbol table is gone
-  ASSERT_TRUE(Compiler.compileReuse()) << "must fall back to a full compile";
-  EXPECT_EQ(textBytes(Asm), First);
-  u64 Epoch = Asm.resetEpoch();
-  ASSERT_TRUE(Compiler.compileReuse());
-  EXPECT_EQ(Asm.resetEpoch(), Epoch) << "fast path must re-arm after fallback";
-  EXPECT_EQ(textBytes(Asm), First);
-}
-
-/// Mutating the module's global list between recompiles must disengage
-/// the symbol-reuse fast path (stale GlobalSyms would otherwise be
-/// indexed out of bounds) and fall back to a clean full rebuild.
+/// Mutating the module's global list between recompiles must be picked
+/// up by the next compile: the global-symbol cache is resized and the
+/// new global is defined.
 TEST(StateReuse, SymbolBatchingInvalidatesOnGlobalCountChange) {
   tir::Module M;
   workloads::Profile P;
@@ -408,8 +360,8 @@ TEST(StateReuse, SymbolBatchingInvalidatesOnGlobalCountChange) {
   asmx::Assembler Asm;
   tpde_tir::TirCompilerX64 Compiler(Adapter, Asm);
   ASSERT_TRUE(Compiler.compile());
-  ASSERT_TRUE(Compiler.compileReuse());
-  u64 FastEpoch = Asm.resetEpoch();
+  ASSERT_TRUE(Compiler.compile());
+  EXPECT_FALSE(Asm.findSymbol("late_global").isValid());
 
   tir::Global G;
   G.Name = "late_global";
@@ -417,50 +369,14 @@ TEST(StateReuse, SymbolBatchingInvalidatesOnGlobalCountChange) {
   G.Init = {1, 2, 3, 4};
   M.Globals.push_back(G);
 
-  ASSERT_TRUE(Compiler.compileReuse());
-  EXPECT_NE(Asm.resetEpoch(), FastEpoch)
-      << "global-count change must force the full-reset fallback";
-  EXPECT_TRUE(Asm.findSymbol("late_global").isValid());
-  ASSERT_TRUE(Compiler.compileReuse());
-  EXPECT_TRUE(Asm.findSymbol("late_global").isValid())
-      << "fast path must re-arm with the new global registered";
-}
-
-/// A sparse shard compile (compileRange) leaves the assembler without the
-/// dense module-symbol prefix, so it must disarm the symbol-batching fast
-/// path: a following compileReuse() has to fall back to a full rebuild
-/// instead of rewinding to a watermark that no longer describes the
-/// table (which would silently corrupt symbol identities).
-TEST(StateReuse, SparseRangeCompileDisarmsSymbolBatching) {
-  tir::Module M;
-  workloads::Profile P;
-  P.Seed = 43;
-  P.NumFuncs = 6;
-  P.SSAForm = true;
-  P.CallPct = 20;
-  workloads::genModule(M, P);
-
-  tpde_tir::TirAdapter Adapter(M);
-  asmx::Assembler Asm;
-  tpde_tir::TirCompilerX64 Compiler(Adapter, Asm);
   ASSERT_TRUE(Compiler.compile());
-  std::vector<u8> First = textBytes(Asm);
-  u64 Epoch = Asm.resetEpoch();
-
-  // Sparse mode: materializes only the shard's symbols, no module prefix.
-  ASSERT_TRUE(Compiler.compileRange(0, 2));
-  EXPECT_EQ(Asm.resetEpoch(), Epoch) << "sparse rewind must not reset";
-
-  // The reuse entry point must detect the foreign table and rebuild.
-  ASSERT_TRUE(Compiler.compileReuse());
-  EXPECT_NE(Asm.resetEpoch(), Epoch)
-      << "stale watermark reused over a sparse table";
-  EXPECT_EQ(textBytes(Asm), First);
-  // And the fast path re-arms afterwards.
-  u64 Armed = Asm.resetEpoch();
-  ASSERT_TRUE(Compiler.compileReuse());
-  EXPECT_EQ(Asm.resetEpoch(), Armed);
-  EXPECT_EQ(textBytes(Asm), First);
+  asmx::SymRef S = Asm.findSymbol("late_global");
+  ASSERT_TRUE(S.isValid());
+  EXPECT_TRUE(Asm.symbol(S).Defined);
+  ASSERT_TRUE(Compiler.compile());
+  S = Asm.findSymbol("late_global");
+  ASSERT_TRUE(S.isValid()) << "the next compile must define it again";
+  EXPECT_TRUE(Asm.symbol(S).Defined);
 }
 
 // --- Sync wrappers (support/Sync.h) ----------------------------------------
