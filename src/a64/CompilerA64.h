@@ -11,7 +11,8 @@
 ///    size and callee-saved saves/restores are only known after register
 ///    allocation, so placeholder space is reserved and padded with NOPs
 ///    (paper §3.4.2),
-///  * AAPCS64 argument/return assignment and call sequence generation,
+///  * the AAPCS64 tables (argument and return registers) and the three
+///    leaf emitters of the framework's call lowering (core/CompilerBase.h),
 ///  * the spill/reload/move primitives the framework core requires.
 ///
 /// X16/X17 are reserved: X16 as encoder-internal scratch for out-of-range
@@ -25,8 +26,6 @@
 
 #include "a64/Encoder.h"
 #include "core/CompilerBase.h"
-
-#include <span>
 
 namespace tpde::a64 {
 
@@ -46,61 +45,19 @@ struct A64Config {
   static constexpr u32 FixedRegPool[2] = {0x1F800000u, 0x0000F000u};
   /// Save area for X19-X28 and V8-V15 below the frame pointer.
   static constexpr u32 CalleeSaveAreaSize = 144;
+  /// AAPCS64 tables (core::CCAssigner and CompilerBase call lowering).
+  static constexpr u8 GPArgRegs[8] = {0, 1, 2, 3, 4, 5, 6, 7}; // x0-x7
+  static constexpr u8 NumFPArgRegs = 8;                        // v0-v7
+  static constexpr u8 GPRetRegs[2] = {0, 1};                   // x0, x1
+  static constexpr u8 FPRetRegs[2] = {32, 33};                 // v0, v1
 };
 
 inline AsmReg ar(core::Reg R) { return AsmReg(R.Id); }
-
-/// AAPCS64 argument assignment: X0-X7 and V0-V7, then the stack.
-class CCAssignerAAPCS {
-public:
-  struct Loc {
-    bool InReg = false;
-    u8 RegId = 0xFF;
-    i32 StackOff = 0;
-  };
-
-  /// Assigns all parts of one value. Multi-part values go either entirely
-  /// to registers or entirely to the stack.
-  void assignValue(const u8 *Banks, u8 NumParts, Loc *Out) {
-    u8 NeedGP = 0, NeedFP = 0;
-    for (u8 P = 0; P < NumParts; ++P)
-      (Banks[P] == 0 ? NeedGP : NeedFP) += 1;
-    if (GPUsed + NeedGP <= 8 && FPUsed + NeedFP <= 8) {
-      for (u8 P = 0; P < NumParts; ++P) {
-        Out[P].InReg = true;
-        if (Banks[P] == 0)
-          Out[P].RegId = GPUsed++;
-        else
-          Out[P].RegId = static_cast<u8>(32 + FPUsed++);
-      }
-      return;
-    }
-    if (NumParts > 1)
-      StackBytes = static_cast<u32>(alignTo(StackBytes, 16));
-    for (u8 P = 0; P < NumParts; ++P) {
-      Out[P].InReg = false;
-      Out[P].StackOff = static_cast<i32>(StackBytes);
-      StackBytes += 8;
-    }
-  }
-
-  u32 stackBytes() const { return StackBytes; }
-
-  static constexpr u8 GPRetRegs[2] = {0, 1};   // x0, x1
-  static constexpr u8 FPRetRegs[2] = {32, 33}; // v0, v1
-
-private:
-  u8 GPUsed = 0, FPUsed = 0;
-  u32 StackBytes = 0;
-};
 
 template <core::IRAdapter Adapter, typename Derived>
 class CompilerA64 : public core::CompilerBase<Adapter, Derived, A64Config> {
 public:
   using Base = core::CompilerBase<Adapter, Derived, A64Config>;
-  using ValRef = typename Adapter::ValRef;
-  using ValuePartRef = typename Base::ValuePartRef;
-  using PendingMove = typename Base::PendingMove;
   using Base::derived;
 
   CompilerA64(Adapter &A, asmx::Assembler &Asm) : Base(A, Asm), E(Asm) {}
@@ -203,200 +160,22 @@ public:
   }
 
   // =====================================================================
-  // Arguments (AAPCS64)
+  // Call lowering leaf emitters (CompilerBase::genCall)
   // =====================================================================
 
-  void setupArguments() {
-    CCAssignerAAPCS CC;
-    for (ValRef V : this->A.funcArgs()) {
-      u32 VN = this->A.valNumber(V);
-      this->ensureAssignment(V, VN);
-      core::Assignment &As = this->Assigns[VN];
-      const u8 N = As.PartCount;
-      if (N > core::Assignment::MaxParts)
-        TPDE_UNREACHABLE("too many value parts");
-      u8 Banks[core::Assignment::MaxParts] = {};
-      CCAssignerAAPCS::Loc Locs[core::Assignment::MaxParts];
-      for (u8 P = 0; P < N; ++P)
-        Banks[P] = this->A.valPartBank(V, P);
-      CC.assignValue(Banks, N, Locs);
-      for (u8 P = 0; P < N; ++P) {
-        if (Locs[P].InReg) {
-          core::Reg R(Locs[P].RegId);
-          this->Regs.markUsed(R, VN, P);
-          As.Parts[P].RegId = R.Id;
-        } else {
-          // Incoming stack slot: [x29 + 16 + off]; parts are consecutive.
-          if (P == 0)
-            As.FrameOff = 16 + Locs[P].StackOff;
-          As.Parts[P].Flags |= core::ValuePart::StackValid;
-        }
-      }
-      if (As.RefCount == 0)
-        this->freeValue(VN);
-    }
+  /// Moves SP by \p Delta bytes (negative allocates).
+  void emitStackAdjust(i32 Delta) {
+    if (Delta < 0)
+      E.subRI(8, SP, SP, static_cast<u64>(-Delta));
+    else
+      E.addRI(8, SP, SP, static_cast<u64>(Delta));
   }
-
-  // =====================================================================
-  // Calls (AAPCS64)
-  // =====================================================================
-
-  /// Generates a complete call sequence: argument assignment and moves
-  /// (parallel-move safe), caller-saved spilling, stack arguments, the
-  /// call itself, and result binding. \p Result may be null for void.
-  void genCall(asmx::SymRef Callee, std::span<const ValRef> Args,
-               const ValRef *Result, bool Vararg = false) {
-    (void)Vararg; // AAPCS64 needs no vector-register count
-    CCAssignerAAPCS CC;
-    auto &Places = CallPlaces; // scratch member (docs/PERF.md)
-    Places.clear();
-    for (ValRef V : Args) {
-      u8 N = static_cast<u8>(this->A.valPartCount(V));
-      u8 Banks[core::Assignment::MaxParts] = {};
-      CCAssignerAAPCS::Loc Locs[core::Assignment::MaxParts];
-      for (u8 P = 0; P < N; ++P)
-        Banks[P] = this->A.valPartBank(V, P);
-      CC.assignValue(Banks, N, Locs);
-      for (u8 P = 0; P < N; ++P)
-        Places.push_back(Place{V, P, Locs[P], Banks[P]});
-    }
-
-    // 1. All dirty caller-saved registers holding values must be spilled:
-    //    the call clobbers them.
-    this->forEachOwnedReg([&](core::Reg R, u32 VN, u8 Part) {
-      if (isCallerSaved(R))
-        this->spillPart(VN, Part);
-    });
-
-    // 2. Stack arguments.
-    u32 StackBytes = static_cast<u32>(alignTo(CC.stackBytes(), 16));
-    if (StackBytes)
-      E.subRI(8, SP, SP, StackBytes);
-    for (Place &P : Places) {
-      if (P.L.InReg)
-        continue;
-      ValuePartRef Ref = this->valRef(P.V, P.Part);
-      core::Reg R = Ref.asReg();
-      E.str(8, Mem(SP, P.L.StackOff), ar(R));
-    }
-
-    // 3. Register arguments as a parallel move set.
-    u32 ArgRegMask[2] = {0, 0};
-    for (const Place &P : Places)
-      if (P.L.InReg)
-        ArgRegMask[A64Config::bankOf(P.L.RegId)] |=
-            u32(1) << A64Config::idxOf(P.L.RegId);
-    auto &Moves = CallMoves;
-    auto &Holds = CallHolds;
-    Moves.clear();
-    Holds.clear();
-    for (Place &P : Places) {
-      if (!P.L.InReg)
-        continue;
-      ValuePartRef Ref = this->valRef(P.V, P.Part);
-      Ref.lockReg();
-      PendingMove Mv;
-      Mv.Dst = core::MoveLoc::reg(core::Reg(P.L.RegId));
-      Mv.Src = Ref.loc();
-      Mv.SrcVal = P.V;
-      Mv.SrcPart = P.Part;
-      Mv.Bank = P.Bank;
-      Moves.push_back(Mv);
-      Holds.push_back(std::move(Ref));
-    }
-    // Evict argument registers whose current holders are not move sources.
-    for (u8 Bank = 0; Bank < 2; ++Bank) {
-      for (u32 M = ArgRegMask[Bank]; M;) {
-        u8 Idx = static_cast<u8>(countTrailingZeros(M));
-        M &= M - 1;
-        core::Reg R(A64Config::regId(Bank, Idx));
-        if (this->Regs.isUsed(R) && !this->Regs.isLocked(R))
-          this->evictSpecific(R);
-      }
-    }
-    std::array<u32, 2> Allow = {~ArgRegMask[0], ~ArgRegMask[1]};
-    this->resolveParallelMoves(Moves, Allow);
-    Holds.clear(); // unlock sources, consume uses
-
-    // 4. Clear every caller-saved association (clobbered by the call).
-    this->forEachOwnedReg([&](core::Reg R, u32 VN, u8 Part) {
-      if (!isCallerSaved(R))
-        return;
-      core::ValuePart &VP = this->Assigns[VN].Parts[Part];
-      assert((VP.stackValid() || this->Assigns[VN].RefCount == 0) &&
-             "live value lost across call");
-      VP.RegId = 0xFF;
-      this->Regs.markFree(R);
-    });
-
+  void emitStackArgStore(u8 Bank, i32 Off, core::Reg Src) {
+    E.str(8, Mem(SP, Off), ar(Src));
+  }
+  /// AAPCS64 needs no vector-register count for variadic calls.
+  void emitCallSym(asmx::SymRef Callee, bool Vararg, u8 FPArgRegs) {
     E.blSym(Callee);
-    if (StackBytes)
-      E.addRI(8, SP, SP, StackBytes);
-
-    // 5. Bind results (x0/x1, v0/v1).
-    if (Result) {
-      ValRef RV = *Result;
-      u32 VN = this->A.valNumber(RV);
-      this->ensureAssignment(RV, VN);
-      core::Assignment &As = this->Assigns[VN];
-      if (As.RefCount != 0) {
-        u8 GPUsed = 0, FPUsed = 0;
-        for (u8 P = 0; P < As.PartCount; ++P) {
-          u8 Bank = this->A.valPartBank(RV, P);
-          core::Reg RetR(Bank == 0 ? CCAssignerAAPCS::GPRetRegs[GPUsed++]
-                                   : CCAssignerAAPCS::FPRetRegs[FPUsed++]);
-          if (As.Parts[P].isFixed()) {
-            emitMoveRR(Bank, 8, core::Reg(As.Parts[P].RegId), RetR);
-            As.Parts[P].Flags &= ~core::ValuePart::StackValid;
-          } else {
-            this->Regs.markUsed(RetR, VN, P);
-            As.Parts[P].RegId = RetR.Id;
-            As.Parts[P].Flags &= ~core::ValuePart::StackValid;
-          }
-        }
-      }
-    }
-  }
-
-  /// Moves the (optional) return value into the AAPCS64 return registers
-  /// and emits an epilogue.
-  void emitReturn(const ValRef *RetVal) {
-    if (RetVal) {
-      u8 N = static_cast<u8>(this->A.valPartCount(*RetVal));
-      auto &Moves = CallMoves;
-      auto &Holds = CallHolds;
-      Moves.clear();
-      Holds.clear();
-      u8 GPUsed = 0, FPUsed = 0;
-      u32 RetMask[2] = {0, 0};
-      for (u8 P = 0; P < N; ++P) {
-        ValuePartRef Ref = this->valRef(*RetVal, P);
-        u8 Bank = Ref.bank();
-        u8 RegId = Bank == 0 ? CCAssignerAAPCS::GPRetRegs[GPUsed++]
-                             : CCAssignerAAPCS::FPRetRegs[FPUsed++];
-        RetMask[Bank] |= u32(1) << A64Config::idxOf(RegId);
-        Ref.lockReg();
-        PendingMove Mv;
-        Mv.Dst = core::MoveLoc::reg(core::Reg(RegId));
-        Mv.Src = Ref.loc();
-        Mv.SrcVal = *RetVal;
-        Mv.SrcPart = P;
-        Mv.Bank = Bank;
-        Moves.push_back(Mv);
-        Holds.push_back(std::move(Ref));
-      }
-      std::array<u32, 2> Allow = {~RetMask[0], ~RetMask[1]};
-      this->resolveParallelMoves(Moves, Allow);
-      Holds.clear();
-    }
-    emitEpilogue();
-  }
-
-  static bool isCallerSaved(core::Reg R) {
-    u8 Bank = A64Config::bankOf(R.Id);
-    u32 Bit = u32(1) << A64Config::idxOf(R.Id);
-    return (A64Config::Allocatable[Bank] & Bit) &&
-           !(A64Config::CalleeSaved[Bank] & Bit);
   }
 
 protected:
@@ -406,17 +185,6 @@ protected:
   u64 FramePatchOff = 0;
   u64 SaveAreaOff = 0;
   std::vector<u64> RestoreAreaOffs;
-
-  struct Place {
-    ValRef V;
-    u8 Part;
-    CCAssignerAAPCS::Loc L;
-    u8 Bank;
-  };
-  // Per-call scratch, reused across calls/functions (docs/PERF.md).
-  support::SmallVector<Place, 16> CallPlaces;
-  typename Base::MoveVec CallMoves;
-  support::SmallVector<ValuePartRef, 16> CallHolds;
   // Prologue/epilogue patching scratch (finishFunc).
   asmx::Assembler SaveScratchAsm, RestoreScratchAsm;
 };

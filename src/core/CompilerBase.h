@@ -9,22 +9,33 @@
 /// derived compiler for instruction semantics. The framework owns
 /// register allocation (greedy, round-robin eviction, fixed-register loop
 /// heuristic), value spilling, stack frame slots, phi moves with
-/// parallel-move/cycle resolution, and block-boundary register state.
+/// parallel-move/cycle resolution, block-boundary register state, and
+/// call lowering: argument binding (setupArguments), call sequences
+/// (genCall) and returns (emitReturn), driven by the ABI tables in Config.
 ///
 /// Class layering (all static, via CRTP — no virtual calls, §3.1.4):
 ///
 ///   CompilerBase<Adapter, Derived, Config>     (this file; IR/target agnostic)
-///      ^-- CompilerX64<Adapter, Derived>       (target mixin: ABI, prologue)
+///      ^-- CompilerX64<Adapter, Derived>       (target mixin: ABI tables,
+///                                               prologue, leaf emitters)
 ///             ^-- <IR>CompilerX64              (instruction compilers)
+///
+/// Config provides the register banks (NumBanks, regId/bankOf/idxOf,
+/// Allocatable, CalleeSaved, FixedRegPool, CalleeSaveAreaSize) and the ABI
+/// tables: GPArgRegs (in assignment order), NumFPArgRegs (bank-1 registers
+/// 0..N-1), GPRetRegs and FPRetRegs.
 ///
 /// Derived must provide:
 ///   emitMoveRR(bank, size, dst, src)       register-register copy
 ///   emitSlotStore(bank, size, off, src)    spill store to [fp + off]
 ///   emitSlotLoad(bank, size, dst, off)     reload from [fp + off]
 ///   emitJumpLabel(label)                   unconditional jump
+///   emitStackAdjust(delta)                 move the stack pointer (calls)
+///   emitStackArgStore(bank, off, src)      outgoing stack argument store
+///   emitCallSym(sym, vararg, fpArgRegs)    the call instruction
+///   emitEpilogue()                         frame teardown and return
 ///   materializeConstLike(val, part, dst)   constants/globals/stack vars
 ///   beginFunc(sym) / finishFunc(sym)       prologue placeholder + patching
-///   setupArguments()                       argument assignment init
 ///   compileInst(val) -> bool               one IR instruction
 ///   defineGlobals()                        module-level data emission
 ///   declareGlobals()                       range compiles only: prepare
@@ -45,6 +56,8 @@
 #include "support/SmallVector.h"
 
 #include <array>
+#include <span>
+#include <string>
 #include <vector>
 
 namespace tpde::core {
@@ -67,9 +80,57 @@ struct MoveLoc {
   }
 };
 
+/// Argument assignment driven by a target's ABI tables (SysV and AAPCS64
+/// differ only in them): GP parts take Config::GPArgRegs in order, FP
+/// parts the first Config::NumFPArgRegs registers of bank 1, and the rest
+/// go to 8-byte stack slots. Multi-part values go either entirely to
+/// registers or entirely to the stack.
+template <typename Config> class CCAssigner {
+public:
+  struct Loc {
+    bool InReg = false;
+    u8 RegId = 0xFF;
+    i32 StackOff = 0;
+  };
+
+  /// Assigns all parts of one value.
+  void assignValue(const u8 *Banks, u8 NumParts, Loc *Out) {
+    u8 NeedGP = 0, NeedFP = 0;
+    for (u8 P = 0; P < NumParts; ++P)
+      (Banks[P] == 0 ? NeedGP : NeedFP) += 1;
+    if (GPUsed + NeedGP <= NumGPArgRegs &&
+        FPUsed + NeedFP <= Config::NumFPArgRegs) {
+      for (u8 P = 0; P < NumParts; ++P) {
+        Out[P].InReg = true;
+        if (Banks[P] == 0)
+          Out[P].RegId = Config::GPArgRegs[GPUsed++];
+        else
+          Out[P].RegId = Config::regId(1, FPUsed++);
+      }
+      return;
+    }
+    if (NumParts > 1)
+      StackBytes = static_cast<u32>(alignTo(StackBytes, 16));
+    for (u8 P = 0; P < NumParts; ++P) {
+      Out[P].InReg = false;
+      Out[P].StackOff = static_cast<i32>(StackBytes);
+      StackBytes += 8;
+    }
+  }
+
+  u8 fpRegsUsed() const { return FPUsed; }
+  u32 stackBytes() const { return StackBytes; }
+
+private:
+  static constexpr u8 NumGPArgRegs = std::size(Config::GPArgRegs);
+  u8 GPUsed = 0, FPUsed = 0;
+  u32 StackBytes = 0;
+};
+
 template <IRAdapter Adapter, typename Derived, typename Config>
 class CompilerBase {
 public:
+  using AdapterT = Adapter;
   using ValRef = typename Adapter::ValRef;
   using BlockRef = typename Adapter::BlockRef;
   using AnalyzerT = Analyzer<Adapter>;
@@ -557,6 +618,207 @@ public:
   }
 
   // =====================================================================
+  // Calling convention: arguments, calls, returns. The ABI is Config's
+  // register tables (through CCAssigner); the derived compiler supplies
+  // only the stack-pointer adjust, the stack-argument store and the call
+  // instruction.
+  // =====================================================================
+
+  /// Binds the current function's incoming arguments to their ABI
+  /// registers or stack slots.
+  void setupArguments() {
+    CCAssigner<Config> CC;
+    for (ValRef V : A.funcArgs()) {
+      u32 VN = A.valNumber(V);
+      ensureAssignment(V, VN);
+      Assignment &As = Assigns[VN];
+      const u8 N = As.PartCount;
+      if (N > Assignment::MaxParts)
+        TPDE_UNREACHABLE("too many value parts");
+      u8 Banks[Assignment::MaxParts] = {};
+      typename CCAssigner<Config>::Loc Locs[Assignment::MaxParts];
+      for (u8 P = 0; P < N; ++P)
+        Banks[P] = A.valPartBank(V, P);
+      CC.assignValue(Banks, N, Locs);
+      for (u8 P = 0; P < N; ++P) {
+        if (Locs[P].InReg) {
+          Reg R(Locs[P].RegId);
+          Regs.markUsed(R, VN, P);
+          As.Parts[P].RegId = R.Id;
+        } else {
+          // Incoming stack slot: [fp + 16 + off], above the saved frame
+          // pointer and return address; parts are consecutive.
+          if (P == 0)
+            As.FrameOff = 16 + Locs[P].StackOff;
+          As.Parts[P].Flags |= ValuePart::StackValid;
+        }
+      }
+      if (As.RefCount == 0)
+        freeValue(VN);
+    }
+  }
+
+  /// Generates a complete call sequence: argument assignment and moves
+  /// (parallel-move safe), caller-saved spilling, stack arguments, the
+  /// call itself, and result binding. \p Result may be null for void.
+  void genCall(asmx::SymRef Callee, std::span<const ValRef> Args,
+               const ValRef *Result, bool Vararg = false) {
+    CCAssigner<Config> CC;
+    auto &Places = CallPlaces; // scratch member (docs/PERF.md)
+    Places.clear();
+    for (ValRef V : Args) {
+      u8 N = static_cast<u8>(A.valPartCount(V));
+      u8 Banks[Assignment::MaxParts] = {};
+      typename CCAssigner<Config>::Loc Locs[Assignment::MaxParts];
+      for (u8 P = 0; P < N; ++P)
+        Banks[P] = A.valPartBank(V, P);
+      CC.assignValue(Banks, N, Locs);
+      for (u8 P = 0; P < N; ++P)
+        Places.push_back(CallPlace{V, P, Locs[P], Banks[P]});
+    }
+
+    // 1. All dirty caller-saved registers holding values must be spilled:
+    //    the call clobbers them.
+    forEachOwnedReg([&](Reg R, u32 VN, u8 Part) {
+      if (isCallerSaved(R))
+        spillPart(VN, Part);
+    });
+
+    // 2. Stack arguments.
+    u32 StackBytes = static_cast<u32>(alignTo(CC.stackBytes(), 16));
+    if (StackBytes)
+      derived()->emitStackAdjust(-static_cast<i32>(StackBytes));
+    for (CallPlace &P : Places) {
+      if (P.L.InReg)
+        continue;
+      ValuePartRef Ref = valRef(P.V, P.Part);
+      Reg R = Ref.asReg();
+      derived()->emitStackArgStore(P.Bank, P.L.StackOff, R);
+    }
+
+    // 3. Register arguments as a parallel move set.
+    u32 ArgRegMask[Config::NumBanks] = {};
+    for (const CallPlace &P : Places)
+      if (P.L.InReg)
+        ArgRegMask[Config::bankOf(P.L.RegId)] |= u32(1)
+                                                 << Config::idxOf(P.L.RegId);
+    auto &Moves = CallMoves;
+    auto &Holds = CallHolds;
+    Moves.clear();
+    Holds.clear();
+    for (CallPlace &P : Places) {
+      if (!P.L.InReg)
+        continue;
+      ValuePartRef Ref = valRef(P.V, P.Part);
+      Ref.lockReg();
+      PendingMove Mv;
+      Mv.Dst = MoveLoc::reg(Reg(P.L.RegId));
+      Mv.Src = Ref.loc();
+      Mv.SrcVal = P.V;
+      Mv.SrcPart = P.Part;
+      Mv.Bank = P.Bank;
+      Moves.push_back(Mv);
+      Holds.push_back(std::move(Ref));
+    }
+    // Evict argument registers whose current holders are not move sources.
+    std::array<u32, Config::NumBanks> Allow;
+    for (u8 Bank = 0; Bank < Config::NumBanks; ++Bank) {
+      for (u32 M = ArgRegMask[Bank]; M;) {
+        u8 Idx = static_cast<u8>(countTrailingZeros(M));
+        M &= M - 1;
+        Reg R(Config::regId(Bank, Idx));
+        if (Regs.isUsed(R) && !Regs.isLocked(R))
+          evictSpecific(R);
+      }
+      Allow[Bank] = ~ArgRegMask[Bank];
+    }
+    resolveParallelMoves(Moves, Allow);
+    Holds.clear(); // unlock sources, consume uses
+
+    // 4. Clear every caller-saved association (clobbered by the call).
+    forEachOwnedReg([&](Reg R, u32 VN, u8 Part) {
+      if (!isCallerSaved(R))
+        return;
+      ValuePart &VP = Assigns[VN].Parts[Part];
+      assert((VP.stackValid() || Assigns[VN].RefCount == 0) &&
+             "live value lost across call");
+      VP.RegId = 0xFF;
+      Regs.markFree(R);
+    });
+
+    derived()->emitCallSym(Callee, Vararg, CC.fpRegsUsed());
+    if (StackBytes)
+      derived()->emitStackAdjust(static_cast<i32>(StackBytes));
+
+    // 5. Bind results to Config's return registers.
+    if (Result) {
+      ValRef RV = *Result;
+      u32 VN = A.valNumber(RV);
+      ensureAssignment(RV, VN);
+      Assignment &As = Assigns[VN];
+      if (As.RefCount != 0) {
+        u8 GPUsed = 0, FPUsed = 0;
+        for (u8 P = 0; P < As.PartCount; ++P) {
+          u8 Bank = A.valPartBank(RV, P);
+          Reg RetR(Bank == 0 ? Config::GPRetRegs[GPUsed++]
+                             : Config::FPRetRegs[FPUsed++]);
+          if (As.Parts[P].isFixed()) {
+            derived()->emitMoveRR(Bank, 8, Reg(As.Parts[P].RegId), RetR);
+            As.Parts[P].Flags &= ~ValuePart::StackValid;
+          } else {
+            Regs.markUsed(RetR, VN, P);
+            As.Parts[P].RegId = RetR.Id;
+            As.Parts[P].Flags &= ~ValuePart::StackValid;
+          }
+        }
+      }
+    }
+  }
+
+  /// Moves the (optional) return value into Config's return registers and
+  /// emits an epilogue.
+  void emitReturn(const ValRef *RetVal) {
+    if (RetVal) {
+      u8 N = static_cast<u8>(A.valPartCount(*RetVal));
+      auto &Moves = CallMoves;
+      auto &Holds = CallHolds;
+      Moves.clear();
+      Holds.clear();
+      u8 GPUsed = 0, FPUsed = 0;
+      u32 RetMask[Config::NumBanks] = {};
+      for (u8 P = 0; P < N; ++P) {
+        ValuePartRef Ref = valRef(*RetVal, P);
+        u8 Bank = Ref.bank();
+        u8 RegId = Bank == 0 ? Config::GPRetRegs[GPUsed++]
+                             : Config::FPRetRegs[FPUsed++];
+        RetMask[Bank] |= u32(1) << Config::idxOf(RegId);
+        Ref.lockReg();
+        PendingMove Mv;
+        Mv.Dst = MoveLoc::reg(Reg(RegId));
+        Mv.Src = Ref.loc();
+        Mv.SrcVal = *RetVal;
+        Mv.SrcPart = P;
+        Mv.Bank = Bank;
+        Moves.push_back(Mv);
+        Holds.push_back(std::move(Ref));
+      }
+      std::array<u32, Config::NumBanks> Allow;
+      for (u8 Bank = 0; Bank < Config::NumBanks; ++Bank)
+        Allow[Bank] = ~RetMask[Bank];
+      resolveParallelMoves(Moves, Allow);
+      Holds.clear();
+    }
+    derived()->emitEpilogue();
+  }
+
+  static bool isCallerSaved(Reg R) {
+    u8 Bank = Config::bankOf(R.Id);
+    u32 Bit = u32(1) << Config::idxOf(R.Id);
+    return (Config::Allocatable[Bank] & Bit) &&
+           !(Config::CalleeSaved[Bank] & Bit);
+  }
+
+  // =====================================================================
   // Module driver
   // =====================================================================
   //
@@ -573,23 +835,20 @@ public:
   /// Compiles all functions of the adapter's module, plus its global
   /// data, into the assembler. Returns false if any instruction could
   /// not be compiled.
-  bool compileModule() {
+  bool compile() {
     return compileModuleImpl</*EmitData=*/true>(0, A.funcCount());
   }
 
   /// Shard entry point for the parallel module driver: compiles and
   /// defines only the functions in [Begin, End). Global *data* is not
-  /// emitted — the driver merges it from a compileGlobalsOnly() fragment.
-  bool compileFunctionRange(u32 Begin, u32 End) {
+  /// emitted — the driver merges it from a compileGlobals() fragment.
+  bool compileRange(u32 Begin, u32 End) {
     return compileModuleImpl</*EmitData=*/false>(Begin, End);
   }
 
   /// Emits the module-level fragment only: the global data/BSS
-  /// definitions. Counterpart of compileFunctionRange() for the parallel
-  /// driver.
-  bool compileGlobalsOnly() {
-    return compileModuleImpl</*EmitData=*/true>(0, 0);
-  }
+  /// definitions. Counterpart of compileRange() for the parallel driver.
+  bool compileGlobals() { return compileModuleImpl</*EmitData=*/true>(0, 0); }
 
   /// Structured diagnostic of the last failed compile (Ok after success).
   /// Func is the module-order function index; Shard is filled in by the
@@ -602,8 +861,8 @@ public:
   /// data and definitions, declareGlobals() just prepares the on-demand
   /// global-symbol cache. The latter is required only where range
   /// compiles are instantiated — a hard compile error at the call site,
-  /// so plain compileModule() works for back-ends that have not opted
-  /// into parallel range compilation.
+  /// so plain compile() works for back-ends that have not opted into
+  /// parallel range compilation.
   template <bool EmitData> bool compileModuleImpl(u32 Begin, u32 End) {
     Status.clear();
     // Optional adapter capacity hints: size the per-function scratch for
@@ -686,7 +945,7 @@ public:
       BlockLabels.push_back(Asm.makeLabel());
 
     derived()->beginFunc(Sym);
-    derived()->setupArguments();
+    setupArguments();
 
     bool PrevFallsThrough = true; // the prologue falls into the entry block
     for (u32 B = 0; B < An.numBlocks(); ++B) {
@@ -1108,6 +1367,16 @@ protected:
   support::SmallVector<ValuePartRef, 16> PhiHolds;
   support::SmallVector<u32, 16> PhiStaleRegs;
   support::SmallVector<ScratchReg, 4> MoveCycleTemps;
+  // Per-call scratch, reused across calls and functions (docs/PERF.md).
+  struct CallPlace {
+    ValRef V;
+    u8 Part;
+    typename CCAssigner<Config>::Loc L;
+    u8 Bank;
+  };
+  support::SmallVector<CallPlace, 16> CallPlaces;
+  MoveVec CallMoves;
+  support::SmallVector<ValuePartRef, 16> CallHolds;
   u32 FixedPoolFree[Config::NumBanks] = {};
   u32 UsedCalleeSaved[Config::NumBanks] = {};
   u32 CurBlock = 0;
@@ -1119,6 +1388,44 @@ protected:
   /// compile bumps before any lookup.
   u64 SymEpoch = 0;
 };
+
+/// The one-shot module compile behind every back-end's convenience entry
+/// point (tpde_tir::compileModuleX64/A64, uir::compileTpdeUir). With
+/// \p Verify the module is validated first — verifyModule is found by
+/// argument-dependent lookup in the IR's namespace — so malformed IR never
+/// reaches the emitter. \p StatusOut (optional) receives the structured
+/// diagnostic on failure.
+template <typename CompilerT, typename ModuleT>
+bool compileModuleOneShot(ModuleT &M, asmx::Assembler &Asm, bool Verify,
+                          support::CompileStatus *StatusOut) {
+  if (StatusOut)
+    StatusOut->clear();
+  if (Verify) {
+    std::string Errors;
+    if (!verifyModule(M, Errors)) {
+      if (StatusOut) {
+        StatusOut->Err = support::CompileErr::VerifyFailed;
+        StatusOut->Message = std::move(Errors);
+      }
+      return false;
+    }
+  }
+  typename CompilerT::AdapterT Adapter(M);
+  CompilerT Compiler(Adapter, Asm);
+  bool OK = false;
+  try {
+    OK = Compiler.compile();
+  } catch (...) { // arena growth (interned names) can throw bad_alloc
+    if (StatusOut) {
+      StatusOut->Err = support::CompileErr::OutOfMemory;
+      StatusOut->Message = "allocation failed during module compile";
+    }
+    return false;
+  }
+  if (!OK && StatusOut)
+    *StatusOut = Compiler.status();
+  return OK;
+}
 
 } // namespace tpde::core
 

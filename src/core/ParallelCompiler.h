@@ -17,9 +17,9 @@
 ///                                          // assembler, compiler)
 ///     asmx::Assembler &assembler();        // the worker's private output
 ///     bool compileGlobals();               // module-level fragment only
-///                                          //   (CompilerBase::compileGlobalsOnly)
+///                                          //   (CompilerBase::compileGlobals)
 ///     bool compileRange(u32 Begin, u32 End); // functions [Begin, End)
-///                                          //   (CompilerBase::compileFunctionRange)
+///                                          //   (CompilerBase::compileRange)
 ///     static u32 funcCount(const ModuleT &M);
 ///     static u32 funcWeight(const ModuleT &M, u32 I); // size proxy for
 ///                                          // shard balancing (e.g. value count)
@@ -29,8 +29,8 @@
 ///     static bool verifyModule(const ModuleT &M, std::string &Errors);
 ///   };
 ///
-/// compileRange()/compileGlobals() are thin wrappers over the
-/// CompilerBase range entry points, which in turn require the derived
+/// A worker's compileRange()/compileGlobals() forward to the CompilerBase
+/// entry points of the same name, which in turn require the derived
 /// compiler to implement the declareGlobals() hook (see
 /// core/CompilerBase.h); Assembler::mergeFrom() supplies the cross-shard
 /// symbol resolution. Nothing in this file knows about the target or the

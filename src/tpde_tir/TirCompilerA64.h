@@ -3,20 +3,20 @@
 /// \file
 /// The TPDE-based back-end for TIR targeting AArch64 — the paper's second
 /// target (§5: "targeting x86-64 and AArch64"), demonstrating the
-/// framework's adaptability: this file provides only the per-opcode
-/// instruction compilers; register allocation, value tracking, phi moves,
-/// the AAPCS64 call machinery (a64/CompilerA64.h), and the module/range
-/// drivers (core/CompilerBase.h) are all shared with the x64 back-end.
-/// It implements the full entry-point surface of TirCompilerX64 —
-/// compile(), compileRange(), compileGlobals(), the declareGlobals()
-/// hook — so the backend-agnostic parallel driver
-/// (core/ParallelCompiler.h) instantiates over it unchanged.
+/// framework's adaptability: this file provides only the AArch64 emitter
+/// of each TIR opcode and the leaf hooks of the shared TIR lowering.
+/// Register allocation, value tracking, phi moves, call lowering and the
+/// module/range drivers (core/CompilerBase.h), and the opcode dispatch,
+/// globals/FP-pool/stack-variable hooks and fusion decisions
+/// (tpde_tir/TirLowering.h) are shared with the x64 back-end; the AAPCS64
+/// tables and the prologue/epilogue live in a64/CompilerA64.h. The
+/// backend-agnostic parallel driver (core/ParallelCompiler.h) therefore
+/// instantiates over it unchanged.
 ///
 /// The two fusions the paper calls out as critical (§3.4.4/§5.1.2) are
-/// implemented here as well: integer compare + conditional branch (via
-/// B.cond on live flags) and address computations folded into the
-/// load/store addressing mode (base + displacement, or base + index
-/// shifted by the access size).
+/// emitted here as integer compare + B.cond on live flags, and address
+/// computations folded into the load/store addressing mode (base +
+/// displacement, or base + index shifted by the access size).
 ///
 /// A64 is a load/store three-operand ISA, so unlike the x64 compilers no
 /// spilled-operand memory folding exists and destructive-source register
@@ -29,77 +29,18 @@
 #define TPDE_TPDE_TIR_TIRCOMPILERA64_H
 
 #include "a64/CompilerA64.h"
-#include "support/DenseMap.h"
-#include "tpde_tir/TirAdapter.h"
-#include "tpde_tir/TirGlobals.h"
+#include "tpde_tir/TirLowering.h"
 
 namespace tpde::tpde_tir {
 
-class TirCompilerA64 : public a64::CompilerA64<TirAdapter, TirCompilerA64> {
+class TirCompilerA64
+    : public TirLowering<TirCompilerA64,
+                         a64::CompilerA64<TirAdapter, TirCompilerA64>> {
 public:
-  using Base = a64::CompilerA64<TirAdapter, TirCompilerA64>;
-  using VPR = Base::ValuePartRef;
-  using Scratch = Base::ScratchReg;
-  using a64::CompilerA64<TirAdapter, TirCompilerA64>::E;
+  using Lowering =
+      TirLowering<TirCompilerA64, a64::CompilerA64<TirAdapter, TirCompilerA64>>;
 
-  TirCompilerA64(TirAdapter &A, asmx::Assembler &Asm) : Base(A, Asm) {}
-
-  /// Compiles the whole module into the assembler (reset first); returns
-  /// false on unsupported constructs.
-  bool compile() {
-    Fused.reserve(this->A.maxValueCount());
-    return this->compileModule();
-  }
-
-  /// Compiles only functions [Begin, End); other functions and globals
-  /// appear only as the declarations the range references. Shard entry
-  /// point used by the parallel module compiler.
-  bool compileRange(u32 Begin, u32 End) {
-    Fused.reserve(this->A.maxValueCount());
-    return this->compileFunctionRange(Begin, End);
-  }
-
-  /// Emits the module-level fragment (global data) only.
-  bool compileGlobals() { return this->compileGlobalsOnly(); }
-
-  // =====================================================================
-  // Framework hooks
-  // =====================================================================
-
-  void defineGlobals() {
-    // Constant-pool symbols refer into the assembler's symbol table,
-    // which restarts per compile (capacity retained).
-    FpPool.clear();
-    defineTirGlobals(this->Asm, this->A.module(), GlobalSyms,
-                     this->moduleSymEpoch());
-  }
-
-  /// Range-compile variant of defineGlobals() (shard compiles): defines
-  /// nothing — globalSym() materializes a global's symbol at its first
-  /// reference, so a shard only pays for globals it touches.
-  void declareGlobals() {
-    FpPool.clear();
-    GlobalSyms.prepare(this->A.module());
-  }
-
-  /// On-demand global symbol (see TirGlobals.h).
-  asmx::SymRef globalSym(u32 GI) {
-    return GlobalSyms.sym(this->Asm, this->A.module(), GI,
-                          this->moduleSymEpoch());
-  }
-
-  template <typename Fn> void forEachStackVar(Fn Cb) {
-    const tir::Function &F = this->A.func();
-    for (tir::ValRef SV : F.StackVars) {
-      const tir::Value &V = F.val(SV);
-      Cb(V.Aux, static_cast<u32>(V.Aux2));
-    }
-  }
-
-  void beginFunc(asmx::SymRef Sym) {
-    Base::beginFunc(Sym);
-    Fused.assign(this->A.valueCount(), 0);
-  }
+  TirCompilerA64(TirAdapter &A, asmx::Assembler &Asm) : Lowering(A, Asm) {}
 
   void materializeConstLike(tir::ValRef V, u8 Part, core::Reg Dst) {
     const tir::Value &Val = this->A.val(V);
@@ -134,99 +75,35 @@ public:
     }
   }
 
-  // =====================================================================
-  // Instruction dispatch
-  // =====================================================================
-
-  bool compileInst(tir::ValRef I) {
-    if (Fused[I])
-      return true;
-    const tir::Value &V = this->A.val(I);
-    switch (V.Opcode) {
-    case tir::Op::Add:
-    case tir::Op::Sub:
-    case tir::Op::And:
-    case tir::Op::Or:
-    case tir::Op::Xor:
-      return compileIntAlu(I, V);
-    case tir::Op::Mul:
-      return compileMul(I, V);
-    case tir::Op::UDiv:
-    case tir::Op::SDiv:
-    case tir::Op::URem:
-    case tir::Op::SRem:
-      return compileDivRem(I, V);
-    case tir::Op::Shl:
-    case tir::Op::LShr:
-    case tir::Op::AShr:
-      return compileShift(I, V);
-    case tir::Op::ICmpOp:
-      return compileICmp(I, V);
-    case tir::Op::FCmpOp:
-      return compileFCmp(I, V);
-    case tir::Op::FAdd:
-    case tir::Op::FSub:
-    case tir::Op::FMul:
-    case tir::Op::FDiv:
-      return compileFpAlu(I, V);
-    case tir::Op::Neg:
-    case tir::Op::Not:
-      return compileIntUnary(I, V);
-    case tir::Op::FNeg:
-      return compileFNeg(I, V);
-    case tir::Op::Zext:
-    case tir::Op::Sext:
-    case tir::Op::Trunc:
-    case tir::Op::FpToSi:
-    case tir::Op::SiToFp:
-    case tir::Op::FpExt:
-    case tir::Op::FpTrunc:
-    case tir::Op::Bitcast:
-      return compileCast(I, V);
-    case tir::Op::Select:
-      return compileSelect(I, V);
-    case tir::Op::Load:
-      return compileLoad(I, V);
-    case tir::Op::Store:
-      return compileStore(I, V);
-    case tir::Op::PtrAdd:
-      return compilePtrAdd(I, V);
-    case tir::Op::Call: {
-      const tir::Function &F = this->A.func();
-      std::span<const tir::ValRef> Args{F.OperandPool.data() + V.OpBegin,
-                                        V.NumOps};
-      if (V.Ty != tir::Type::Void) {
-        tir::ValRef Res = I;
-        this->genCall(this->funcSym(static_cast<u32>(V.Aux)), Args, &Res);
-      } else {
-        this->genCall(this->funcSym(static_cast<u32>(V.Aux)), Args, nullptr);
-      }
-      return true;
-    }
-    case tir::Op::Ret: {
-      if (V.NumOps) {
-        tir::ValRef RV = this->A.func().operand(V, 0);
-        this->emitReturn(&RV);
-      } else {
-        this->emitReturn(nullptr);
-      }
-      return true;
-    }
-    case tir::Op::Br:
-      this->generateBranch(this->A.func().Blocks[V.Block].Succs[0]);
-      return true;
-    case tir::Op::CondBr:
-      return compileCondBr(I, V);
-    case tir::Op::Unreachable:
-      E.brk(0);
-      return true;
-    default:
-      return false; // unsupported
-    }
-  }
-
 private:
-  const tir::Function &fn() const { return this->A.func(); }
+  friend Lowering;
+
+  // =====================================================================
+  // Leaf hooks of the shared lowering (TirLowering.h)
+  // =====================================================================
+
+  void emitSetCond(a64::Cond CC, core::Reg Dst) { E.cset(a64::ar(Dst), CC); }
+  a64::Cond emitTestBit0(core::Reg R) {
+    E.tstRI(4, a64::ar(R), 1);
+    return a64::Cond::NE;
+  }
+  void emitCondJump(a64::Cond CC, asmx::Label L) { E.bcondLabel(CC, L); }
+  void emitTrap() { E.brk(0); }
+
+  /// Does the PtrAdd fit an A64 addressing mode for \p MemInst: base +
+  /// displacement, or base + index scaled by the access size with zero
+  /// displacement?
+  bool addrModeFits(const tir::Value &PtrAdd, const tir::Value &MemInst) {
+    if (PtrAdd.NumOps <= 1)
+      return true;
+    // Register-offset form: scale must be 1 or the access size, and the
+    // form has no displacement field.
+    u32 Acc = memAccessSize(MemInst);
+    if (Acc == 0 || (PtrAdd.Aux != 1 && PtrAdd.Aux != Acc) || PtrAdd.Aux2 != 0)
+      return false;
+    // A stack-variable base would need FP+off materialized first.
+    return this->A.val(fn().operand(PtrAdd, 0)).Kind != tir::ValKind::StackVar;
+  }
 
   /// Integer operand size for the W/X form selection: sub-32-bit
   /// operations run in the 32-bit form (high bits are don't-care, exactly
@@ -257,33 +134,6 @@ private:
       return Cond::GT;
     case ICmp::Sge:
       return Cond::GE;
-    }
-    TPDE_UNREACHABLE("bad icmp predicate");
-  }
-
-  /// Predicate with swapped operands (a < b == b > a).
-  static tir::ICmp swapICmp(tir::ICmp P) {
-    using tir::ICmp;
-    switch (P) {
-    case ICmp::Eq:
-    case ICmp::Ne:
-      return P;
-    case ICmp::Ult:
-      return ICmp::Ugt;
-    case ICmp::Ule:
-      return ICmp::Uge;
-    case ICmp::Ugt:
-      return ICmp::Ult;
-    case ICmp::Uge:
-      return ICmp::Ule;
-    case ICmp::Slt:
-      return ICmp::Sgt;
-    case ICmp::Sle:
-      return ICmp::Sge;
-    case ICmp::Sgt:
-      return ICmp::Slt;
-    case ICmp::Sge:
-      return ICmp::Sle;
     }
     TPDE_UNREACHABLE("bad icmp predicate");
   }
@@ -688,26 +538,6 @@ private:
     }
   }
 
-  bool compileICmp(tir::ValRef I, const tir::Value &V) {
-    // Compare-branch fusion (§5.1.2): if the single user is the condbr
-    // immediately following, defer to the branch.
-    tir::ValRef Nxt = this->A.nextInst(I);
-    if (!DisableFusion && Nxt != tir::InvalidRef &&
-        this->analyzer().liveness(I).RefCount == 1) {
-      const tir::Value &NV = this->A.val(Nxt);
-      if (NV.Opcode == tir::Op::CondBr && fn().operand(NV, 0) == I) {
-        Fused[I] = 1;
-        return true;
-      }
-    }
-    a64::Cond CC = emitICmpFlags(V);
-    VPR Res = this->resultRef(I, 0);
-    core::Reg D = Res.allocReg();
-    E.cset(a64::ar(D), CC);
-    Res.setModified();
-    return true;
-  }
-
   bool compileFCmp(tir::ValRef I, const tir::Value &V) {
     tir::ValRef LV = fn().operand(V, 0), RV = fn().operand(V, 1);
     tir::FCmp P = static_cast<tir::FCmp>(V.Aux);
@@ -1000,13 +830,17 @@ private:
       i64 Disp = static_cast<i64>(PV.Aux2);
       const tir::Value &BV = this->A.val(BaseV);
       if (PV.NumOps > 1) {
-        // tryFusePtrAdd guaranteed: scale is 1 or the access size, no
+        // addrModeFits guaranteed: scale is 1 or the access size, no
         // displacement, base is not a stack variable.
         Out.BaseRef = this->valRef(BaseV, 0);
         Out.IndexRef = this->valRef(fn().operand(PV, 1), 0);
         u8 Shift = PV.Aux == 1 ? 0 : AccSizeLog2;
-        Out.M = a64::Mem(a64::ar(Out.BaseRef.asReg()),
-                         a64::ar(Out.IndexRef.asReg()), Shift);
+        // One asReg() per statement, index first as in the recorded
+        // output: register allocation is order-sensitive and argument
+        // evaluation order is unspecified.
+        core::Reg Index = Out.IndexRef.asReg();
+        core::Reg Base = Out.BaseRef.asReg();
+        Out.M = a64::Mem(a64::ar(Base), a64::ar(Index), Shift);
         return Out;
       }
       if (BV.Kind == tir::ValKind::StackVar) {
@@ -1038,39 +872,7 @@ private:
     return tir::typeSize(Ty);
   }
 
-  /// Marks a PtrAdd as fused if its single use is the immediately
-  /// following load/store in the same block and the computation fits an
-  /// A64 addressing mode (base+disp, or base+index scaled by the access
-  /// size with zero displacement).
-  bool tryFusePtrAdd(tir::ValRef I, const tir::Value &V) {
-    if (DisableFusion || this->analyzer().liveness(I).RefCount != 1)
-      return false;
-    tir::ValRef Nxt = this->A.nextInst(I);
-    if (Nxt == tir::InvalidRef)
-      return false;
-    const tir::Value &NV = this->A.val(Nxt);
-    bool IsLoad = NV.Opcode == tir::Op::Load && fn().operand(NV, 0) == I;
-    bool IsStore = NV.Opcode == tir::Op::Store && fn().operand(NV, 1) == I &&
-                   fn().operand(NV, 0) != I;
-    if (!IsLoad && !IsStore)
-      return false;
-    if (V.NumOps > 1) {
-      // Register-offset form: scale must be 1 or the access size, and the
-      // form has no displacement field.
-      u32 Acc = memAccessSize(NV);
-      if (Acc == 0 || (V.Aux != 1 && V.Aux != Acc) || V.Aux2 != 0)
-        return false;
-      // A stack-variable base would need FP+off materialized first.
-      if (this->A.val(fn().operand(V, 0)).Kind == tir::ValKind::StackVar)
-        return false;
-    }
-    Fused[I] = 1;
-    return true;
-  }
-
   bool compilePtrAdd(tir::ValRef I, const tir::Value &V) {
-    if (tryFusePtrAdd(I, V))
-      return true;
     tir::ValRef BaseV = fn().operand(V, 0);
     i64 Disp = static_cast<i64>(V.Aux2);
     if (V.NumOps == 1) {
@@ -1162,81 +964,21 @@ private:
     E.str(static_cast<u8>(W), A.M, a64::ar(Src.asReg()));
     return true;
   }
-
-  // --- Control flow ----------------------------------------------------------
-
-  bool compileCondBr(tir::ValRef I, const tir::Value &V) {
-    const tir::Block &B = fn().Blocks[V.Block];
-    tir::BlockRef TrueB = B.Succs[0], FalseB = B.Succs[1];
-    tir::ValRef CV = fn().operand(V, 0);
-    if (CV < Fused.size() && Fused[CV]) {
-      a64::Cond CC = emitICmpFlags(this->A.val(CV));
-      this->generateCondBranch(TrueB, FalseB,
-                               [&](asmx::Label L, bool Inv) {
-                                 E.bcondLabel(Inv ? invert(CC) : CC, L);
-                               });
-      return true;
-    }
-    {
-      VPR Cond = this->valRef(CV, 0);
-      E.tstRI(4, a64::ar(Cond.asReg()), 1);
-    }
-    this->generateCondBranch(TrueB, FalseB, [&](asmx::Label L, bool Inv) {
-      E.bcondLabel(Inv ? a64::Cond::EQ : a64::Cond::NE, L);
-    });
-    return true;
-  }
-
-  // --- Constant pool ---------------------------------------------------------
-
-  asmx::SymRef fpConstSym(u64 Bits, u8 Size) {
-    return fpPoolConstSym(this->Asm, FpPool, Bits, Size);
-  }
-
-  TirGlobalSyms GlobalSyms;
-  support::DenseMap<u64, asmx::SymRef> FpPool;
-  std::vector<u8> Fused;
 };
 
 } // namespace tpde::tpde_tir
 
 #include "tir/Verifier.h"
 
+namespace tpde::tpde_tir {
 /// Convenience entry point: compiles \p M into \p Asm with TPDE/AArch64.
 /// With \p Verify the module is validated first (tir::verifyModule) so
 /// malformed IR never reaches the emitter; \p StatusOut (optional)
 /// receives the structured diagnostic on failure.
-namespace tpde::tpde_tir {
 inline bool compileModuleA64(tir::Module &M, asmx::Assembler &Asm,
                              bool Verify = false,
                              support::CompileStatus *StatusOut = nullptr) {
-  if (StatusOut)
-    StatusOut->clear();
-  if (Verify) {
-    std::string Errors;
-    if (!tir::verifyModule(M, Errors)) {
-      if (StatusOut) {
-        StatusOut->Err = support::CompileErr::VerifyFailed;
-        StatusOut->Message = std::move(Errors);
-      }
-      return false;
-    }
-  }
-  TirAdapter Adapter(M);
-  TirCompilerA64 Compiler(Adapter, Asm);
-  bool OK = false;
-  try {
-    OK = Compiler.compile();
-  } catch (...) { // arena growth (interned names) can throw bad_alloc
-    if (StatusOut) {
-      StatusOut->Err = support::CompileErr::OutOfMemory;
-      StatusOut->Message = "allocation failed during module compile";
-    }
-    return false;
-  }
-  if (!OK && StatusOut)
-    *StatusOut = Compiler.status();
-  return OK;
+  return core::compileModuleOneShot<TirCompilerA64>(M, Asm, Verify, StatusOut);
 }
 } // namespace tpde::tpde_tir
 

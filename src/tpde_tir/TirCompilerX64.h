@@ -2,89 +2,32 @@
 ///
 /// \file
 /// The TPDE-based back-end for TIR targeting x86-64 (the paper's §5 case
-/// study, with TIR standing in for LLVM-IR). Implements an instruction
-/// compiler per TIR opcode on top of the framework's value/register
-/// machinery, including the two fusions the paper calls out as critical
-/// (§3.4.4/§5.1.2): integer compare + conditional branch, and address
-/// computations folded into memory operands.
+/// study, with TIR standing in for LLVM-IR). Implements the x86-64
+/// emitter of every TIR opcode on top of the framework's value/register
+/// machinery, plus the leaf hooks of the shared TIR lowering
+/// (tpde_tir/TirLowering.h), which owns the dispatch and decides the two
+/// fusions the paper calls out as critical (§3.4.4/§5.1.2). This file
+/// emits their fused forms: compare + jcc on live flags, and address
+/// computations folded into memory operands (SIB addressing).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TPDE_TPDE_TIR_TIRCOMPILERX64_H
 #define TPDE_TPDE_TIR_TIRCOMPILERX64_H
 
-#include "support/DenseMap.h"
-#include "tpde_tir/TirAdapter.h"
-#include "tpde_tir/TirGlobals.h"
+#include "tpde_tir/TirLowering.h"
 #include "x64/CompilerX64.h"
 
 namespace tpde::tpde_tir {
 
-class TirCompilerX64 : public x64::CompilerX64<TirAdapter, TirCompilerX64> {
+class TirCompilerX64
+    : public TirLowering<TirCompilerX64,
+                         x64::CompilerX64<TirAdapter, TirCompilerX64>> {
 public:
-  using Base = x64::CompilerX64<TirAdapter, TirCompilerX64>;
-  using VPR = Base::ValuePartRef;
-  using Scratch = Base::ScratchReg;
-  using x64::CompilerX64<TirAdapter, TirCompilerX64>::E;
+  using Lowering =
+      TirLowering<TirCompilerX64, x64::CompilerX64<TirAdapter, TirCompilerX64>>;
 
-  TirCompilerX64(TirAdapter &A, asmx::Assembler &Asm) : Base(A, Asm) {}
-
-  /// Compiles the whole module into the assembler (reset first); returns
-  /// false on unsupported constructs.
-  bool compile() {
-    Fused.reserve(this->A.maxValueCount());
-    return this->compileModule();
-  }
-
-  /// Compiles only functions [Begin, End); other functions and globals
-  /// appear only as the declarations the range references. Shard entry
-  /// point used by the parallel module compiler.
-  bool compileRange(u32 Begin, u32 End) {
-    Fused.reserve(this->A.maxValueCount());
-    return this->compileFunctionRange(Begin, End);
-  }
-
-  /// Emits the module-level fragment (global data) only.
-  bool compileGlobals() { return this->compileGlobalsOnly(); }
-
-  // =====================================================================
-  // Framework hooks
-  // =====================================================================
-
-  void defineGlobals() {
-    // Constant-pool symbols refer into the assembler's symbol table,
-    // which restarts per compile (capacity retained).
-    FpPool.clear();
-    defineTirGlobals(this->Asm, this->A.module(), GlobalSyms,
-                     this->moduleSymEpoch());
-  }
-
-  /// Range-compile variant of defineGlobals() (shard compiles): defines
-  /// nothing — globalSym() materializes a global's symbol at its first
-  /// reference, so a shard only pays for globals it touches.
-  void declareGlobals() {
-    FpPool.clear();
-    GlobalSyms.prepare(this->A.module());
-  }
-
-  /// On-demand global symbol (see TirGlobals.h).
-  asmx::SymRef globalSym(u32 GI) {
-    return GlobalSyms.sym(this->Asm, this->A.module(), GI,
-                          this->moduleSymEpoch());
-  }
-
-  template <typename Fn> void forEachStackVar(Fn Cb) {
-    const tir::Function &F = this->A.func();
-    for (tir::ValRef SV : F.StackVars) {
-      const tir::Value &V = F.val(SV);
-      Cb(V.Aux, static_cast<u32>(V.Aux2));
-    }
-  }
-
-  void beginFunc(asmx::SymRef Sym) {
-    Base::beginFunc(Sym);
-    Fused.assign(this->A.valueCount(), 0);
-  }
+  TirCompilerX64(TirAdapter &A, asmx::Assembler &Asm) : Lowering(A, Asm) {}
 
   void materializeConstLike(tir::ValRef V, u8 Part, core::Reg Dst) {
     const tir::Value &Val = this->A.val(V);
@@ -116,99 +59,27 @@ public:
     }
   }
 
-  // =====================================================================
-  // Instruction dispatch
-  // =====================================================================
-
-  bool compileInst(tir::ValRef I) {
-    if (Fused[I])
-      return true;
-    const tir::Value &V = this->A.val(I);
-    switch (V.Opcode) {
-    case tir::Op::Add:
-    case tir::Op::Sub:
-    case tir::Op::And:
-    case tir::Op::Or:
-    case tir::Op::Xor:
-      return compileIntAlu(I, V);
-    case tir::Op::Mul:
-      return compileMul(I, V);
-    case tir::Op::UDiv:
-    case tir::Op::SDiv:
-    case tir::Op::URem:
-    case tir::Op::SRem:
-      return compileDivRem(I, V);
-    case tir::Op::Shl:
-    case tir::Op::LShr:
-    case tir::Op::AShr:
-      return compileShift(I, V);
-    case tir::Op::ICmpOp:
-      return compileICmp(I, V);
-    case tir::Op::FCmpOp:
-      return compileFCmp(I, V);
-    case tir::Op::FAdd:
-    case tir::Op::FSub:
-    case tir::Op::FMul:
-    case tir::Op::FDiv:
-      return compileFpAlu(I, V);
-    case tir::Op::Neg:
-    case tir::Op::Not:
-      return compileIntUnary(I, V);
-    case tir::Op::FNeg:
-      return compileFNeg(I, V);
-    case tir::Op::Zext:
-    case tir::Op::Sext:
-    case tir::Op::Trunc:
-    case tir::Op::FpToSi:
-    case tir::Op::SiToFp:
-    case tir::Op::FpExt:
-    case tir::Op::FpTrunc:
-    case tir::Op::Bitcast:
-      return compileCast(I, V);
-    case tir::Op::Select:
-      return compileSelect(I, V);
-    case tir::Op::Load:
-      return compileLoad(I, V);
-    case tir::Op::Store:
-      return compileStore(I, V);
-    case tir::Op::PtrAdd:
-      return compilePtrAdd(I, V);
-    case tir::Op::Call: {
-      const tir::Function &F = this->A.func();
-      std::span<const tir::ValRef> Args{F.OperandPool.data() + V.OpBegin,
-                                        V.NumOps};
-      if (V.Ty != tir::Type::Void) {
-        tir::ValRef Res = I;
-        this->genCall(this->funcSym(static_cast<u32>(V.Aux)), Args, &Res);
-      } else {
-        this->genCall(this->funcSym(static_cast<u32>(V.Aux)), Args, nullptr);
-      }
-      return true;
-    }
-    case tir::Op::Ret: {
-      if (V.NumOps) {
-        tir::ValRef RV = this->A.func().operand(V, 0);
-        this->emitReturn(&RV);
-      } else {
-        this->emitReturn(nullptr);
-      }
-      return true;
-    }
-    case tir::Op::Br:
-      this->generateBranch(this->A.func().Blocks[V.Block].Succs[0]);
-      return true;
-    case tir::Op::CondBr:
-      return compileCondBr(I, V);
-    case tir::Op::Unreachable:
-      E.ud2();
-      return true;
-    default:
-      return false; // unsupported
-    }
-  }
-
 private:
-  const tir::Function &fn() const { return this->A.func(); }
+  friend Lowering;
+
+  // =====================================================================
+  // Leaf hooks of the shared lowering (TirLowering.h)
+  // =====================================================================
+
+  void emitSetCond(x64::Cond CC, core::Reg Dst) { E.setcc(CC, x64::ax(Dst)); }
+  x64::Cond emitTestBit0(core::Reg R) {
+    E.testRI(1, x64::ax(R), 1);
+    return x64::Cond::NE;
+  }
+  void emitCondJump(x64::Cond CC, asmx::Label L) { E.jccLabel(CC, L); }
+  void emitTrap() { E.ud2(); }
+  /// base + index*{1,2,4,8} + disp32 (SIB addressing).
+  bool addrModeFits(const tir::Value &PtrAdd, const tir::Value &MemInst) {
+    u64 S = PtrAdd.Aux;
+    if (PtrAdd.NumOps > 1 && S != 1 && S != 2 && S != 4 && S != 8)
+      return false;
+    return isInt32(static_cast<i64>(PtrAdd.Aux2));
+  }
 
   static u8 opSz(u32 W) { return W < 4 ? 4 : static_cast<u8>(W); }
 
@@ -236,33 +107,6 @@ private:
       return Cond::G;
     case ICmp::Sge:
       return Cond::GE;
-    }
-    TPDE_UNREACHABLE("bad icmp predicate");
-  }
-
-  /// Predicate with swapped operands (a < b == b > a).
-  static tir::ICmp swapICmp(tir::ICmp P) {
-    using tir::ICmp;
-    switch (P) {
-    case ICmp::Eq:
-    case ICmp::Ne:
-      return P;
-    case ICmp::Ult:
-      return ICmp::Ugt;
-    case ICmp::Ule:
-      return ICmp::Uge;
-    case ICmp::Ugt:
-      return ICmp::Ult;
-    case ICmp::Uge:
-      return ICmp::Ule;
-    case ICmp::Slt:
-      return ICmp::Sgt;
-    case ICmp::Sle:
-      return ICmp::Sge;
-    case ICmp::Sgt:
-      return ICmp::Slt;
-    case ICmp::Sge:
-      return ICmp::Sle;
     }
     TPDE_UNREACHABLE("bad icmp predicate");
   }
@@ -690,7 +534,12 @@ private:
     Scratch T(this);
     core::Reg TR = T.alloc(0);
     this->emitToReg(TR, A1);
-    E.aluRR(x64::AluOp::Cmp, 8, x64::ax(A0.asReg()), x64::ax(B0.asReg()));
+    // One asReg() per statement, B0 first as in the recorded output:
+    // register allocation is order-sensitive and argument evaluation
+    // order is unspecified.
+    core::Reg RB0 = B0.asReg();
+    core::Reg RA0 = A0.asReg();
+    E.aluRR(x64::AluOp::Cmp, 8, x64::ax(RA0), x64::ax(RB0));
     E.aluRR(x64::AluOp::Sbb, 8, x64::ax(TR), x64::ax(B1.asReg()));
     switch (Q) {
     case tir::ICmp::Ult:
@@ -704,26 +553,6 @@ private:
     default:
       TPDE_UNREACHABLE("unnormalized i128 predicate");
     }
-  }
-
-  bool compileICmp(tir::ValRef I, const tir::Value &V) {
-    // Compare-branch fusion (§5.1.2): if the single user is the condbr
-    // immediately following, defer to the branch.
-    tir::ValRef Nxt = this->A.nextInst(I);
-    if (!DisableFusion && Nxt != tir::InvalidRef &&
-        this->analyzer().liveness(I).RefCount == 1) {
-      const tir::Value &NV = this->A.val(Nxt);
-      if (NV.Opcode == tir::Op::CondBr && fn().operand(NV, 0) == I) {
-        Fused[I] = 1;
-        return true;
-      }
-    }
-    x64::Cond CC = emitICmpFlags(V);
-    VPR Res = this->resultRef(I, 0);
-    core::Reg R = Res.allocReg();
-    E.setcc(CC, x64::ax(R));
-    Res.setModified();
-    return true;
   }
 
   bool compileFCmp(tir::ValRef I, const tir::Value &V) {
@@ -1022,38 +851,7 @@ private:
     return Out;
   }
 
-  /// Marks a PtrAdd as fused if its single use is the immediately
-  /// following load/store in the same block.
-  bool tryFusePtrAdd(tir::ValRef I, const tir::Value &V) {
-    if (DisableFusion || this->analyzer().liveness(I).RefCount != 1)
-      return false;
-    if (V.NumOps > 1) {
-      u64 S = V.Aux;
-      if (S != 1 && S != 2 && S != 4 && S != 8)
-        return false;
-    }
-    if (!isInt32(static_cast<i64>(V.Aux2)))
-      return false;
-    // The base must not itself be a fused PtrAdd.
-    tir::ValRef Nxt = this->A.nextInst(I);
-    if (Nxt == tir::InvalidRef)
-      return false;
-    const tir::Value &NV = this->A.val(Nxt);
-    if (NV.Opcode == tir::Op::Load && fn().operand(NV, 0) == I) {
-      Fused[I] = 1;
-      return true;
-    }
-    if (NV.Opcode == tir::Op::Store && fn().operand(NV, 1) == I &&
-        fn().operand(NV, 0) != I) {
-      Fused[I] = 1;
-      return true;
-    }
-    return false;
-  }
-
   bool compilePtrAdd(tir::ValRef I, const tir::Value &V) {
-    if (tryFusePtrAdd(I, V))
-      return true;
     tir::ValRef BaseV = fn().operand(V, 0);
     i64 Disp = static_cast<i64>(V.Aux2);
     if (V.NumOps == 1) {
@@ -1171,81 +969,21 @@ private:
     E.store(static_cast<u8>(W), A.M, x64::ax(Src.asReg()));
     return true;
   }
-
-  // --- Control flow -----------------------------------------------------------------
-
-  bool compileCondBr(tir::ValRef I, const tir::Value &V) {
-    const tir::Block &B = fn().Blocks[V.Block];
-    tir::BlockRef TrueB = B.Succs[0], FalseB = B.Succs[1];
-    tir::ValRef CV = fn().operand(V, 0);
-    if (CV < Fused.size() && Fused[CV]) {
-      x64::Cond CC = emitICmpFlags(this->A.val(CV));
-      this->generateCondBranch(TrueB, FalseB,
-                               [&](asmx::Label L, bool Inv) {
-                                 E.jccLabel(Inv ? invert(CC) : CC, L);
-                               });
-      return true;
-    }
-    {
-      VPR Cond = this->valRef(CV, 0);
-      E.testRI(1, x64::ax(Cond.asReg()), 1);
-    }
-    this->generateCondBranch(TrueB, FalseB, [&](asmx::Label L, bool Inv) {
-      E.jccLabel(Inv ? x64::Cond::E : x64::Cond::NE, L);
-    });
-    return true;
-  }
-
-  // --- Constant pool --------------------------------------------------------
-
-  asmx::SymRef fpConstSym(u64 Bits, u8 Size) {
-    return fpPoolConstSym(this->Asm, FpPool, Bits, Size);
-  }
-
-  TirGlobalSyms GlobalSyms;
-  support::DenseMap<u64, asmx::SymRef> FpPool;
-  std::vector<u8> Fused;
 };
 
 } // namespace tpde::tpde_tir
 
 #include "tir/Verifier.h"
 
+namespace tpde::tpde_tir {
 /// Convenience entry point: compiles \p M into \p Asm with TPDE. With
 /// \p Verify the module is validated first (tir::verifyModule) so
 /// malformed IR never reaches the emitter; \p StatusOut (optional)
 /// receives the structured diagnostic on failure.
-namespace tpde::tpde_tir {
 inline bool compileModuleX64(tir::Module &M, asmx::Assembler &Asm,
                              bool Verify = false,
                              support::CompileStatus *StatusOut = nullptr) {
-  if (StatusOut)
-    StatusOut->clear();
-  if (Verify) {
-    std::string Errors;
-    if (!tir::verifyModule(M, Errors)) {
-      if (StatusOut) {
-        StatusOut->Err = support::CompileErr::VerifyFailed;
-        StatusOut->Message = std::move(Errors);
-      }
-      return false;
-    }
-  }
-  TirAdapter Adapter(M);
-  TirCompilerX64 Compiler(Adapter, Asm);
-  bool OK = false;
-  try {
-    OK = Compiler.compile();
-  } catch (...) { // arena growth (interned names) can throw bad_alloc
-    if (StatusOut) {
-      StatusOut->Err = support::CompileErr::OutOfMemory;
-      StatusOut->Message = "allocation failed during module compile";
-    }
-    return false;
-  }
-  if (!OK && StatusOut)
-    *StatusOut = Compiler.status();
-  return OK;
+  return core::compileModuleOneShot<TirCompilerX64>(M, Asm, Verify, StatusOut);
 }
 } // namespace tpde::tpde_tir
 

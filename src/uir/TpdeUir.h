@@ -145,21 +145,9 @@ public:
 
   UirCompilerX64(UirAdapter &A, asmx::Assembler &Asm) : Base(A, Asm) {}
 
-  /// Compiles the whole module into the assembler (reset first).
-  bool compile() { return this->compileModule(); }
-
-  /// Compiles only functions [Begin, End). Shard entry point used by the
-  /// parallel module compiler.
-  bool compileRange(u32 Begin, u32 End) {
-    return this->compileFunctionRange(Begin, End);
-  }
-
-  /// Emits the module-level fragment only (UIR has no global data, so
-  /// the fragment is empty).
-  bool compileGlobals() { return this->compileGlobalsOnly(); }
-
-  /// UIR modules carry no globals; only the per-module FP constant pool
-  /// has to restart with each compile.
+  /// UIR modules carry no globals (compileGlobals() emits an empty
+  /// fragment); only the per-module FP constant pool has to restart with
+  /// each compile.
   void defineGlobals() { FpPool.clear(); }
   /// Range-compile twin of defineGlobals() (shard compiles): nothing to
   /// define — the FP pool fills on demand per shard and
@@ -338,33 +326,7 @@ private:
 inline bool compileTpdeUir(UModule &M, asmx::Assembler &Asm,
                            bool Verify = false,
                            support::CompileStatus *StatusOut = nullptr) {
-  if (StatusOut)
-    StatusOut->clear();
-  if (Verify) {
-    std::string Errors;
-    if (!verifyModule(M, Errors)) {
-      if (StatusOut) {
-        StatusOut->Err = support::CompileErr::VerifyFailed;
-        StatusOut->Message = std::move(Errors);
-      }
-      return false;
-    }
-  }
-  UirAdapter A(M);
-  UirCompilerX64 C(A, Asm);
-  bool OK = false;
-  try {
-    OK = C.compile();
-  } catch (...) { // arena growth (interned names) can throw bad_alloc
-    if (StatusOut) {
-      StatusOut->Err = support::CompileErr::OutOfMemory;
-      StatusOut->Message = "allocation failed during module compile";
-    }
-    return false;
-  }
-  if (!OK && StatusOut)
-    *StatusOut = C.status();
-  return OK;
+  return core::compileModuleOneShot<UirCompilerX64>(M, Asm, Verify, StatusOut);
 }
 
 bool translateToTir(const UModule &M, tir::Module &Out);

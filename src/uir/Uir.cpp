@@ -5,6 +5,7 @@
 #include "x64/Encoder.h"
 
 #include <bit>
+#include <cstdio>
 
 using namespace tpde;
 using namespace tpde::uir;
@@ -149,8 +150,11 @@ std::vector<QueryPlan> tpde::uir::tpcdsLikePlans() {
   // shaped like TPC-DS scan-heavy aggregation queries.
   for (u32 Q = 0; Q < 20; ++Q) {
     QueryPlan P;
-    P.Name = "q";
-    P.Name += std::to_string(Q + 1);
+    // Formatted into a buffer: appending a std::to_string temporary trips
+    // libstdc++'s -Wrestrict under GCC 12 with sanitizers.
+    char Name[16];
+    std::snprintf(Name, sizeof(Name), "q%u", static_cast<unsigned>(Q + 1));
+    P.Name = Name;
     u32 NumPreds = 1 + Q % 4;
     for (u32 I = 0; I < NumPreds; ++I) {
       Pred Pr;
@@ -217,8 +221,9 @@ bool translateToTir(const UModule &M, tir::Module &Out) {
     Map[0] = B.arg(0);
     Map[1] = B.arg(1);
     for (u32 Blk = 0; Blk < F.Blocks.size(); ++Blk) {
-      std::string BlockName = "b";
-      BlockName += std::to_string(Blk);
+      char BlockName[16];
+      std::snprintf(BlockName, sizeof(BlockName), "b%u",
+                    static_cast<unsigned>(Blk));
       B.addBlock(BlockName);
     }
     auto val = [&](u32 V) -> tir::ValRef {

@@ -189,7 +189,13 @@ private:
   }
 
   void emitMemoryOp() {
-    ValRef Idx = B.binop(Op::And, readVal(), c64(63));
+    // No argument list holds two side-effecting calls (builder or RNG):
+    // their evaluation order is unspecified, and a seed must generate the
+    // same module under every host compiler. Where a call needs several,
+    // they are named locals in right-to-left order, the order GCC used
+    // when the existing workloads were recorded.
+    ValRef Mask = c64(63);
+    ValRef Idx = B.binop(Op::And, readVal(), Mask);
     ValRef Ptr = B.ptrAdd(B.globalAddr(Scratch), Idx, 8, 0);
     if (R.chance(1, 2)) {
       writeVal(B.load(Type::I64, Ptr));
@@ -213,8 +219,9 @@ private:
     Op Ops[5] = {Op::Add, Op::Sub, Op::And, Op::Or, Op::Xor};
     ValRef Res = B.binop(Ops[R.below(5)], X, Y);
     ValRef Hi = B.binop(Op::LShr, Res, B.constInt(Type::I128, 64));
-    ValRef Folded = B.binop(Op::Xor, B.cast(Op::Trunc, Type::I64, Res),
-                            B.cast(Op::Trunc, Type::I64, Hi));
+    ValRef HiBits = B.cast(Op::Trunc, Type::I64, Hi); // see emitMemoryOp
+    ValRef LoBits = B.cast(Op::Trunc, Type::I64, Res);
+    ValRef Folded = B.binop(Op::Xor, LoBits, HiBits);
     writeVal(Folded);
   }
 
@@ -244,7 +251,10 @@ private:
   }
 
   void genIf(u32 Depth) {
-    ValRef C = B.icmp(static_cast<ICmp>(R.below(10)), readVal(), readVal());
+    ValRef Rhs = readVal(); // right to left, see emitMemoryOp
+    ValRef Lhs = readVal();
+    auto Pred = static_cast<ICmp>(R.below(10));
+    ValRef C = B.icmp(Pred, Lhs, Rhs);
     BlockRef ThenB = B.addBlock(), ElseB = B.addBlock(), JoinB = B.addBlock();
     B.condBr(C, ThenB, ElseB);
 

@@ -8,13 +8,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "a64/Sim.h"
 #include "asmx/JITMapper.h"
 #include "baseline/Baseline.h"
 #include "copypatch/CopyPatch.h"
+#include "tir/Builder.h"
 #include "tir/Interp.h"
 #include "tir/Printer.h"
 #include "tir/Verifier.h"
 #include "tpde_tir/ParallelCompiler.h"
+#include "tpde_tir/TirCompilerA64.h"
 #include "tpde_tir/TirCompilerX64.h"
 #include "workloads/Generator.h"
 
@@ -177,4 +180,130 @@ TEST(DifferentialSpec, SpecLikeProfilesCompileAndRun) {
       runDifferential(P);
     }
   }
+}
+
+namespace {
+
+/// A zero-argument caller passes 12 arguments, four rotations of {i64,
+/// f64, i128}, to a defined callee, then calls a defined function that
+/// returns i128. Both targets run out of GP argument registers, so i64
+/// values and whole i128 values go to the stack (the i128 ones 16-byte
+/// aligned), while the FP arguments stay in registers. Some arguments
+/// are computed into registers first, others are constants materialized
+/// by the call sequence itself.
+void buildMixedArgCalls(Module &M) {
+  const Type Kinds[3] = {Type::I64, Type::F64, Type::I128};
+  std::vector<Type> Params;
+  for (u32 Rot = 0; Rot < 4; ++Rot)
+    for (u32 I = 0; I < 3; ++I)
+      Params.push_back(Kinds[(I + Rot) % 3]);
+
+  u32 Sum;
+  {
+    FunctionBuilder B(M, "sum12", Type::I64, Params);
+    Sum = B.funcIndex();
+    B.setInsertPoint(B.addBlock());
+    ValRef K31 = B.constInt(Type::I64, 31);
+    ValRef Acc = B.constInt(Type::I64, 7);
+    auto Mix = [&](ValRef Part) {
+      ValRef Scaled = B.binop(Op::Mul, Acc, K31);
+      Acc = B.binop(Op::Add, Scaled, Part);
+    };
+    for (u32 I = 0; I < Params.size(); ++I) {
+      ValRef A = B.arg(I);
+      if (Params[I] == Type::F64) {
+        Mix(B.cast(Op::Bitcast, Type::I64, A));
+      } else if (Params[I] == Type::I128) {
+        Mix(B.cast(Op::Trunc, Type::I64, A));
+        ValRef Hi = B.binop(Op::LShr, A, B.constInt(Type::I128, 64));
+        Mix(B.cast(Op::Trunc, Type::I64, Hi));
+      } else {
+        Mix(A);
+      }
+    }
+    B.ret(Acc);
+    B.finish();
+  }
+
+  u32 Wide;
+  {
+    FunctionBuilder B(M, "wide", Type::I128, {Type::I64});
+    Wide = B.funcIndex();
+    B.setInsertPoint(B.addBlock());
+    ValRef X = B.arg(0);
+    ValRef LoBits = B.binop(Op::Xor, X, B.constInt(Type::I64, 0x5bd1e995));
+    ValRef HiBits = B.binop(Op::Mul, X, B.constInt(Type::I64, 3));
+    ValRef Lo = B.cast(Op::Zext, Type::I128, LoBits);
+    ValRef Hi = B.cast(Op::Zext, Type::I128, HiBits);
+    ValRef HiShifted = B.binop(Op::Shl, Hi, B.constInt(Type::I128, 64));
+    B.ret(B.binop(Op::Or, HiShifted, Lo));
+    B.finish();
+  }
+
+  FunctionBuilder B(M, "caller", Type::I64, {});
+  B.setInsertPoint(B.addBlock());
+  ValRef Salt = B.constInt(Type::I64, 0x0123456789abcdefull);
+  std::vector<ValRef> Args;
+  for (u32 I = 0; I < Params.size(); ++I) {
+    const u64 K = 0x9e3779b97f4a7c15ull * (I + 1);
+    const bool InReg = I % 2 == 0;
+    ValRef Bits = B.constInt(Type::I64, K);
+    if (InReg)
+      Bits = B.binop(Op::Xor, Bits, Salt);
+    if (Params[I] == Type::I64) {
+      Args.push_back(Bits);
+    } else if (Params[I] == Type::F64) {
+      ValRef Small = B.constInt(Type::I64, 7 * I + 1);
+      Args.push_back(InReg ? B.cast(Op::SiToFp, Type::F64, Small)
+                           : B.constF64(0.25 + 1.5 * I));
+    } else {
+      // i128 operands via Zext: the verifier rejects Sext to i128.
+      ValRef Lo = B.cast(Op::Zext, Type::I128, Bits);
+      ValRef HiBits = B.constInt(Type::I64, K >> 7);
+      ValRef Hi = B.cast(Op::Zext, Type::I128, HiBits);
+      ValRef HiShifted = B.binop(Op::Shl, Hi, B.constInt(Type::I128, 64));
+      Args.push_back(B.binop(Op::Or, HiShifted, Lo));
+    }
+  }
+  ValRef S = B.call(Sum, Type::I64, Args);
+  ValRef W = B.call(Wide, Type::I128, {S});
+  ValRef WHi = B.binop(Op::LShr, W, B.constInt(Type::I128, 64));
+  ValRef Lo64 = B.cast(Op::Trunc, Type::I64, W);
+  ValRef Hi64 = B.cast(Op::Trunc, Type::I64, WHi);
+  ValRef Fold = B.binop(Op::Xor, Lo64, Hi64);
+  B.ret(B.binop(Op::Add, Fold, S));
+  B.finish();
+}
+
+} // namespace
+
+TEST(DifferentialCalls, MixedArgsAndI128ReturnMatchInterpreterOnBothTargets) {
+  Module M;
+  buildMixedArgCalls(M);
+  std::string Err;
+  ASSERT_TRUE(verifyModule(M, Err)) << Err;
+  u32 Caller = M.findFunc("caller");
+  ASSERT_NE(Caller, ~0u);
+  Interp Ip(M);
+  auto Ref = Ip.run(Caller, {});
+  ASSERT_TRUE(Ref.has_value());
+
+  asmx::Assembler X64Asm;
+  ASSERT_TRUE(tpde_tir::compileModuleX64(M, X64Asm));
+  asmx::JITMapper JIT;
+  ASSERT_TRUE(JIT.map(X64Asm));
+  auto *X64Fn = reinterpret_cast<u64 (*)()>(JIT.address("caller"));
+  ASSERT_NE(X64Fn, nullptr);
+  EXPECT_EQ(X64Fn(), Ref->Lo) << "x64 JIT diverges from the interpreter";
+
+  asmx::Assembler A64Asm;
+  ASSERT_TRUE(tpde_tir::compileModuleA64(M, A64Asm));
+  a64::Sim Sim;
+  a64::SimModule Mod;
+  ASSERT_TRUE(Mod.map(A64Asm, Sim));
+  u64 Entry = Mod.address("caller");
+  ASSERT_NE(Entry, 0u);
+  u64 A64Res = Sim.call(Entry);
+  ASSERT_FALSE(Sim.Trapped);
+  EXPECT_EQ(A64Res, Ref->Lo) << "a64 simulator diverges from the interpreter";
 }
