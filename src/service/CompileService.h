@@ -13,13 +13,17 @@
 ///
 /// The pipeline per job:
 ///
-///   submit()  --verify gate--> fingerprint --> cache.claim()
+///   submit(const ModuleT &)  --verify gate--> fingerprint --> cache.claim()
 ///      Hit:    complete immediately with the cached mapping
 ///      Waiter: another submit of the same fingerprint is compiling;
 ///              attach and wait (single-flight, no duplicate compile)
-///      Owner:  enqueue; a worker batches it with up to MaxBatchJobs-1
-///              queued jobs, compiles the batch in one parallel pass,
-///              maps per-job code, publishes it, completes all waiters
+///      Owner:  copy the module into the job and enqueue it; a worker
+///              batches it with up to MaxBatchJobs-1 queued jobs,
+///              compiles the batch in one parallel pass, maps per-job
+///              code, publishes it, completes all waiters
+///
+/// Only the Owner copies the module; a hit, a waiter or a verifier
+/// rejection reads the caller's module in place.
 ///
 /// On top of that sits the overload-control layer (docs/SERVICE.md,
 /// "Overload control"):
@@ -60,7 +64,8 @@
 ///
 ///   struct MyTraits {
 ///     using WorkerT = ...;   // satisfies core::ParallelCompileWorker
-///     // ModuleT = WorkerT::ModuleT, default-constructible + movable
+///     // ModuleT = WorkerT::ModuleT, default-constructible, copyable
+///     // and movable
 ///     static support::Fp128 fingerprint(const ModuleT &M);
 ///     // Appends Job's functions/globals to Batch; false on a symbol
 ///     // conflict with what Batch already holds (Batch unusable for Job).
@@ -72,9 +77,11 @@
 ///
 /// Allocation discipline: the per-function compile loop inside the batch
 /// compile stays allocation-free per docs/PERF.md (worker state is
-/// reused). Per-*job* work — queue transfer, the CachedCode allocation,
-/// the mapping syscalls — allocates; that is once per distinct module,
-/// amortized away by the cache for every hit.
+/// reused). Per-*job* work — the module copy, queue transfer, the
+/// CachedCode allocation, the mapping syscalls — allocates; that is once
+/// per distinct module, amortized away by the cache for every hit. A hit
+/// allocates only its ServiceResult handle and the verifier's scratch
+/// (docs/PERF.md); the fingerprint and the cache claim allocate nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -188,15 +195,18 @@ public:
   /// most ServiceOptions::AdmitMaxWaitNs when the admission queue is full
   /// (bounded back-pressure), then fails the job with Overloaded. The
   /// returned handle completes on a cache hit before submit() even
-  /// returns.
-  ResultPtr submit(ModuleT Mod, SubmitOptions SO = {}) {
-    return admit(std::move(Mod), SO, /*NonBlocking=*/false);
+  /// returns. \p Mod is read by reference and copied only when this
+  /// submit owns the compile (a miss): a hit, a coalesced waiter and a
+  /// verifier rejection never copy it, and the caller may reuse or
+  /// destroy it as soon as submit() returns.
+  ResultPtr submit(const ModuleT &Mod, SubmitOptions SO = {}) {
+    return admit(Mod, SO, /*NonBlocking=*/false);
   }
 
   /// Non-blocking submit: a full queue (or exhausted quota) fails the
   /// job with Overloaded immediately instead of waiting for space.
-  ResultPtr trySubmit(ModuleT Mod, SubmitOptions SO = {}) {
-    return admit(std::move(Mod), SO, /*NonBlocking=*/true);
+  ResultPtr trySubmit(const ModuleT &Mod, SubmitOptions SO = {}) {
+    return admit(Mod, SO, /*NonBlocking=*/true);
   }
 
   /// Releases workers parked by ServiceOptions::StartPaused.
@@ -301,7 +311,8 @@ private:
 
   /// The shared submit/trySubmit path: verify, fingerprint, claim, and
   /// admission with the caller's blocking policy.
-  ResultPtr admit(ModuleT Mod, const SubmitOptions &SO, bool NonBlocking) {
+  ResultPtr admit(const ModuleT &Mod, const SubmitOptions &SO,
+                  bool NonBlocking) {
     auto Res = std::make_shared<ServiceResult>();
     Res->SubmitNs = tpde::nowNs();
     Res->DeadlineNs = SO.DeadlineNs;
@@ -351,7 +362,7 @@ private:
       return Res;
     }
     PendingJob Job;
-    Job.Mod = std::move(Mod);
+    Job.Mod = Mod; // the one copy: only the owner's job outlives submit()
     Job.Fp = Fp;
     Job.Res = Res;
     Job.Token = Token;

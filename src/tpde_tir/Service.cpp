@@ -4,6 +4,8 @@
 
 namespace tpde::tpde_tir {
 
+static_assert(sizeof(tir::Type) == 1, "ParamTys are hashed as raw bytes");
+
 support::Fp128 fingerprintModule(const tir::Module &M) {
   support::Hasher128 H;
   H.len(M.Funcs.size());
@@ -13,46 +15,33 @@ support::Fp128 fingerprintModule(const tir::Module &M) {
     H.u8v(F.IsDeclaration ? 1 : 0);
     H.u8v(static_cast<u8>(F.RetTy));
     H.len(F.ParamTys.size());
-    for (tir::Type T : F.ParamTys)
-      H.u8v(static_cast<u8>(T));
+    H.bytes(F.ParamTys.data(), F.ParamTys.size());
     H.len(F.Values.size());
     for (const tir::Value &V : F.Values) {
-      H.u8v(static_cast<u8>(V.Kind));
-      H.u8v(static_cast<u8>(V.Opcode));
-      H.u8v(static_cast<u8>(V.Ty));
-      H.u32v(V.NumOps);
-      H.u32v(V.Block);
+      H.u64v(static_cast<u64>(V.Kind) | static_cast<u64>(V.Opcode) << 8 |
+             static_cast<u64>(V.Ty) << 16);
+      H.u64v(support::packWord(V.NumOps, V.Block));
       H.u64v(V.Aux);
       H.u64v(V.Aux2);
+      if (V.NumOps == 0)
+        continue;
       // Hash the operand *contents*, not OpBegin: two modules whose
       // operand pools are laid out differently but read identically must
       // fingerprint identically.
-      for (u32 I = 0; I < V.NumOps; ++I)
-        H.u32v(F.OperandPool[V.OpBegin + I]);
+      H.u32run({F.OperandPool.data() + V.OpBegin, V.NumOps});
       if (V.Opcode == tir::Op::Phi)
-        for (u32 I = 0; I < V.NumOps; ++I)
-          H.u32v(F.PhiBlockPool[V.OpBegin + I]);
+        H.u32run({F.PhiBlockPool.data() + V.OpBegin, V.NumOps});
     }
     H.len(F.Blocks.size());
     for (const tir::Block &B : F.Blocks) {
       // Block::Aux is adapter scratch, Block::Name is debug-only — both
       // excluded (see header comment).
-      H.len(B.Phis.size());
-      for (u32 V : B.Phis)
-        H.u32v(V);
-      H.len(B.Insts.size());
-      for (u32 V : B.Insts)
-        H.u32v(V);
-      H.len(B.Succs.size());
-      for (u32 S : B.Succs)
-        H.u32v(S);
+      H.u32s(B.Phis);
+      H.u32s(B.Insts);
+      H.u32s(B.Succs);
     }
-    H.len(F.Args.size());
-    for (u32 A : F.Args)
-      H.u32v(A);
-    H.len(F.StackVars.size());
-    for (u32 S : F.StackVars)
-      H.u32v(S);
+    H.u32s(F.Args);
+    H.u32s(F.StackVars);
   }
   H.len(M.Globals.size());
   for (const tir::Global &G : M.Globals) {
@@ -63,8 +52,7 @@ support::Fp128 fingerprintModule(const tir::Module &M) {
     H.u8v(G.ReadOnly ? 1 : 0);
     H.u8v(G.Defined ? 1 : 0);
     H.len(G.Init.size());
-    if (!G.Init.empty())
-      H.bytes(G.Init.data(), G.Init.size());
+    H.bytes(G.Init.data(), G.Init.size());
   }
   return H.digest();
 }

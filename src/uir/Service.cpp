@@ -12,30 +12,21 @@ support::Fp128 fingerprintModule(const UModule &M) {
     H.u32v(F.NumArgs);
     H.len(F.Vals.size());
     for (const UInst &I : F.Vals) {
-      H.u8v(static_cast<u8>(I.Op));
-      H.u8v(static_cast<u8>(I.Ty));
-      H.u32v(I.Ops[0]);
-      H.u32v(I.Ops[1]);
+      // Five whole words; every field as wide as its type.
+      H.u64v(static_cast<u64>(I.Op) | static_cast<u64>(I.Ty) << 8 |
+             u64{I.Block} << 32);
+      H.u64v(support::packWord(I.Ops[0], I.Ops[1]));
       H.u64v(I.Aux);
-      H.u32v(I.Block);
-      H.u32v(I.InBlock[0]);
-      H.u32v(I.InBlock[1]);
-      H.u32v(I.InVal[0]);
-      H.u32v(I.InVal[1]);
+      H.u64v(support::packWord(I.InBlock[0], I.InBlock[1]));
+      H.u64v(support::packWord(I.InVal[0], I.InVal[1]));
     }
     H.len(F.Blocks.size());
     for (const UBlock &B : F.Blocks) {
       // UBlock::Aux is adapter scratch — mutated by compilation, not part
       // of the module's content.
-      H.len(B.Phis.size());
-      for (u32 V : B.Phis)
-        H.u32v(V);
-      H.len(B.Insts.size());
-      for (u32 V : B.Insts)
-        H.u32v(V);
-      H.len(B.Succs.size());
-      for (u32 S : B.Succs)
-        H.u32v(S);
+      H.u32s(B.Phis);
+      H.u32s(B.Insts);
+      H.u32s(B.Succs);
     }
   }
   return H.digest();

@@ -7,8 +7,10 @@
 ///    batched service compile itself matches a solo compile byte for
 ///    byte (the job-aligned sharding contract of
 ///    core::ParallelModuleCompiler::compileJobs).
-///  * Fingerprints: sensitive to every content field, insensitive to the
-///    adapter scratch slots compilation mutates and to debug names.
+///  * Fingerprints: sensitive to every content field (each bit of every
+///    hashed field moves the digest, and no two fields share one), and
+///    insensitive to the adapter scratch slots compilation mutates and to
+///    debug names.
 ///  * Single-flight: concurrent producers of one fingerprint trigger
 ///    exactly one compile; everyone shares the published code.
 ///  * Eviction: the byte budget is enforced by epoch-LRU eviction, and
@@ -17,7 +19,10 @@
 ///    structured diagnostic; an uncompilable job inside a batch fails
 ///    alone while its batch neighbors are served; the fault-injection
 ///    shard-compile site inside the service path recovers (fault builds).
-///  * Support primitives: latency histogram quantiles.
+///  * Support primitives: latency histogram quantiles; hasher length
+///    and boundary cases.
+///  * Allocation: a cache hit allocates only its result handle and the
+///    verifier's scratch (docs/PERF.md).
 ///  * Overload control (docs/SERVICE.md, "Overload control"): admission
 ///    queue unit tests (token-bucket quotas, weighted-fair dequeue, the
 ///    retry lane, bounded-wait admission), structured Overloaded /
@@ -29,6 +34,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "service/Admission.h"
+#include "support/AllocCounter.h"
 #include "support/FaultInjector.h"
 #include "support/Histogram.h"
 #include "tpde_tir/Service.h"
@@ -37,10 +43,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <type_traits>
 #include <vector>
+
+TPDE_INSTALL_ALLOC_COUNTER
 
 using namespace tpde;
 using support::CompileErr;
@@ -129,6 +139,70 @@ std::vector<u8> soloTirMappedText(tir::Module M) {
 
 using QueryFn = i64 (*)(const i64 *const *, i64);
 
+/// Digests of one module and of single-field variants of it. Every
+/// digest must differ from every other: a field the fingerprint drops
+/// leaves its variants equal to the original, and two fields packed over
+/// the same bits make two variants equal.
+class VariantDigests {
+public:
+  explicit VariantDigests(Fp128 Original) { add(Original, "the original"); }
+
+  void add(Fp128 D, std::string What) {
+    All.push_back({D, std::move(What)});
+  }
+
+  void expectAllDistinct() {
+    std::sort(All.begin(), All.end(), [](const Item &X, const Item &Y) {
+      return X.D.Hi != Y.D.Hi ? X.D.Hi < Y.D.Hi : X.D.Lo < Y.D.Lo;
+    });
+    size_t Shared = 0;
+    for (size_t I = 1; I < All.size(); ++I)
+      if (All[I].D == All[I - 1].D && ++Shared <= 10)
+        ADD_FAILURE() << All[I - 1].What << " and " << All[I].What
+                      << " share a digest";
+    EXPECT_EQ(Shared, 0u) << "of " << All.size() << " digests";
+  }
+
+private:
+  struct Item {
+    Fp128 D;
+    std::string What;
+  };
+  std::vector<Item> All;
+};
+
+/// An integer field's bits, or an enum field's underlying bits.
+template <typename T> auto bitsOf(T V) {
+  if constexpr (std::is_enum_v<T>)
+    return static_cast<std::underlying_type_t<T>>(V);
+  else
+    return V;
+}
+
+/// Records the digest of each one-bit flip of \p Field, then restores it.
+template <typename T, typename DigestFn>
+void flipEachBit(VariantDigests &V, T &Field, const std::string &What,
+                 const DigestFn &Digest) {
+  using Bits = decltype(bitsOf(Field));
+  const T Saved = Field;
+  for (unsigned B = 0; B < 8 * sizeof(T); ++B) {
+    Field = static_cast<T>(static_cast<Bits>(bitsOf(Saved) ^ (Bits{1} << B)));
+    V.add(Digest(), What + " bit " + std::to_string(B));
+  }
+  Field = Saved;
+}
+
+/// Flips each bit of every entry of \p L, then appends one entry.
+template <typename DigestFn>
+void varyList(VariantDigests &V, std::vector<u32> &L, const std::string &What,
+              const DigestFn &Digest) {
+  for (size_t K = 0; K < L.size(); ++K)
+    flipEachBit(V, L[K], What + "[" + std::to_string(K) + "]", Digest);
+  L.push_back(0);
+  V.add(Digest(), What + " appended");
+  L.pop_back();
+}
+
 } // namespace
 
 // --- support primitives ----------------------------------------------------
@@ -192,6 +266,186 @@ TEST(Fingerprint, TirInsensitiveToDebugNamesAndScratch) {
   EXPECT_NE(tpde_tir::fingerprintModule(C), Before);
 }
 
+TEST(Fingerprint, HasherLengthAndBoundaryCases) {
+  // bytes() pads its tail word with zeros; only the length tells runs of
+  // 0..17 zero bytes apart, across the one- and two-word boundaries.
+  const u8 Zeros[17] = {};
+  support::Hasher128 Empty;
+  VariantDigests V(Empty.digest());
+  for (size_t N = 1; N <= sizeof(Zeros); ++N) {
+    support::Hasher128 H;
+    H.bytes(Zeros, N);
+    V.add(H.digest(), std::to_string(N) + " zero bytes");
+  }
+  V.expectAllDistinct();
+
+  support::Hasher128 X, Y;
+  X.str("ab");
+  X.str("c");
+  Y.str("a");
+  Y.str("bc");
+  EXPECT_NE(X.digest(), Y.digest()) << "string boundaries are content";
+}
+
+TEST(Fingerprint, UirEveryFieldMovesTheDigest) {
+  workloads::QueryProfile QP;
+  QP.Seed = 31;
+  QP.NumQueries = 3;
+  std::vector<uir::UModule> Mods;
+  for (const uir::QueryPlan &P : workloads::genQueryPlans(QP)) {
+    Mods.emplace_back();
+    uir::compilePlan(Mods.back(), P);
+  }
+  Mods.push_back(makeQueryModule("fields", 5));
+
+  for (uir::UModule &M : Mods) {
+    const auto Fp = [&M] { return uir::fingerprintModule(M); };
+    const Fp128 Original = Fp();
+    VariantDigests V(Original);
+    for (uir::UFunc &F : M.Funcs) {
+      for (size_t I = 0; I < F.Vals.size(); ++I) {
+        uir::UInst &In = F.Vals[I];
+        const std::string At = F.Name + " value " + std::to_string(I) + " ";
+        flipEachBit(V, In.Op, At + "Op", Fp);
+        flipEachBit(V, In.Ty, At + "Ty", Fp);
+        flipEachBit(V, In.Ops[0], At + "Ops[0]", Fp);
+        flipEachBit(V, In.Ops[1], At + "Ops[1]", Fp);
+        flipEachBit(V, In.Aux, At + "Aux", Fp);
+        flipEachBit(V, In.Block, At + "Block", Fp);
+        flipEachBit(V, In.InBlock[0], At + "InBlock[0]", Fp);
+        flipEachBit(V, In.InBlock[1], At + "InBlock[1]", Fp);
+        flipEachBit(V, In.InVal[0], At + "InVal[0]", Fp);
+        flipEachBit(V, In.InVal[1], At + "InVal[1]", Fp);
+      }
+      for (size_t B = 0; B < F.Blocks.size(); ++B) {
+        uir::UBlock &Blk = F.Blocks[B];
+        const std::string At = F.Name + " block " + std::to_string(B) + " ";
+        varyList(V, Blk.Phis, At + "Phis", Fp);
+        varyList(V, Blk.Insts, At + "Insts", Fp);
+        varyList(V, Blk.Succs, At + "Succs", Fp);
+        Blk.Aux ^= 1;
+        EXPECT_EQ(Fp(), Original) << At << "Aux is scratch, not content";
+        Blk.Aux ^= 1;
+      }
+      flipEachBit(V, F.NumArgs, F.Name + " NumArgs", Fp);
+      F.Name += "x";
+      V.add(Fp(), F.Name + " (name lengthened)");
+      F.Name.pop_back();
+    }
+    EXPECT_EQ(Fp(), Original) << "every variant was undone";
+    V.expectAllDistinct();
+  }
+}
+
+TEST(Fingerprint, TirEveryFieldMovesTheDigest) {
+  // A small SSA module (phis, calls, the generator's initialized global)
+  // plus one -O0-flavored function (stack variables).
+  tir::Module M;
+  workloads::Profile P;
+  P.Seed = 77;
+  P.NumFuncs = 2;
+  P.RegionBudget = 3;
+  P.InstsPerBlock = 4;
+  P.CallPct = 20;
+  workloads::genModule(M, P);
+  P.SSAForm = false;
+  workloads::genFunction(M, "o0_fn", P);
+
+  const auto Fp = [&M] { return tpde_tir::fingerprintModule(M); };
+  const Fp128 Original = Fp();
+  // A flipped opcode may turn a value into a phi, which reads the phi
+  // block pool at its operand positions: pad the pool to the operand
+  // pool's size. Entries at non-phi positions are not content.
+  for (tir::Function &F : M.Funcs)
+    F.PhiBlockPool.resize(F.OperandPool.size(), tir::InvalidRef);
+  ASSERT_EQ(Fp(), Original) << "phi pool padding is not content";
+
+  VariantDigests V(Original);
+  bool SawPhi = false;
+  for (tir::Function &F : M.Funcs) {
+    const std::string Fn = F.Name + " ";
+    for (size_t I = 0; I < F.Values.size(); ++I) {
+      tir::Value &Val = F.Values[I];
+      const std::string At = Fn + "value " + std::to_string(I) + " ";
+      flipEachBit(V, Val.Kind, At + "Kind", Fp);
+      flipEachBit(V, Val.Opcode, At + "Opcode", Fp);
+      flipEachBit(V, Val.Ty, At + "Ty", Fp);
+      flipEachBit(V, Val.Block, At + "Block", Fp);
+      flipEachBit(V, Val.Aux, At + "Aux", Fp);
+      flipEachBit(V, Val.Aux2, At + "Aux2", Fp);
+      // NumOps bounds the operand read: only clear its set bits.
+      for (unsigned B = 0; B < 32; ++B) {
+        if (!(Val.NumOps >> B & 1))
+          continue;
+        Val.NumOps ^= 1u << B;
+        V.add(Fp(), At + "NumOps bit " + std::to_string(B));
+        Val.NumOps ^= 1u << B;
+      }
+      for (u32 K = 0; K < Val.NumOps; ++K) {
+        const std::string Op = At + "operand " + std::to_string(K);
+        flipEachBit(V, F.OperandPool[Val.OpBegin + K], Op, Fp);
+        if (Val.Opcode != tir::Op::Phi)
+          continue;
+        SawPhi = true;
+        flipEachBit(V, F.PhiBlockPool[Val.OpBegin + K], Op + " phi block", Fp);
+      }
+    }
+    for (size_t B = 0; B < F.Blocks.size(); ++B) {
+      tir::Block &Blk = F.Blocks[B];
+      const std::string At = Fn + "block " + std::to_string(B) + " ";
+      varyList(V, Blk.Phis, At + "Phis", Fp);
+      varyList(V, Blk.Insts, At + "Insts", Fp);
+      varyList(V, Blk.Succs, At + "Succs", Fp);
+      Blk.Aux ^= 1;
+      EXPECT_EQ(Fp(), Original) << At << "Aux is scratch, not content";
+      Blk.Aux ^= 1;
+    }
+    varyList(V, F.Args, Fn + "Args", Fp);
+    varyList(V, F.StackVars, Fn + "StackVars", Fp);
+    for (size_t K = 0; K < F.ParamTys.size(); ++K)
+      flipEachBit(V, F.ParamTys[K], Fn + "ParamTys[" + std::to_string(K) + "]",
+                  Fp);
+    F.ParamTys.push_back(tir::Type::I64);
+    V.add(Fp(), Fn + "ParamTys appended");
+    F.ParamTys.pop_back();
+    flipEachBit(V, F.Link, Fn + "Link", Fp);
+    flipEachBit(V, F.RetTy, Fn + "RetTy", Fp);
+    F.IsDeclaration = !F.IsDeclaration;
+    V.add(Fp(), Fn + "IsDeclaration");
+    F.IsDeclaration = !F.IsDeclaration;
+    F.Name += "x";
+    V.add(Fp(), Fn + "(name lengthened)");
+    F.Name.pop_back();
+  }
+  EXPECT_TRUE(SawPhi) << "the module must exercise phi blocks";
+  EXPECT_FALSE(M.Funcs.back().StackVars.empty())
+      << "the module must exercise stack variables";
+
+  ASSERT_FALSE(M.Globals.empty());
+  tir::Global &G = M.Globals[0];
+  ASSERT_FALSE(G.Init.empty());
+  for (size_t K = 0; K < G.Init.size(); ++K)
+    flipEachBit(V, G.Init[K], "global Init[" + std::to_string(K) + "]", Fp);
+  G.Init.push_back(0);
+  V.add(Fp(), "global Init appended");
+  G.Init.pop_back();
+  flipEachBit(V, G.Size, "global Size", Fp);
+  flipEachBit(V, G.Align, "global Align", Fp);
+  flipEachBit(V, G.Link, "global Link", Fp);
+  G.ReadOnly = !G.ReadOnly;
+  V.add(Fp(), "global ReadOnly");
+  G.ReadOnly = !G.ReadOnly;
+  G.Defined = !G.Defined;
+  V.add(Fp(), "global Defined");
+  G.Defined = !G.Defined;
+  G.Name += "x";
+  V.add(Fp(), "global name lengthened");
+  G.Name.pop_back();
+
+  EXPECT_EQ(Fp(), Original) << "every variant was undone";
+  V.expectAllDistinct();
+}
+
 // --- cache correctness -----------------------------------------------------
 
 TEST(ServiceCache, UirHitIsByteIdenticalToFreshCompile) {
@@ -225,6 +479,28 @@ TEST(ServiceCache, UirHitIsByteIdenticalToFreshCompile) {
   EXPECT_EQ(S.Misses, 1u);
   EXPECT_EQ(S.CachedEntries, 1u);
   EXPECT_GT(S.CachedBytes, 0u);
+}
+
+TEST(ServiceCache, HitAllocatesOnlyItsHandleAndVerifierScratch) {
+  // docs/PERF.md lists what a hit allocates: the ServiceResult handle, and
+  // the verifier's name set (buckets and one node) and its Listed array.
+  // The module is read in place, and the fingerprint, the cache claim and
+  // the latency histogram allocate nothing. No watchdog: only this thread
+  // may allocate inside the watched window.
+  uir::UirCompileService Svc({.NumWorkers = 1, .StuckBatchTimeoutNs = 0});
+  const uir::UModule M = makeQueryModule("alloc_hit", 4);
+  auto Miss = Svc.submit(M);
+  Miss->wait();
+  ASSERT_TRUE(Miss->ok()) << Miss->status().Message;
+
+  for (int I = 0; I < 8; ++I) {
+    support::AllocWatch W;
+    service::ResultPtr Hit = Svc.submit(M);
+    const u64 Allocs = W.newCalls();
+    ASSERT_TRUE(Hit->done());
+    ASSERT_TRUE(Hit->hit());
+    EXPECT_LE(Allocs, 4u) << "hit " << I;
+  }
 }
 
 TEST(ServiceCache, TirX64HitIsByteIdenticalToFreshCompile) {
