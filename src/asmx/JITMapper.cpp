@@ -3,24 +3,102 @@
 #include "asmx/JITMapper.h"
 #include "support/DenseMap.h"
 #include "support/FaultInjector.h"
+#include "support/Sync.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sys/mman.h>
+#include <type_traits>
 #include <unistd.h>
 
 using namespace tpde;
 using namespace tpde::asmx;
 
-JITMapper::~JITMapper() {
+namespace {
+
+/// Released page runs kept for reuse, oldest first. Reusing a run saves
+/// the mmap, the first-touch page faults and the munmap that a fresh
+/// mapping costs; the read+write flip at release is the one syscall left.
+/// Syscalls happen outside the lock.
+class RunPool {
+public:
+  /// Takes the most recently released run of exactly \p Size bytes, or
+  /// returns nullptr when none is pooled.
+  u8 *take(u64 Size) TPDE_EXCLUDES(Mtx) {
+    LockGuard L(Mtx);
+    for (unsigned I = NumRuns; I-- > 0;) {
+      if (Runs[I].Size != Size)
+        continue;
+      u8 *Base = Runs[I].Base;
+      std::copy(Runs + I + 1, Runs + NumRuns, Runs + I);
+      --NumRuns;
+      Bytes -= Size;
+      return Base;
+    }
+    return nullptr;
+  }
+
+  /// Flips the run back to read+write and pools it, unmapping the oldest
+  /// runs that no longer fit. A run larger than the bound, or one whose
+  /// flip failed, is unmapped instead.
+  void release(u8 *Base, u64 Size) TPDE_EXCLUDES(Mtx) {
+    if (Size > JITMapper::MaxPooledBytes ||
+        ::mprotect(Base, Size, PROT_READ | PROT_WRITE) != 0) {
+      ::munmap(Base, Size);
+      return;
+    }
+    Run Evicted[MaxRuns];
+    unsigned NumEvicted = 0;
+    {
+      LockGuard L(Mtx);
+      while (NumRuns - NumEvicted == MaxRuns ||
+             Bytes + Size > JITMapper::MaxPooledBytes) {
+        Bytes -= Runs[NumEvicted].Size;
+        Evicted[NumEvicted] = Runs[NumEvicted];
+        ++NumEvicted;
+      }
+      std::copy(Runs + NumEvicted, Runs + NumRuns, Runs);
+      NumRuns -= NumEvicted;
+      Runs[NumRuns++] = {Base, Size};
+      Bytes += Size;
+    }
+    for (unsigned I = 0; I < NumEvicted; ++I)
+      ::munmap(Evicted[I].Base, Evicted[I].Size);
+  }
+
+private:
+  struct Run {
+    u8 *Base;
+    u64 Size;
+  };
+  /// Every run spans at least one 4 KiB page.
+  static constexpr unsigned MaxRuns = JITMapper::MaxPooledBytes / 4096;
+
+  Mutex Mtx;
+  Run Runs[MaxRuns] TPDE_GUARDED_BY(Mtx) = {};
+  unsigned NumRuns TPDE_GUARDED_BY(Mtx) = 0;
+  u64 Bytes TPDE_GUARDED_BY(Mtx) = 0;
+};
+
+// Constant-initialized and never destroyed, so a mapper that dies during
+// static destruction still finds a working pool.
+static_assert(std::is_trivially_destructible_v<RunPool>);
+constinit RunPool Pool;
+
+} // namespace
+
+JITMapper::~JITMapper() { release(); }
+
+void JITMapper::release() {
   if (MapBase)
-    ::munmap(MapBase, MapSize);
+    Pool.release(MapBase, MapSize);
+  MapBase = nullptr;
 }
 
 JITMapper &JITMapper::operator=(JITMapper &&O) noexcept {
   if (this == &O)
     return *this;
-  if (MapBase)
-    ::munmap(MapBase, MapSize);
+  release();
   Asm = O.Asm;
   MapBase = O.MapBase;
   MapSize = O.MapSize;
@@ -35,6 +113,7 @@ JITMapper &JITMapper::operator=(JITMapper &&O) noexcept {
 
 bool JITMapper::map(const Assembler &A, const Resolver &Resolve,
                     StubArch Arch) {
+  release();
   Asm = &A;
   Status.clear();
   auto fail = [&](support::CompileErr E, std::string_view Sym,
@@ -78,20 +157,32 @@ bool JITMapper::map(const Assembler &A, const Resolver &Resolve,
   MapSize = Off ? Off : Page;
   const u64 StubAreaOff = alignTo(A.text().Data.size(), 16);
 
-  void *Mem = ::mmap(nullptr, MapSize, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (Mem == MAP_FAILED) {
-    MapBase = nullptr;
-    return fail(support::CompileErr::JitMapFailed, {},
-                "mmap of JIT image failed");
+  MapBase = Pool.take(MapSize);
+  const bool Recycled = MapBase != nullptr;
+  if (!Recycled) {
+    void *Mem = ::mmap(nullptr, MapSize, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (Mem == MAP_FAILED)
+      return fail(support::CompileErr::JitMapFailed, {},
+                  "mmap of JIT image failed");
+    MapBase = static_cast<u8 *>(Mem);
   }
-  MapBase = static_cast<u8 *>(Mem);
+  // A recycled run still holds its previous image: zero every byte the new
+  // one does not write (section tails, stub slots, BSS).
+  u64 Written = 0;
   for (unsigned I = 0; I < NumSections; ++I) {
     SecBase[I] = MapBase + SecOff[I];
     const Section &S = A.section(static_cast<SecKind>(I));
-    if (static_cast<SecKind>(I) != SecKind::BSS && !S.Data.empty())
-      std::memcpy(SecBase[I], S.Data.data(), S.Data.size());
+    const u64 Bytes =
+        static_cast<SecKind>(I) == SecKind::BSS ? 0 : S.Data.size();
+    if (Recycled)
+      std::memset(MapBase + Written, 0, SecOff[I] - Written);
+    if (Bytes)
+      std::memcpy(SecBase[I], S.Data.data(), Bytes);
+    Written = SecOff[I] + Bytes;
   }
+  if (Recycled)
+    std::memset(MapBase + Written, 0, MapSize - Written);
 
   // Resolve every relocation. Defined symbols resolve to their mapped
   // location; undefined ones are looked up through the resolver.
@@ -203,11 +294,20 @@ bool JITMapper::map(const Assembler &A, const Resolver &Resolve,
     }
   }
 
+  // A recycled run may have held other code at these addresses; targets
+  // without a coherent instruction cache must not run stale lines (a no-op
+  // on x86-64).
+  __builtin___clear_cache(reinterpret_cast<char *>(SecBase[0]),
+                          reinterpret_cast<char *>(SecBase[0] + SecSize[0]));
   // W^X: text and rodata become non-writable.
-  if (SecSize[0])
-    ::mprotect(SecBase[0], alignTo(SecSize[0], Page), PROT_READ | PROT_EXEC);
-  if (SecSize[1])
-    ::mprotect(SecBase[1], alignTo(SecSize[1], Page), PROT_READ);
+  if (SecSize[0] && ::mprotect(SecBase[0], alignTo(SecSize[0], Page),
+                               PROT_READ | PROT_EXEC) != 0)
+    return fail(support::CompileErr::JitMapFailed, {},
+                "mprotect of the text section to read+execute failed");
+  if (SecSize[1] &&
+      ::mprotect(SecBase[1], alignTo(SecSize[1], Page), PROT_READ) != 0)
+    return fail(support::CompileErr::JitMapFailed, {},
+                "mprotect of the rodata section to read-only failed");
   return true;
 }
 

@@ -28,9 +28,29 @@ namespace tpde::asmx {
 ///   });
 ///   auto *Fn = (int (*)(int))JIT.address("my_func");
 /// \endcode
+///
+/// Images come from, and return to, a process-wide pool of released
+/// page runs. map() takes the most recently released run of exactly the
+/// image's page count and calls mmap only when none is free; a recycled
+/// run is zeroed wherever the new image writes nothing, so it reads
+/// exactly like a fresh mapping. The destructor, move-assignment and a
+/// later map() release the held image: its pages flip back to read+write
+/// and join the pool, whose oldest runs are unmapped to keep it within
+/// MaxPooledBytes. An address into an image is therefore valid only while
+/// its mapper lives: released pages may back a later image, where an
+/// unmapped run would fault. W^X is unchanged: text is read+execute,
+/// rodata read-only, data and BSS read+write, and no page is ever
+/// writable and executable at once.
 class JITMapper {
 public:
   using Resolver = std::function<void *(std::string_view)>;
+
+  /// Retention bound of the released-run pool. It holds a few dozen of the
+  /// one- or two-page images a query service maps per cache miss, while a
+  /// multi-megabyte module image is never pooled and at most a quarter MiB
+  /// of released pages stays resident. A pool sized for large images would
+  /// keep them resident after their mappers die.
+  static constexpr u64 MaxPooledBytes = u64(256) << 10;
 
   /// Flavor of the jump stubs used to reach resolver-provided symbols that
   /// are out of direct branch range (x86-64 `jmp [rip]` vs AArch64
@@ -44,10 +64,11 @@ public:
   JITMapper(JITMapper &&O) noexcept { *this = std::move(O); }
   JITMapper &operator=(JITMapper &&O) noexcept;
 
-  /// Copies sections into fresh memory, resolves all relocations (consulting
-  /// \p Resolve for undefined symbols), and makes text/rodata execute/read
-  /// only. Returns false if an undefined symbol cannot be resolved or a
-  /// relocation overflows.
+  /// Releases any image this mapper holds, copies sections into a pooled or
+  /// fresh run, resolves all relocations (consulting \p Resolve for
+  /// undefined symbols), and makes text/rodata execute/read only. Returns
+  /// false if an undefined symbol cannot be resolved, a relocation
+  /// overflows, or a mapping syscall fails.
   bool map(const Assembler &A, const Resolver &Resolve = nullptr,
            StubArch Arch = StubArch::X64);
 
@@ -67,6 +88,9 @@ public:
   u64 mappedSize() const { return MapSize; }
 
 private:
+  /// Returns the held image, if any, to the pool.
+  void release();
+
   const Assembler *Asm = nullptr;
   u8 *MapBase = nullptr;
   u64 MapSize = 0;

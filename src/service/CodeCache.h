@@ -18,9 +18,11 @@
 ///
 /// Eviction is epoch-LRU under a byte budget: every claim/publish bumps a
 /// logical clock and stamps the entry; publish evicts the stalest Ready
-/// entries until the mapped-byte total fits the budget. Evicted code is
-/// only unmapped when the last client shared_ptr drops, so eviction never
-/// invalidates code a caller is still executing.
+/// entries until the mapped-byte total fits the budget. Evicted code
+/// returns to the JIT page pool (asmx::JITMapper) only when the last
+/// client shared_ptr drops, so eviction never invalidates code a caller is
+/// still executing. Pooled pages belong to no entry and are not counted
+/// against CacheBudgetBytes.
 ///
 //===----------------------------------------------------------------------===//
 

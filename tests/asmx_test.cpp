@@ -7,6 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cerrno>
+#include <cstring>
+#include <fstream>
+#include <string>
+#include <sys/mman.h>
+#include <thread>
+#include <unistd.h>
+#include <vector>
+
 TPDE_INSTALL_ALLOC_COUNTER
 
 using namespace tpde;
@@ -252,6 +262,291 @@ TEST(JITMapper, BssIsZeroed) {
   u8 *P = static_cast<u8 *>(JIT.address("bss_var"));
   for (int I = 0; I < 64; ++I)
     EXPECT_EQ(P[I], 0);
+}
+
+// --- JIT page recycling ------------------------------------------------------
+
+namespace {
+
+u64 pageSize() { return static_cast<u64>(::sysconf(_SC_PAGESIZE)); }
+
+/// Permissions ("r-x", "rw-", ...) of the mapping that contains \p P, read
+/// from /proc/self/maps; empty if no mapping contains it.
+std::string permsAt(const void *P) {
+  std::ifstream Maps("/proc/self/maps");
+  std::string Line;
+  const auto Addr = reinterpret_cast<uintptr_t>(P);
+  while (std::getline(Maps, Line)) {
+    uintptr_t Lo = 0, Hi = 0;
+    char Perms[5] = {};
+    if (std::sscanf(Line.c_str(), "%lx-%lx %4s", &Lo, &Hi, Perms) == 3 &&
+        Addr >= Lo && Addr < Hi)
+      return std::string(Perms, 3);
+  }
+  return {};
+}
+
+/// True while the page at \p P is mapped at all.
+bool pageMapped(void *P) {
+  return ::msync(P, pageSize(), MS_ASYNC) == 0 || errno != ENOMEM;
+}
+
+/// Virtual size of this process in bytes (/proc/self/statm, first field).
+u64 vmSizeBytes() {
+  std::ifstream Statm("/proc/self/statm");
+  u64 Pages = 0;
+  Statm >> Pages;
+  return Pages * pageSize();
+}
+
+/// An image with \p Text, \p Ro and \p Data bytes of the given fill and
+/// \p Bss bytes of BSS; "text" names the text start, "bss" the BSS start.
+void buildImage(Assembler &A, u64 Text, u64 Ro, u64 Data, u64 Bss,
+                u8 Fill) {
+  A.reset();
+  for (u64 I = 0; I < Text; ++I)
+    A.text().appendByte(Fill);
+  for (u64 I = 0; I < Ro; ++I)
+    A.section(SecKind::ROData).appendByte(Fill ^ 0x5A);
+  for (u64 I = 0; I < Data; ++I)
+    A.section(SecKind::Data).appendByte(Fill ^ 0xA5);
+  A.section(SecKind::BSS).BssSize = Bss;
+  A.defineSymbol(A.createSymbol("text", Linkage::External, true),
+                 SecKind::Text, 0, Text);
+  if (Bss)
+    A.defineSymbol(A.createSymbol("bss", Linkage::External, false),
+                   SecKind::BSS, 0, Bss);
+}
+
+/// Fails unless every byte of \p JIT's mapping outside \p A's section bytes
+/// is zero and every section byte matches \p A (a mapping without
+/// relocations or stubs must read exactly like its assembler).
+void expectExactImage(const JITMapper &JIT, const Assembler &A) {
+  const u8 *Base = JIT.sectionBase(SecKind::Text);
+  u64 Bad = 0;
+  for (u64 Off = 0; Off < JIT.mappedSize(); ++Off) {
+    u8 Want = 0;
+    for (unsigned K = 0; K < NumSections; ++K) {
+      const SecKind S = static_cast<SecKind>(K);
+      const u8 *Sec = JIT.sectionBase(S);
+      if (S != SecKind::BSS && Base + Off >= Sec &&
+          Base + Off < Sec + A.section(S).Data.size())
+        Want = A.section(S).Data[Base + Off - Sec];
+    }
+    Bad += Base[Off] != Want;
+  }
+  EXPECT_EQ(Bad, 0u) << "bytes that differ from a fresh mapping";
+}
+
+} // namespace
+
+TEST(JITMapper, RemapReleasesThePreviousImage) {
+  Assembler A;
+  A.text().appendByte(0xC3);
+  JITMapper JIT;
+  ASSERT_TRUE(JIT.map(A));
+  const u64 Before = vmSizeBytes();
+  for (int I = 0; I < 10000; ++I)
+    ASSERT_TRUE(JIT.map(A));
+  EXPECT_LT(vmSizeBytes() - Before, u64(1) << 20);
+}
+
+TEST(JITMapper, SectionPermissionsAreWXorXForFreshAndRecycledImages) {
+  const u64 Page = pageSize();
+  Assembler A;
+  // Larger than the pool's bound, so this image is always freshly mapped.
+  buildImage(A, 100, 100, 100, JITMapper::MaxPooledBytes + Page, 0x11);
+  auto expectWXorX = [&](const JITMapper &JIT) {
+    EXPECT_EQ(permsAt(JIT.sectionBase(SecKind::Text)), "r-x");
+    EXPECT_EQ(permsAt(JIT.sectionBase(SecKind::ROData)), "r--");
+    EXPECT_EQ(permsAt(JIT.sectionBase(SecKind::Data)), "rw-");
+    EXPECT_EQ(permsAt(JIT.sectionBase(SecKind::BSS)), "rw-");
+  };
+  {
+    JITMapper Fresh;
+    ASSERT_TRUE(Fresh.map(A));
+    expectWXorX(Fresh);
+  }
+  buildImage(A, 100, 100, 100, 100, 0x22);
+  u8 *FirstText;
+  {
+    JITMapper First;
+    ASSERT_TRUE(First.map(A));
+    FirstText = First.sectionBase(SecKind::Text);
+  }
+  JITMapper Recycled;
+  ASSERT_TRUE(Recycled.map(A));
+  ASSERT_EQ(Recycled.sectionBase(SecKind::Text), FirstText);
+  expectWXorX(Recycled);
+}
+
+TEST(JITMapper, RecycledRunReadsLikeAFreshMapping) {
+  const u64 Page = pageSize();
+  Assembler Big;
+  buildImage(Big, Page - 64, Page - 8, Page - 8, Page, 0xCC);
+  // An undefined symbol far from any mapping fills a stub slot after text.
+  SymRef Far = Big.createSymbol("far", Linkage::External, true);
+  Big.addReloc(SecKind::Text, 0, RelocKind::PC32, Far, 0);
+  u8 *BigText;
+  {
+    JITMapper JIT;
+    ASSERT_TRUE(JIT.map(Big, [](std::string_view) -> void * {
+      return reinterpret_cast<void *>(0x10);
+    }));
+    BigText = JIT.sectionBase(SecKind::Text);
+    std::memset(JIT.address("bss"), 0xEE, Page);
+  }
+  Assembler Small;
+  buildImage(Small, 24, 8, 8, 8, 0x33);
+  JITMapper JIT;
+  ASSERT_TRUE(JIT.map(Small));
+  EXPECT_EQ(JIT.sectionBase(SecKind::Text), BigText)
+      << "the same-sized released run was not reused";
+  expectExactImage(JIT, Small);
+}
+
+TEST(JITMapper, RunTakenByAFailedMapIsZeroedForTheNext) {
+  const u64 Page = pageSize();
+  Assembler Dirty;
+  buildImage(Dirty, Page - 64, Page, Page, Page, 0xCC);
+  SymRef Missing = Dirty.createSymbol("missing", Linkage::External, false);
+  Dirty.addReloc(SecKind::Data, 0, RelocKind::Abs64, Missing, 0);
+  u8 *DirtyText;
+  {
+    JITMapper JIT;
+    ASSERT_FALSE(JIT.map(Dirty));
+    EXPECT_EQ(JIT.status().Err, support::CompileErr::JitMapFailed);
+    DirtyText = JIT.sectionBase(SecKind::Text);
+  }
+  Assembler Small;
+  buildImage(Small, 16, 16, 16, 16, 0x44);
+  JITMapper JIT;
+  ASSERT_TRUE(JIT.map(Small));
+  EXPECT_EQ(JIT.sectionBase(SecKind::Text), DirtyText);
+  expectExactImage(JIT, Small);
+}
+
+TEST(JITMapper, ConcurrentMapCallRelease) {
+  constexpr unsigned Threads = 4, Images = 2000;
+  std::atomic<unsigned> Wrong{0};
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([T, &Wrong] {
+      // mov eax, imm32; ret — half the images carry a data page as well,
+      // so runs of two sizes pass through the pool.
+      const u32 K = 0x1000 * (T + 1);
+      Assembler A[2];
+      for (unsigned V = 0; V < 2; ++V) {
+        A[V].text().appendByte(0xB8);
+        A[V].text().appendLE<u32>(K);
+        A[V].text().appendByte(0xC3);
+        A[V].defineSymbol(A[V].createSymbol("f", Linkage::External, true),
+                          SecKind::Text, 0, 6);
+      }
+      A[1].section(SecKind::Data).appendLE<u64>(K);
+      for (unsigned I = 0; I < Images; ++I) {
+        JITMapper JIT;
+        if (!JIT.map(A[I % 2])) {
+          Wrong.fetch_add(1);
+          continue;
+        }
+        auto *F = reinterpret_cast<u32 (*)()>(JIT.address("f"));
+        if (F() != K)
+          Wrong.fetch_add(1);
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(Wrong.load(), 0u);
+}
+
+TEST(JITMapper, PoolRetainsAtMostItsBound) {
+  const u64 Page = pageSize();
+  const u64 Keep = JITMapper::MaxPooledBytes / Page;
+  Assembler A;
+  A.text().appendByte(0xC3);
+  std::vector<JITMapper> Live(2 * Keep + 8);
+  std::vector<u8 *> Bases;
+  for (JITMapper &JIT : Live) {
+    ASSERT_TRUE(JIT.map(A));
+    Bases.push_back(JIT.sectionBase(SecKind::Text));
+  }
+  for (JITMapper &JIT : Live)
+    JIT = JITMapper(); // releases the images oldest first
+  u64 StillMapped = 0;
+  for (u8 *B : Bases)
+    StillMapped += pageMapped(B);
+  // The newest releases fill the pool exactly; every older run is unmapped.
+  EXPECT_EQ(StillMapped, Keep);
+  for (u64 I = 0; I < Bases.size(); ++I)
+    EXPECT_EQ(pageMapped(Bases[I]), I >= Bases.size() - Keep) << I;
+}
+
+TEST(JITMapper, FailedReleaseFlipUnmapsTheRun) {
+  const u64 Page = pageSize();
+  Assembler A;
+  buildImage(A, 16, 0, 16, 0, 0x55);
+  u8 *Text;
+  {
+    JITMapper JIT;
+    ASSERT_TRUE(JIT.map(A));
+    ASSERT_EQ(JIT.mappedSize(), 2 * Page);
+    Text = JIT.sectionBase(SecKind::Text);
+    // A hole in the image makes the release's read+write flip fail.
+    ASSERT_EQ(::munmap(JIT.sectionBase(SecKind::Data), Page), 0);
+  }
+  EXPECT_FALSE(pageMapped(Text)) << "a run whose flip failed was pooled";
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define TPDE_TEST_SANITIZER_MAPS_ON_DEMAND 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define TPDE_TEST_SANITIZER_MAPS_ON_DEMAND 1
+#endif
+#endif
+
+TEST(JITMapper, ExhaustedMapCountFailsTheWXorXFlip) {
+#ifdef TPDE_TEST_SANITIZER_MAPS_ON_DEMAND
+  GTEST_SKIP() << "the sanitizer runtime maps shadow and allocator memory on "
+                  "demand and aborts once vm.max_map_count is exhausted";
+#endif
+  long MaxMaps = 0;
+  std::ifstream("/proc/sys/vm/max_map_count") >> MaxMaps;
+  if (MaxMaps <= 0 || MaxMaps > (1 << 18))
+    GTEST_SKIP() << "vm.max_map_count " << MaxMaps
+                 << " is unreadable or too large to exhaust quickly";
+  const u64 Page = pageSize();
+  Assembler A;
+  buildImage(A, 16, 0, 16, 0, 0x66);
+  // Pool a run of this size, so the map below needs no mmap: its first
+  // new mapping is the split that makes text read+execute.
+  {
+    JITMapper Warm;
+    ASSERT_TRUE(Warm.map(A));
+  }
+  std::vector<void *> Probes;
+  Probes.reserve(static_cast<size_t>(MaxMaps));
+  // Alternating protections keep neighbouring probes from merging.
+  for (;;) {
+    void *P = ::mmap(nullptr, Page, Probes.size() % 2 ? PROT_READ : PROT_NONE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (P == MAP_FAILED)
+      break;
+    Probes.push_back(P);
+  }
+  // Hand one mapping back so malloc can still grow; a split still needs a
+  // map count below the limit, which stays exhausted.
+  ::munmap(Probes.back(), Page);
+  Probes.pop_back();
+  JITMapper JIT;
+  const bool OK = JIT.map(A);
+  for (void *P : Probes)
+    ::munmap(P, Page);
+  EXPECT_FALSE(OK);
+  EXPECT_EQ(JIT.status().Err, support::CompileErr::JitMapFailed);
+  EXPECT_NE(JIT.status().Message.find("text"), std::string::npos)
+      << JIT.status().Message;
 }
 
 // --- Merging (parallel shard fragments) ------------------------------------
