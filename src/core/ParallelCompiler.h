@@ -77,20 +77,6 @@
 /// the ELF writer emits the symbol table in a canonical content order,
 /// so the serial and merged objects are byte-identical end to end.
 ///
-/// Job-aligned batching (compileJobs): the serving layer concatenates
-/// several independent modules into one batch and needs each job's
-/// output *separately* — byte-identical to compiling that job alone,
-/// because the output is the value of a content-addressed cache entry
-/// (docs/SERVICE.md). compileJobs() is the driver's one compile path:
-/// each job's function range is subdivided with the same weighted rule
-/// (so no shard ever straddles a job boundary), the shards run through
-/// the one work-stealing pass, and every job's assembler is then rebuilt
-/// from the shared module-level globals fragment plus exactly its own
-/// shards, in shard order. A whole-module compile() is the one-job
-/// batch. Per-job failure isolation follows the same rules as graceful
-/// degradation: a failing function fails its job with a structured
-/// diagnostic; batch neighbors are unaffected (tests/service_test.cpp).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef TPDE_CORE_PARALLELCOMPILER_H
@@ -103,7 +89,6 @@
 #include "support/Timer.h"
 #include "support/WorkQueue.h"
 
-#include <algorithm>
 #include <concepts>
 #include <memory>
 #include <span>
@@ -139,7 +124,7 @@ struct ParallelCompileOptions {
   /// Worker threads including the calling thread; 0 means
   /// tpde::hardwareConcurrency().
   unsigned NumThreads = 0;
-  /// Shard granularity in functions: a job of F functions becomes
+  /// Shard granularity in functions: a module of F functions becomes
   /// ceil(F / FuncsPerShard) shards whose boundaries equalize the
   /// per-function size proxy (WorkerT::funcWeight), so modules with a few
   /// giant functions balance across workers. Part of the determinism
@@ -154,9 +139,9 @@ struct ParallelCompileOptions {
   bool Verify = false;
 };
 
-/// Per-phase cost breakdown of the last compile()/compileJobs(), for the
-/// bench rows (bench/compile_throughput.cpp) and the O(relocs)-stitch
-/// claim in docs/PERF.md. Wall-clock nanoseconds via tpde::nowNs().
+/// Per-phase cost breakdown of the last compile(), for the bench rows
+/// (bench/compile_throughput.cpp) and the O(relocs)-stitch claim in
+/// docs/PERF.md. Wall-clock nanoseconds via tpde::nowNs().
 struct EmitStats {
   u64 CompileNs = 0; ///< Parallel shard pass incl. snapshots + recovery.
   u64 ReserveNs = 0; ///< Serial slice reservation.
@@ -205,10 +190,9 @@ public:
   ParallelModuleCompiler(const ParallelModuleCompiler &) = delete;
   ParallelModuleCompiler &operator=(const ParallelModuleCompiler &) = delete;
 
-  /// Compiles the module into \p Out (which is reset first): the one-job
-  /// compileJobs(). Returns false if any function failed to compile or
-  /// the merged module is inconsistent; status()/diagnostics() carry the
-  /// structured errors.
+  /// Compiles the module into \p Out (which is reset first). Returns
+  /// false if any function failed to compile or the merged module is
+  /// inconsistent; status()/diagnostics() carry the structured errors.
   ///
   /// Failure semantics (graceful degradation): a failed shard's fragment
   /// is discarded and the shard is recompiled function-by-function on the
@@ -218,108 +202,41 @@ public:
   /// (byte-identical to a serial compile of the good subset) and reports
   /// exactly K diagnostics, ordered by shard then function index —
   /// independent of thread count and schedule (first-error-wins keyed by
-  /// shard order, never thread arrival).
+  /// shard order, never thread arrival). Merge, stitch, and placement
+  /// failures also land in diagnostics(), attributed to the shard that
+  /// surfaced them.
   bool compile(asmx::Assembler &Out) {
-    const u32 Bounds[2] = {0, WorkerT::funcCount(M)};
-    asmx::Assembler *const Outs[1] = {&Out};
-    support::CompileStatus St;
-    return compileJobs(Bounds, Outs, std::span(&St, 1));
-  }
-
-  /// Compiles a batch of K independent jobs that the caller concatenated
-  /// into the module: job J is the function range
-  /// [JobBounds[J], JobBounds[J+1]) (JobBounds has K+1 entries,
-  /// JobBounds[0] == 0, back() == funcCount), and job J's output is
-  /// merged into *Outs[J] (reset first).
-  ///
-  /// Shard bounds are **job-aligned**: each job's range is subdivided
-  /// independently with the same weighted rule, so every shard belongs to
-  /// exactly one job and job J's output is rebuilt from whole fragments —
-  /// the globals fragment first, then the job's shards in index order.
-  /// Outs[J]'s section bytes are therefore identical to compiling job J's
-  /// functions as their own module (the module-level fragment carries
-  /// only global data, and the service batches only jobs that share
-  /// it). The compile service's
-  /// content-addressed cache depends on this: a batched compile and a
-  /// solo compile of the same job must be byte-identical
-  /// (tests/service_test.cpp asserts it).
-  ///
-  /// JobStatus[J] receives job J's first diagnostic (Ok when clean); a
-  /// module-level failure (verify gate, globals fragment) fails every
-  /// job. Failed functions inside one job degrade gracefully — other
-  /// jobs, and the failing job's good functions, still produce output.
-  /// Merge, stitch, and placement failures also land in diagnostics(),
-  /// attributed to the shard that surfaced them. Returns true iff every
-  /// job compiled cleanly.
-  bool compileJobs(std::span<const u32> JobBounds,
-                   std::span<asmx::Assembler *const> Outs,
-                   std::span<support::CompileStatus> JobStatus) {
-    assert(!JobBounds.empty() && JobBounds.front() == 0 &&
-           JobBounds.back() == WorkerT::funcCount(M) &&
-           Outs.size() == JobBounds.size() - 1 &&
-           JobStatus.size() == Outs.size() && "malformed job batch");
-    const size_t K = Outs.size();
     FirstStatus.clear();
     Diags.clear();
     Stats = EmitStats{};
-    for (auto &St : JobStatus)
-      St.clear();
     if (Opts.Verify && !verifyGate()) {
-      for (size_t J = 0; J < K; ++J) {
-        Outs[J]->reset();
-        JobStatus[J] = FirstStatus;
-      }
+      Out.reset();
       return false;
     }
-    computeShardBounds(JobBounds);
+    computeShardBounds();
     u64 T0 = nowNs();
     runParallelPass();
     Stats.CompileNs += nowNs() - T0;
 
-    // Distribute the recovery diagnostics: one with a function index
-    // belongs to the job whose range contains it (first-error-wins per
-    // job — Diags is already (shard, func)-ordered); one without
-    // (globals-fragment failure) is module-level and fails every job.
-    const support::CompileStatus *ModDiag = nullptr;
-    for (const support::CompileStatus &D : Diags) {
-      if (D.Func == ~0u) {
-        if (!ModDiag)
-          ModDiag = &D;
-        continue;
-      }
-      size_t J = static_cast<size_t>(
-          std::upper_bound(JobBounds.begin() + 1, JobBounds.end(), D.Func) -
-          (JobBounds.begin() + 1));
-      if (JobStatus[J].ok())
-        JobStatus[J] = D;
-    }
-
-    // Per-job ordered rebuilds sharing one placement pass across the
-    // whole batch: every job's slices are reserved first (the job's own
-    // assembler is the destination), then the worker pool places all
-    // jobs' shards concurrently, then each job is stitched in shard
-    // order. The destination's interned-name pool is arena-backed, so a
-    // merge can throw bad_alloc — that fails the job with a diagnostic
-    // instead of unwinding out of the compile.
-    preparePlans();
+    // Ordered rebuild: every shard's slice of Out is reserved first, then
+    // the worker pool places all shards concurrently, then the serial
+    // stitch walks them in shard order. The destination's interned-name
+    // pool is arena-backed, so a merge can throw bad_alloc — that becomes
+    // a diagnostic instead of unwinding out of the compile.
+    preparePlans(Out);
     u64 T = nowNs();
-    for (size_t J = 0; J < K; ++J) {
-      asmx::Assembler &Out = *Outs[J];
-      Out.reset();
-      if (ModDiag && JobStatus[J].ok())
-        JobStatus[J] = *ModDiag;
-      try {
-        Out.mergeFrom(GlobalsFrag);
-        if (Out.hasError())
-          noteMergeError(JobStatus[J], Out, ~0u);
-        for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S)
-          reserveShard(Out, S);
-      } catch (...) {
-        // Shards not yet reserved stay unplanned (PlaceOut == null):
-        // the placement and stitch passes skip them.
-        failJob(JobStatus[J], support::CompileErr::OutOfMemory,
+    Out.reset();
+    try {
+      Out.mergeFrom(GlobalsFrag);
+      if (Out.hasError())
+        noteMergeError(Out, ~0u);
+      for (u32 S = 0; S < NumShards; ++S)
+        reserveShard(Out, S);
+    } catch (...) {
+      // Shards not yet reserved stay unplanned: the placement and stitch
+      // passes skip them.
+      failMerge(support::CompileErr::OutOfMemory,
                 "allocation failed merging the module", ~0u);
-      }
     }
     Stats.ReserveNs += nowNs() - T;
     runPlacementPass();
@@ -327,31 +244,28 @@ public:
       // Terminal placement failure: runPlacementPass zero-filled the
       // slice (the only source is the section-place fault site).
       if (PlaceFailed[S])
-        failJob(JobStatus[jobOfShard(S)], support::CompileErr::FaultInjected,
-                "fault injected: section-place", S);
+        failMerge(support::CompileErr::FaultInjected,
+                  "fault injected: section-place", S);
     }
     T = nowNs();
-    for (size_t J = 0; J < K; ++J) {
-      asmx::Assembler &Out = *Outs[J];
-      try {
-        for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S) {
-          if (!PlaceOut[S])
-            continue;
-          bool PrevErr = Out.hasError();
-          Stats.StitchRelocs += Frags[S]->relocs().size();
-          Out.stitchFrom(*Frags[S], Plans[S]);
-          if (!PrevErr && Out.hasError())
-            noteMergeError(JobStatus[J], Out, S);
-        }
-      } catch (...) {
-        failJob(JobStatus[J], support::CompileErr::OutOfMemory,
-                "allocation failed merging the module", ~0u);
+    try {
+      for (u32 S = 0; S < NumShards; ++S) {
+        if (!Planned[S])
+          continue;
+        bool PrevErr = Out.hasError();
+        Stats.StitchRelocs += Frags[S]->relocs().size();
+        Out.stitchFrom(*Frags[S], Plans[S]);
+        if (!PrevErr && Out.hasError())
+          noteMergeError(Out, S);
       }
+    } catch (...) {
+      failMerge(support::CompileErr::OutOfMemory,
+                "allocation failed merging the module", ~0u);
     }
     Stats.StitchNs += nowNs() - T;
 
-    // Every job failure above also produced a diagnostic, so a clean
-    // diagnostics list means every job compiled cleanly.
+    // Every failure above also produced a diagnostic, so a clean
+    // diagnostics list means the module compiled cleanly.
     if (Diags.empty())
       return true;
     FirstStatus = Diags.front();
@@ -382,8 +296,8 @@ public:
   const support::CompileStatus &shardStatus(u32 S) const {
     return ShardStatus[S];
   }
-  /// Per-phase cost breakdown of the last compile()/compileJobs() —
-  /// where the wall-clock went.
+  /// Per-phase cost breakdown of the last compile() — where the
+  /// wall-clock went.
   const EmitStats &emitStats() const { return Stats; }
 
 private:
@@ -398,7 +312,7 @@ private:
   /// into the pre-reserved output slice.
   enum class PassKind : u8 { Compile, Place };
 
-  /// The compile half of compileJobs(): fragment setup, the parallel
+  /// The compile half of compile(): fragment setup, the parallel
   /// shard pass over the current ShardBounds/NumShards, and the
   /// single-threaded recovery pass. On return every shard fragment is
   /// final and Diags holds the recovery diagnostics, ordered by shard
@@ -445,24 +359,25 @@ private:
         retryShard(S);
   }
 
-  /// Sizes/clears the per-shard placement scratch (capacity retained
-  /// across compiles, docs/PERF.md).
-  void preparePlans() {
+  /// Points the placement pass at \p Out and sizes/clears the per-shard
+  /// placement scratch (capacity retained across compiles, docs/PERF.md).
+  void preparePlans(asmx::Assembler &Out) {
+    PlaceOut = &Out;
     if (Plans.size() < NumShards)
       Plans.resize(NumShards);
-    PlaceOut.assign(NumShards, nullptr);
+    Planned.assign(NumShards, 0);
     PlaceFailed.assign(NumShards, 0);
   }
 
   /// Reserves shard \p S's slice of \p Out and routes the placement pass
-  /// to it. PlaceOut is set only on success, so a throwing reservation
+  /// to it. Planned is set only on success, so a throwing reservation
   /// leaves the shard unplanned (skipped by placement and stitch).
   void reserveShard(asmx::Assembler &Out, u32 S) {
     Out.reserveFrom(*Frags[S], Plans[S]);
     constexpr unsigned TextI = static_cast<unsigned>(asmx::SecKind::Text);
     constexpr unsigned DataI = static_cast<unsigned>(asmx::SecKind::Data);
     Stats.PlacedBytes += Plans[S].Bytes[TextI] + Plans[S].Bytes[DataI];
-    PlaceOut[S] = &Out;
+    Planned[S] = 1;
   }
 
   /// Pass 2: the worker pool memcpys every planned shard's text/data
@@ -492,104 +407,74 @@ private:
     for (u32 S = 0; S < NumShards; ++S) {
       if (!PlaceFailed[S])
         continue;
-      if (PlaceOut[S]->placeFrom(*Frags[S], Plans[S])) {
+      if (PlaceOut->placeFrom(*Frags[S], Plans[S])) {
         PlaceFailed[S] = 0;
         continue;
       }
-      PlaceOut[S]->zeroSlice(Plans[S]);
+      PlaceOut->zeroSlice(Plans[S]);
     }
     Stats.PlaceNs += nowNs() - T;
   }
 
-  /// Fails a job's merge with a diagnostic: \p JobSt keeps the job's
-  /// first error, and the diagnostic (attributed to shard \p S, ~0u when
-  /// no single shard caused it) joins diagnostics().
-  void failJob(support::CompileStatus &JobSt, support::CompileErr E,
-               std::string_view Msg, u32 S) {
+  /// A merge-stage failure: the diagnostic (attributed to shard \p S, ~0u
+  /// when no single shard caused it) joins diagnostics().
+  void failMerge(support::CompileErr E, std::string_view Msg, u32 S) {
     support::CompileStatus D;
     D.Err = E;
     D.Shard = S;
     D.Message.assign(Msg);
-    if (JobSt.ok())
-      JobSt = D;
     Diags.push_back(std::move(D));
   }
 
   /// A merge/stitch-stage inconsistency that \p Out just recorded,
-  /// surfaced by shard \p S (~0u: the globals fragment). It fails the
-  /// job; it becomes a diagnostic only when nothing earlier did, so each
-  /// quarantined function still owns exactly one diagnostic.
-  void noteMergeError(support::CompileStatus &JobSt,
-                      const asmx::Assembler &Out, u32 S) {
+  /// surfaced by shard \p S (~0u: the globals fragment). It becomes a
+  /// diagnostic only when nothing earlier did, so each quarantined
+  /// function still owns exactly one diagnostic.
+  void noteMergeError(const asmx::Assembler &Out, u32 S) {
+    if (!Diags.empty())
+      return;
     support::CompileStatus D;
     D.Err = Out.errorCode() == support::CompileErr::FaultInjected
                 ? support::CompileErr::FaultInjected
                 : support::CompileErr::MergeError;
     D.Shard = S;
     D.Message.assign(Out.errorMessage());
-    if (JobSt.ok())
-      JobSt = D;
-    if (Diags.empty())
-      Diags.push_back(std::move(D));
+    Diags.push_back(std::move(D));
   }
 
-  /// Index of the job owning shard \p S.
-  size_t jobOfShard(u32 S) const {
-    return static_cast<size_t>(
-        std::upper_bound(JobShardBegin.begin() + 1, JobShardBegin.end(), S) -
-        (JobShardBegin.begin() + 1));
-  }
-
-  /// Deterministic, job-aligned shard decomposition: every job's range is
-  /// subdivided on its own — shard count ceil(JobFuncs / FuncsPerShard),
-  /// weighted boundaries within the job — so no shard straddles a job
-  /// boundary and the bounds inside a job depend only on that job's
-  /// functions, never on its batch neighbors or the thread count.
-  /// JobShardBegin[J] is the index of job J's first shard (K+1 entries).
-  void computeShardBounds(std::span<const u32> JobBounds) {
+  /// Deterministic shard decomposition: ceil(Funcs / FuncsPerShard)
+  /// shards, each boundary placed where the accumulated function weight
+  /// reaches the next 1/Shards slice of the module's total, so skewed
+  /// modules produce balanced shards. Every shard is non-empty; the cut
+  /// is a pure function of the module's weights and FuncsPerShard, never
+  /// of the thread count.
+  void computeShardBounds() {
+    const u32 Funcs = WorkerT::funcCount(M);
+    NumShards = (Funcs + Opts.FuncsPerShard - 1) / Opts.FuncsPerShard;
     ShardBounds.clear();
     ShardBounds.push_back(0);
-    JobShardBegin.clear();
-    JobShardBegin.push_back(0);
-    NumShards = 0;
-    for (size_t J = 0; J + 1 < JobBounds.size(); ++J) {
-      u32 Begin = JobBounds[J], End = JobBounds[J + 1];
-      u32 Shards = (End - Begin + Opts.FuncsPerShard - 1) / Opts.FuncsPerShard;
-      if (Shards)
-        appendWeightedBounds(Begin, End, Shards);
-      NumShards += Shards;
-      JobShardBegin.push_back(NumShards);
-    }
-    assert(ShardBounds.size() == NumShards + 1 && "bad shard decomposition");
-  }
-
-  /// Appends the boundaries subdividing [Begin, End) into \p Shards
-  /// shards to ShardBounds (whose back() must already equal Begin): each
-  /// boundary sits where the accumulated function weight reaches the next
-  /// 1/Shards slice of the range's total, so skewed ranges produce
-  /// balanced shards. Every shard is non-empty; the cut is a pure
-  /// function of the range's weights and FuncsPerShard.
-  void appendWeightedBounds(u32 Begin, u32 End, u32 Shards) {
-    assert(ShardBounds.back() == Begin && Shards > 0);
+    if (NumShards == 0)
+      return;
     u64 Total = 0;
-    for (u32 F = Begin; F < End; ++F)
+    for (u32 F = 0; F < Funcs; ++F)
       Total += weightOf(F);
     u64 Acc = 0;
     u32 S = 1; // next boundary to place
-    for (u32 F = Begin; F < End && S < Shards; ++F) {
+    for (u32 F = 0; F < Funcs && S < NumShards; ++F) {
       Acc += weightOf(F);
-      u32 Remaining = End - (F + 1);
-      u32 ShardsLeft = Shards - S;
+      u32 Remaining = Funcs - (F + 1);
+      u32 ShardsLeft = NumShards - S;
       // Close the current shard when its weight slice is full — or when
       // the remaining shards need every remaining function to stay
       // non-empty. At most one boundary per function keeps shards
       // non-empty on the other side.
-      if (Acc * Shards >= Total * S || Remaining == ShardsLeft) {
+      if (Acc * NumShards >= Total * S || Remaining == ShardsLeft) {
         ShardBounds.push_back(F + 1);
         ++S;
       }
     }
-    ShardBounds.push_back(End);
+    ShardBounds.push_back(Funcs);
+    assert(ShardBounds.size() == NumShards + 1 && "bad shard decomposition");
   }
 
   u64 weightOf(u32 F) const {
@@ -632,14 +517,14 @@ private:
   /// Pass-2 unit of work: memcpy one planned shard into its slice. The
   /// queue hands each shard to exactly one worker and the slices are
   /// disjoint, so no two threads ever write the same output byte;
-  /// PlaceOut/Plans were published by the mutex before the job woke the
-  /// pool. placeFrom never touches shared assembler state (not even the
-  /// error slot), so failure is a per-shard flag handled after the
-  /// barrier.
+  /// PlaceOut/Planned/Plans were published by the mutex before the job
+  /// woke the pool. placeFrom never touches shared assembler state (not
+  /// even the error slot), so failure is a per-shard flag handled after
+  /// the barrier.
   void placeShard(u32 Shard) {
-    if (!PlaceOut[Shard])
+    if (!Planned[Shard])
       return; // reservation failed; nothing owns bytes here
-    if (!PlaceOut[Shard]->placeFrom(*Frags[Shard], Plans[Shard]))
+    if (!PlaceOut->placeFrom(*Frags[Shard], Plans[Shard]))
       PlaceFailed[Shard] = 1;
   }
 
@@ -865,9 +750,6 @@ private:
   /// Shard S = functions [ShardBounds[S], ShardBounds[S+1]); capacity is
   /// retained across compiles (docs/PERF.md).
   std::vector<u32> ShardBounds;
-  /// Job J owns shards
-  /// [JobShardBegin[J], JobShardBegin[J+1]); K+1 entries.
-  std::vector<u32> JobShardBegin;
   u32 NumShards = 0;
   /// Per-shard failure flag + status slot. Each shard has exactly one
   /// writer (the queue's exactly-once pop) and the Pending==0 barrier
@@ -877,13 +759,14 @@ private:
   /// only the flags are re-zeroed per compile.
   std::vector<u8> ShardFailed;
   std::vector<support::CompileStatus> ShardStatus;
-  /// In-place emission scratch, all capacity-retained across compiles
-  /// (docs/PERF.md): shard S's slice plan, its destination assembler
-  /// (null = unplanned, skip placement/stitch; compileJobs points
-  /// different shards at different job outputs), and the pass-2 failure
-  /// flags (same single-writer-then-barrier discipline as ShardFailed).
+  /// In-place emission scratch: the compile's output assembler, and,
+  /// capacity-retained across compiles (docs/PERF.md), shard S's slice
+  /// plan, whether its slice was reserved (0 = unplanned, skip
+  /// placement/stitch), and the pass-2 failure flags (same
+  /// single-writer-then-barrier discipline as ShardFailed).
+  asmx::Assembler *PlaceOut = nullptr;
   std::vector<asmx::MergePlan> Plans;
-  std::vector<asmx::Assembler *> PlaceOut;
+  std::vector<u8> Planned;
   std::vector<u8> PlaceFailed;
   /// Per-phase breakdown of the last compile (emitStats()).
   EmitStats Stats;
@@ -896,7 +779,7 @@ private:
 
   /// The one-mutex job handshake. Everything below is GUARDED_BY(Mtx);
   /// the per-shard result slots (ShardStatus, ShardFailed, Frags,
-  /// PlaceOut, Plans, PlaceFailed) deliberately are NOT: they are
+  /// PlaceOut, Plans, Planned, PlaceFailed) deliberately are NOT: they are
   /// published to workers by the JobSeq bump under Mtx and read back by
   /// the caller only after the Pending==0 barrier, so each slot is
   /// exclusively owned by one shard's worker between those two fences.

@@ -207,8 +207,8 @@ public:
     return Got;
   }
 
-  /// Non-blocking pop (batch fill). Returns false when nothing is
-  /// currently poppable — even if undue retries are pending.
+  /// Non-blocking pop. Returns false when nothing is currently poppable
+  /// — even if undue retries are pending.
   bool tryPop(T &Out) TPDE_EXCLUDES(Mtx) {
     bool Got;
     {

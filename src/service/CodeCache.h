@@ -84,7 +84,7 @@ struct ServiceStats {
                                         ///< in-flight fingerprint.
   std::atomic<u64> Retried{0};    ///< Transient-failure recompiles scheduled.
   std::atomic<u64> StuckFailovers{0}; ///< Claims failed over by the worker
-                                      ///< watchdog (hung-batch detector).
+                                      ///< watchdog (hung-job detector).
   std::atomic<u64> CachedBytes{0};
   std::atomic<u64> CachedEntries{0};
   support::LatencyHistogram HitNs;  ///< End-to-end latency of cache hits.

@@ -3,13 +3,12 @@
 /// \file
 /// A multi-tenant JIT compile service: clients submit() IR modules from
 /// any thread and get back a waitable ServiceResult; service workers pop
-/// jobs from a tenant-fair admission queue (service/Admission.h), batch
-/// small jobs into one module, compile the batch through the existing
-/// parallel driver's job-aligned entry point
-/// (core::ParallelModuleCompiler::compileJobs), map each job's output
-/// executable, and memoize it in the content-addressed CodeCache. This
-/// is ROADMAP open item 1: the determinism work of PRs 2-4 turned into a
-/// serving feature (see docs/SERVICE.md and docs/ARCHITECTURE.md).
+/// jobs one at a time from a tenant-fair admission queue
+/// (service/Admission.h), compile each through the parallel driver's
+/// compile() — the path a solo compileModule*Parallel takes — map the
+/// output executable, and memoize it in the content-addressed CodeCache.
+/// It turns the driver's determinism contract into a serving feature (see
+/// docs/SERVICE.md and docs/ARCHITECTURE.md).
 ///
 /// The pipeline per job:
 ///
@@ -18,9 +17,8 @@
 ///      Waiter: another submit of the same fingerprint is compiling;
 ///              attach and wait (single-flight, no duplicate compile)
 ///      Owner:  copy the module into the job and enqueue it; a worker
-///              batches it with up to MaxBatchJobs-1 queued jobs,
-///              compiles the batch in one parallel pass, maps per-job
-///              code, publishes it, completes all waiters
+///              pops the job, compiles it, maps the code, publishes it,
+///              completes all waiters
 ///
 /// Only the Owner copies the module; a hit, a waiter or a verifier
 /// rejection reads the caller's module in place.
@@ -46,8 +44,8 @@
 ///    before their waiters are failed. The single-flight claim is held
 ///    across retries, so waiters keep waiting instead of re-compiling.
 ///
-///  * **Worker watchdog.** Each worker heartbeats per batch stage; a
-///    watchdog thread fails over the ownership claims of a worker stuck
+///  * **Worker watchdog.** Each worker heartbeats per job stage; a
+///    watchdog thread fails over the ownership claim of a worker stuck
 ///    past StuckBatchTimeoutNs, completing its submitter and waiters
 ///    with a structured error. Ownership tokens (CodeCache) make the
 ///    hung worker's eventual publish a harmless no-op.
@@ -55,10 +53,10 @@
 /// Admission reuses the PR 6 robustness plumbing: the verifier gate runs
 /// on the *client* thread before the job can touch the queue or cache,
 /// so a malformed module costs its submitter a structured VerifyFailed
-/// diagnostic and nobody else anything. A job that fails mid-batch
-/// (graceful-degradation path of the parallel driver) gets a precise
-/// per-job diagnostic while the other jobs of the batch are served
-/// normally — and the failed fingerprint is removed, never cached.
+/// diagnostic and nobody else anything. A job that fails to compile
+/// completes with the driver's first diagnostic — the status a solo
+/// compile of its module reports — and the failed fingerprint is
+/// removed, never cached.
 ///
 /// The service is a template over a Traits type binding it to an IR:
 ///
@@ -67,15 +65,11 @@
 ///     // ModuleT = WorkerT::ModuleT, default-constructible, copyable
 ///     // and movable
 ///     static support::Fp128 fingerprint(const ModuleT &M);
-///     // Appends Job's functions/globals to Batch; false on a symbol
-///     // conflict with what Batch already holds (Batch unusable for Job).
-///     static bool appendTo(ModuleT &Batch, const ModuleT &Job);
-///     static void clearModule(ModuleT &Batch);
 ///     static bool verify(const ModuleT &M, std::string &Err);
 ///     static constexpr asmx::JITMapper::StubArch Stub = ...;
 ///   };
 ///
-/// Allocation discipline: the per-function compile loop inside the batch
+/// Allocation discipline: the per-function compile loop inside a job's
 /// compile stays allocation-free per docs/PERF.md (worker state is
 /// reused). Per-*job* work — the module copy, queue transfer, the
 /// CachedCode allocation, the mapping syscalls — allocates; that is once
@@ -105,24 +99,17 @@
 namespace tpde::service {
 
 struct ServiceOptions {
-  /// Service worker threads popping and compiling batches.
+  /// Service worker threads, each popping and compiling one job at a time.
   unsigned NumWorkers = 1;
-  /// Threads inside each worker's parallel batch compile (1 = the worker
-  /// thread compiles its batch alone; >1 shards across a private pool).
-  unsigned CompileThreads = 1;
   /// Admission queue depth; a full queue back-pressures submit() for at
   /// most AdmitMaxWaitNs and rejects trySubmit() immediately.
   size_t QueueCapacity = 256;
-  /// Max jobs coalesced into one batch compile.
-  u32 MaxBatchJobs = 8;
-  /// Shard granularity handed to the parallel driver.
-  u32 FuncsPerShard = 4;
   /// Code cache byte budget (mapped sizes); epoch-LRU eviction above it.
   u64 CacheBudgetBytes = u64{64} << 20;
   /// Run the Traits verifier on the client thread before admission.
   bool Verify = true;
   /// Workers stay parked until resume() — lets tests queue a known set
-  /// of jobs and get deterministic batch composition.
+  /// of jobs before any of them is compiled.
   bool StartPaused = false;
   /// External symbol resolver for mapping (host functions the jobs call).
   asmx::JITMapper::Resolver Resolver;
@@ -141,14 +128,14 @@ struct ServiceOptions {
   /// next = clamp(uniform(Base, 3 * prev), Base, Cap).
   u64 RetryBackoffBaseNs = 200'000;    // 200us
   u64 RetryBackoffCapNs = 50'000'000;  // 50ms
-  /// A worker whose heartbeat is older than this while inside a batch is
-  /// failed over by the watchdog (its claims complete with a structured
+  /// A worker whose heartbeat is older than this while compiling a job is
+  /// failed over by the watchdog (its claim completes with a structured
   /// error; its eventual publish is a no-op). 0 disables the watchdog.
   u64 StuckBatchTimeoutNs = 30'000'000'000; // 30s
   /// Watchdog scan period (also its detection latency).
   u64 WatchdogPeriodNs = 100'000'000; // 100ms
-  /// Test-only: runs on the worker thread after it registered its batch
-  /// claims, before compiling. Lets tests stall a worker deterministically
+  /// Test-only: runs on the worker thread after it registered its job's
+  /// claim, before compiling. Lets tests stall a worker deterministically
   /// to exercise the watchdog.
   std::function<void()> TestHookPreBatch;
 };
@@ -173,7 +160,7 @@ public:
         Queue(Opts.QueueCapacity, Opts.DefaultTenant), Paused(Opts.StartPaused) {
     Workers.reserve(Opts.NumWorkers);
     for (unsigned I = 0; I < Opts.NumWorkers; ++I)
-      Workers.push_back(std::make_unique<WorkerState>(Opts, I));
+      Workers.push_back(std::make_unique<WorkerState>(I));
     for (auto &WS : Workers)
       WS->Thread = tpde::Thread([this, W = WS.get()] { workerMain(*W); });
     if (Opts.StuckBatchTimeoutNs > 0)
@@ -252,54 +239,40 @@ private:
     u64 PrevBackoffNs = 0; ///< Last backoff (decorrelated-jitter state).
   };
 
-  /// Per-worker compile state: a persistent batch module with a parallel
+  /// Per-worker compile state: a module slot with a one-thread parallel
   /// driver bound to it (worker construction is the expensive part —
-  /// adapters/assemblers/compilers are reused across batches, so the
-  /// steady-state batch compile hits the reuse fast paths).
+  /// adapters/assemblers/compilers are reused across jobs, so the
+  /// steady-state compile hits the reuse fast paths). Each job's module
+  /// is moved into the slot for its compile and moved back out after.
   struct WorkerState {
-    explicit WorkerState(const ServiceOptions &O, unsigned Index)
-        : PC(BatchMod, {.NumThreads = O.CompileThreads,
-                        .FuncsPerShard = O.FuncsPerShard}),
+    explicit WorkerState(unsigned Index)
+        : PC(Mod, {.NumThreads = 1}),
           BackoffRng(0x7065646eull ^ (u64{Index} << 32)) {}
-    ModuleT BatchMod;
+    ModuleT Mod;
     core::ParallelModuleCompiler<WorkerT> PC;
-    // Batch scratch, reused across batches.
-    std::vector<PendingJob> Batch;
-    std::vector<u32> JobBounds;
-    std::vector<std::shared_ptr<CachedCode>> Codes;
-    std::vector<asmx::Assembler *> Outs;
-    std::vector<support::CompileStatus> JobStatus;
-    std::vector<ResultPtr> Waiters;
-    /// Jobs deferred to the worker's next batch: a job whose symbols
-    /// conflict with the batch built so far, plus the popped tail behind
-    /// it (kept here instead of re-queued, so a full ring can never fail
-    /// an already-admitted job). Leads the next batch; never exceeds
-    /// MaxBatchJobs - 1 entries.
-    std::vector<PendingJob> CarryJobs;
+    std::vector<ResultPtr> Waiters; ///< Publish scratch, reused per job.
     /// Deterministic per-worker jitter source for retry backoff.
     tpde::Rng BackoffRng;
     tpde::Thread Thread;
 
     // -- Watchdog interface (see watchdogMain) --------------------------
     std::atomic<u64> HeartbeatNs{0}; ///< Last sign of life (nowNs).
-    std::atomic<bool> InBatch{false};
-    /// Protects Claims. Lock order: ClaimsMtx strictly before Cache.Mtx —
-    /// the rank (LockRank::ServiceClaims < ServiceCache) makes Debug
-    /// builds assert that order on every acquisition; the static
+    std::atomic<bool> InJob{false};
+    /// Protects the claim. Lock order: ClaimsMtx strictly before
+    /// Cache.Mtx — the rank (LockRank::ServiceClaims < ServiceCache) makes
+    /// Debug builds assert that order on every acquisition; the static
     /// annotations prove each individual guard, and the order itself is
     /// re-proven by the compile-fail suite (tests/static_analysis/).
     Mutex ClaimsMtx{LockRank::ServiceClaims};
-    std::vector<std::pair<support::Fp128, u64>>
-        Claims TPDE_GUARDED_BY(ClaimsMtx);
+    /// The in-flight job's cache claim; ClaimToken 0 = none (the cache
+    /// hands out tokens from 1).
+    support::Fp128 ClaimFp TPDE_GUARDED_BY(ClaimsMtx);
+    u64 ClaimToken TPDE_GUARDED_BY(ClaimsMtx) = 0;
   };
 
   static ServiceOptions sanitize(ServiceOptions O) {
     if (O.NumWorkers == 0)
       O.NumWorkers = 1;
-    if (O.CompileThreads == 0)
-      O.CompileThreads = 1;
-    if (O.MaxBatchJobs == 0)
-      O.MaxBatchJobs = 1;
     if (O.RetryBackoffBaseNs == 0)
       O.RetryBackoffBaseNs = 1;
     if (O.RetryBackoffCapNs < O.RetryBackoffBaseNs)
@@ -402,129 +375,77 @@ private:
     }
     for (;;) {
       WS.HeartbeatNs.store(tpde::nowNs(), std::memory_order_relaxed);
-      WS.Batch.clear();
-      if (!WS.CarryJobs.empty()) {
-        // Carried jobs lead the next batch (they were admitted first).
-        for (PendingJob &J : WS.CarryJobs)
-          WS.Batch.push_back(std::move(J));
-        WS.CarryJobs.clear();
-      } else {
-        PendingJob First;
-        if (!Queue.pop(First))
-          return; // closed and drained
-        Cache.stats().QueueWaitNs.record(tpde::nowNs() - First.EnqueueNs);
-        WS.Batch.push_back(std::move(First));
-      }
-      while (WS.Batch.size() < Opts.MaxBatchJobs) {
-        PendingJob More;
-        if (!Queue.tryPop(More))
-          break;
-        Cache.stats().QueueWaitNs.record(tpde::nowNs() - More.EnqueueNs);
-        WS.Batch.push_back(std::move(More));
-      }
-      compileBatch(WS);
+      PendingJob Job;
+      if (!Queue.pop(Job))
+        return; // closed and drained
+      Cache.stats().QueueWaitNs.record(tpde::nowNs() - Job.EnqueueNs);
+      compileJob(WS, Job);
     }
   }
 
-  void compileBatch(WorkerState &WS) {
-    WS.InBatch.store(true, std::memory_order_release);
-    WS.HeartbeatNs.store(tpde::nowNs(), std::memory_order_relaxed);
-    // Concatenate the jobs into the batch module. Expired jobs are shed
-    // here — at dequeue, before any compilation. A job whose symbols
-    // conflict with the batch built so far is carried (with the rest of
-    // the popped tail) into this worker's next batch, where it leads and
-    // so compiles alone or with different neighbors; a job conflicting
-    // with an *empty* batch is self-conflicting and fails.
-    Traits::clearModule(WS.BatchMod);
-    WS.JobBounds.clear();
-    WS.JobBounds.push_back(0);
-    size_t Admitted = 0;
-    const u64 ShedNow = tpde::nowNs();
-    for (size_t J = 0; J < WS.Batch.size(); ++J) {
-      PendingJob &Job = WS.Batch[J];
-      if (Job.DeadlineNs != 0 && ShedNow >= Job.DeadlineNs) {
-        Cache.stats().Shed.fetch_add(1, std::memory_order_relaxed);
-        failJob(Job.Fp, Job.Token, Job.Res,
-                support::CompileErr::DeadlineExceeded,
-                "deadline expired before compile");
-        continue;
-      }
-      if (!Traits::appendTo(WS.BatchMod, Job.Mod)) {
-        if (Admitted == 0) {
-          failJob(Job.Fp, Job.Token, Job.Res,
-                  support::CompileErr::AssemblerError,
-                  "job defines conflicting symbols");
-          continue;
-        }
-        for (size_t K = J; K < WS.Batch.size(); ++K)
-          WS.CarryJobs.push_back(std::move(WS.Batch[K]));
-        break;
-      }
-      if (Admitted != J)
-        WS.Batch[Admitted] = std::move(WS.Batch[J]);
-      ++Admitted;
-      WS.JobBounds.push_back(WorkerT::funcCount(WS.BatchMod));
-    }
-    WS.Batch.resize(Admitted);
-    if (Admitted == 0) {
-      WS.InBatch.store(false, std::memory_order_release);
+  void compileJob(WorkerState &WS, PendingJob &Job) {
+    // An expired job is shed here — at dequeue, before any compilation.
+    if (Job.DeadlineNs != 0 && tpde::nowNs() >= Job.DeadlineNs) {
+      Cache.stats().Shed.fetch_add(1, std::memory_order_relaxed);
+      failJob(Job.Fp, Job.Token, Job.Res, support::CompileErr::DeadlineExceeded,
+              "deadline expired before compile");
       return;
     }
 
-    // Register the batch's claims for the watchdog before the (possibly
-    // hanging) compile, then heartbeat and go.
+    // Heartbeat, then register the job's claim for the watchdog before
+    // the (possibly hanging) compile. The fresh heartbeat is published
+    // with InJob, so an idle worker's stale one is never judged.
+    WS.HeartbeatNs.store(tpde::nowNs(), std::memory_order_relaxed);
+    WS.InJob.store(true, std::memory_order_release);
     {
       LockGuard L(WS.ClaimsMtx);
-      WS.Claims.clear();
-      for (size_t J = 0; J < Admitted; ++J)
-        WS.Claims.emplace_back(WS.Batch[J].Fp, WS.Batch[J].Token);
+      WS.ClaimFp = Job.Fp;
+      WS.ClaimToken = Job.Token;
     }
-    WS.HeartbeatNs.store(tpde::nowNs(), std::memory_order_relaxed);
     if (Opts.TestHookPreBatch)
       Opts.TestHookPreBatch();
 
-    WS.Codes.clear();
-    WS.Outs.clear();
-    for (size_t J = 0; J < Admitted; ++J) {
-      WS.Codes.push_back(std::make_shared<CachedCode>());
-      WS.Codes.back()->Fp = WS.Batch[J].Fp;
-      WS.Outs.push_back(&WS.Codes.back()->Asm);
-    }
-    WS.JobStatus.resize(Admitted);
-
-    WS.PC.compileJobs(WS.JobBounds, WS.Outs,
-                      std::span(WS.JobStatus.data(), Admitted));
-
-    for (size_t J = 0; J < Admitted; ++J) {
-      WS.HeartbeatNs.store(tpde::nowNs(), std::memory_order_relaxed);
-      PendingJob &Job = WS.Batch[J];
-      std::shared_ptr<CachedCode> &CC = WS.Codes[J];
-      if (WS.JobStatus[J].ok() &&
-          !CC->JIT.map(CC->Asm, Opts.Resolver, Traits::Stub))
-        WS.JobStatus[J] = CC->JIT.status();
-      if (!WS.JobStatus[J].ok()) {
-        if (maybeRetry(WS, Job, WS.JobStatus[J]))
-          continue;
-        failJobStatus(Job.Fp, Job.Token, Job.Res, WS.JobStatus[J]);
-        continue;
-      }
-      WS.Waiters.clear();
-      if (!Cache.publish(Job.Fp, Job.Token, CC, WS.Waiters))
-        continue; // failed over by the watchdog; everyone was completed
-      u64 Now = tpde::nowNs();
-      support::CompileStatus Ok;
-      if (Job.Res->complete(CC, Ok, /*WasHit=*/false, Now))
-        Cache.stats().MissNs.record(Job.Res->latencyNs());
-      for (ResultPtr &W : WS.Waiters)
-        if (W->complete(CC, Ok, /*WasHit=*/false, Now))
-          Cache.stats().MissNs.record(W->latencyNs());
+    auto CC = std::make_shared<CachedCode>();
+    CC->Fp = Job.Fp;
+    // The driver compiles its module slot. The module goes back into the
+    // job before anything can re-queue it: a transient-failure retry
+    // recompiles the job from its own module.
+    WS.Mod = std::move(Job.Mod);
+    support::CompileStatus St;
+    if (!WS.PC.compile(CC->Asm))
+      St = WS.PC.status();
+    Job.Mod = std::move(WS.Mod);
+    WS.HeartbeatNs.store(tpde::nowNs(), std::memory_order_relaxed);
+    if (St.ok() && !CC->JIT.map(CC->Asm, Opts.Resolver, Traits::Stub))
+      St = CC->JIT.status();
+    if (!St.ok()) {
+      if (!maybeRetry(WS, Job, St))
+        failJobStatus(Job.Fp, Job.Token, Job.Res, St);
+    } else {
+      publish(WS, Job, CC);
     }
 
     {
       LockGuard L(WS.ClaimsMtx);
-      WS.Claims.clear();
+      WS.ClaimToken = 0;
     }
-    WS.InBatch.store(false, std::memory_order_release);
+    WS.InJob.store(false, std::memory_order_release);
+  }
+
+  /// Publishes a compiled job's code and completes its submitter and
+  /// every waiter that coalesced onto it.
+  void publish(WorkerState &WS, PendingJob &Job,
+               const std::shared_ptr<CachedCode> &CC) {
+    WS.Waiters.clear();
+    if (!Cache.publish(Job.Fp, Job.Token, CC, WS.Waiters))
+      return; // failed over by the watchdog; everyone was completed
+    u64 Now = tpde::nowNs();
+    support::CompileStatus Ok;
+    if (Job.Res->complete(CC, Ok, /*WasHit=*/false, Now))
+      Cache.stats().MissNs.record(Job.Res->latencyNs());
+    for (ResultPtr &W : WS.Waiters)
+      if (W->complete(CC, Ok, /*WasHit=*/false, Now))
+        Cache.stats().MissNs.record(W->latencyNs());
   }
 
   /// Re-admits \p Job on the retry lane when its failure is transient,
@@ -572,7 +493,7 @@ private:
       const u64 Now = tpde::nowNs();
       for (auto &WSP : Workers) {
         WorkerState &WS = *WSP;
-        if (!WS.InBatch.load(std::memory_order_acquire))
+        if (!WS.InJob.load(std::memory_order_acquire))
           continue;
         u64 Hb = WS.HeartbeatNs.load(std::memory_order_relaxed);
         if (Hb == 0 || Now <= Hb || Now - Hb < Opts.StuckBatchTimeoutNs)
@@ -583,37 +504,39 @@ private:
     }
   }
 
-  /// Fails over every claim a hung worker registered for its current
-  /// batch: the claims are removed from the cache (token-guarded, so the
-  /// worker's eventual publish/fail is a no-op) and the owner handle plus
-  /// all waiters complete with a structured error. The worker thread
-  /// itself is left alone — if it ever returns it finds its claims gone.
+  /// Fails over the claim a hung worker registered for its current job:
+  /// the claim is removed from the cache (token-guarded, so the worker's
+  /// eventual publish/fail is a no-op) and the owner handle plus all
+  /// waiters complete with a structured error. The worker thread itself
+  /// is left alone — if it ever returns it finds its claim gone.
   void failOverWorker(WorkerState &WS) {
-    std::vector<std::pair<support::Fp128, u64>> Claims;
+    support::Fp128 Fp;
+    u64 Token;
     {
       // ClaimsMtx is released before Cache.fail below; if the two ever
       // nest, the rank tracker holds them to ClaimsMtx-first.
       LockGuard L(WS.ClaimsMtx);
-      Claims.swap(WS.Claims);
+      Fp = WS.ClaimFp;
+      Token = std::exchange(WS.ClaimToken, 0);
     }
+    if (Token == 0)
+      return;
     support::CompileStatus St;
     St.Err = support::CompileErr::DeadlineExceeded;
-    St.Message = "stuck-batch watchdog failed over a hung worker";
-    for (auto &[Fp, Token] : Claims) {
-      std::vector<ResultPtr> Waiters;
-      ResultPtr OwnerRes;
-      if (!Cache.fail(Fp, Token, Waiters, &OwnerRes))
-        continue; // the worker finished this one after all
-      Cache.stats().StuckFailovers.fetch_add(1, std::memory_order_relaxed);
-      u64 Now = tpde::nowNs();
-      u64 Completed = 0;
-      if (OwnerRes && OwnerRes->complete(nullptr, St, false, Now))
+    St.Message = "stuck-job watchdog failed over a hung worker";
+    std::vector<ResultPtr> Waiters;
+    ResultPtr OwnerRes;
+    if (!Cache.fail(Fp, Token, Waiters, &OwnerRes))
+      return; // the worker finished this one after all
+    Cache.stats().StuckFailovers.fetch_add(1, std::memory_order_relaxed);
+    u64 Now = tpde::nowNs();
+    u64 Completed = 0;
+    if (OwnerRes && OwnerRes->complete(nullptr, St, false, Now))
+      ++Completed;
+    for (ResultPtr &W : Waiters)
+      if (W->complete(nullptr, St, false, Now))
         ++Completed;
-      for (ResultPtr &W : Waiters)
-        if (W->complete(nullptr, St, false, Now))
-          ++Completed;
-      Cache.stats().Failed.fetch_add(Completed, std::memory_order_relaxed);
-    }
+    Cache.stats().Failed.fetch_add(Completed, std::memory_order_relaxed);
   }
 
   void failJob(const support::Fp128 &Fp, u64 Token, const ResultPtr &Res,

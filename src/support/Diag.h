@@ -10,11 +10,11 @@
 ///
 /// The compile service extends the status's reach to clients: a
 /// CompileStatus is the failure half of every ServiceResult — verifier
-/// rejections at admission, per-job failures inside a batch
-/// (core::ParallelModuleCompiler::compileJobs assigns each diagnostic to
-/// the job owning its function, first error wins), and mapping failures
-/// all surface through the same struct, so a serving client switches on
-/// CompileErr exactly like an embedding caller does (docs/SERVICE.md).
+/// rejections at admission, compile failures (the first diagnostic of
+/// core::ParallelModuleCompiler::compile, as a solo compile of the job's
+/// module reports it), and mapping failures all surface through the same
+/// struct, so a serving client switches on CompileErr exactly like an
+/// embedding caller does (docs/SERVICE.md).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,14 +15,14 @@
 ///
 /// The sites are deliberately shared across drivers: the compile service
 /// reuses ShardCompile (and the rest) through the parallel driver it
-/// batches onto, so the robustness sweep in tests/robustness_test.cpp and
-/// the service-path recovery test (tests/service_test.cpp,
-/// ShardFaultMidBatchRecoversAllJobs) exercise the same registry — add a
-/// new site only when a failure domain is reachable from neither. The
-/// ServiceAdmit/ServiceRetry sites are such a case: they live in the
-/// serving layer's admission and retry-scheduling paths, above the
-/// parallel driver, and are swept by tests/service_test.cpp
-/// (ServiceFaultSweep.*).
+/// compiles each job with, so the robustness sweep in
+/// tests/robustness_test.cpp and the service-path recovery test
+/// (tests/service_test.cpp, ShardFaultInServiceCompileRecoversAllJobs)
+/// exercise the same registry — add a new site only when a failure
+/// domain is reachable from neither. The ServiceAdmit/ServiceRetry sites
+/// are such a case: they live in the serving layer's admission and
+/// retry-scheduling paths, above the parallel driver, and are swept by
+/// tests/service_test.cpp (ServiceFaultSweep.*).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -93,7 +93,7 @@ enum class LockRank : u8 {
   /// Leaf lock, never held while taking another ranked lock.
   None = 0,
   /// CompileService per-worker `ClaimsMtx` — acquired strictly before the
-  /// code cache lock during batch bookkeeping and watchdog fail-over.
+  /// code cache lock during claim bookkeeping and watchdog fail-over.
   ServiceClaims = 10,
   /// CodeCache `Mtx` — the innermost service-layer lock.
   ServiceCache = 20,

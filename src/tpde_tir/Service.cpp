@@ -57,43 +57,4 @@ support::Fp128 fingerprintModule(const tir::Module &M) {
   return H.digest();
 }
 
-static bool sameGlobal(const tir::Global &A, const tir::Global &B) {
-  return A.Name == B.Name && A.Link == B.Link && A.Size == B.Size &&
-         A.Align == B.Align && A.ReadOnly == B.ReadOnly &&
-         A.Defined == B.Defined && A.Init == B.Init;
-}
-
-bool TirX64ServiceTraits::appendTo(tir::Module &Batch, const tir::Module &Job) {
-  // Check first, mutate after: a rejected job must leave the batch usable.
-  if (!Batch.Funcs.empty() || !Batch.Globals.empty()) {
-    if (Batch.Globals.size() != Job.Globals.size())
-      return false;
-    for (size_t I = 0; I < Job.Globals.size(); ++I)
-      if (!sameGlobal(Batch.Globals[I], Job.Globals[I]))
-        return false;
-  }
-  for (size_t J = 0; J < Job.Funcs.size(); ++J) {
-    for (const tir::Function &BF : Batch.Funcs)
-      if (BF.Name == Job.Funcs[J].Name)
-        return false;
-    for (size_t K = J + 1; K < Job.Funcs.size(); ++K)
-      if (Job.Funcs[J].Name == Job.Funcs[K].Name)
-        return false;
-  }
-
-  const u32 FuncBase = static_cast<u32>(Batch.Funcs.size());
-  if (Batch.Globals.empty())
-    Batch.Globals = Job.Globals; // identical sets: global indices unchanged
-  for (const tir::Function &F : Job.Funcs) {
-    Batch.Funcs.push_back(F);
-    if (FuncBase == 0)
-      continue;
-    // Call values name their callee by module-relative function index.
-    for (tir::Value &V : Batch.Funcs.back().Values)
-      if (V.Kind == tir::ValKind::Inst && V.Opcode == tir::Op::Call)
-        V.Aux += FuncBase;
-  }
-  return true;
-}
-
 } // namespace tpde::tpde_tir

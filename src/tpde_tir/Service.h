@@ -3,20 +3,7 @@
 /// \file
 /// Binds the LLVM-IR stand-in (TIR) x86-64 back-end to the multi-tenant
 /// compile service (service/CompileService.h): canonical module
-/// fingerprinting for the content-addressed code cache, and batch
-/// concatenation with the index remapping TIR needs (Call values name
-/// their callee by function index, GlobalAddr values name globals by
-/// global index — both are module-relative and shift when modules are
-/// concatenated).
-///
-/// Batching criterion: two jobs share a batch only when their **global
-/// sets are identical** (same order, names, and contents). The batch's
-/// module-level fragment — merged into every job's output — then equals
-/// each job's own solo globals fragment, which is what keeps a batched
-/// job's bytes identical to compiling it alone (the cache-identity
-/// requirement, tests/service_test.cpp). Jobs with differing globals are
-/// simply deferred to their own batch; the common serving case (many
-/// queries over one schema's shared scratch globals) batches freely.
+/// fingerprinting for the content-addressed code cache.
 ///
 /// The overload-control layer (tenant quotas, deadlines, transient-fault
 /// retry — docs/SERVICE.md "Overload control") is IR-agnostic and needs
@@ -48,18 +35,6 @@ struct TirX64ServiceTraits {
 
   static support::Fp128 fingerprint(const tir::Module &M) {
     return fingerprintModule(M);
-  }
-
-  /// Appends \p Job's functions to \p Batch, remapping Call callee
-  /// indices by the batch's function base. Transactional: returns false
-  /// — with Batch untouched — on a function-name conflict or when the
-  /// global sets differ (see the file comment for why that is the
-  /// batching criterion).
-  static bool appendTo(tir::Module &Batch, const tir::Module &Job);
-
-  static void clearModule(tir::Module &M) {
-    M.Funcs.clear();
-    M.Globals.clear();
   }
 
   static bool verify(const tir::Module &M, std::string &Err) {

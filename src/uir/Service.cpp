@@ -32,19 +32,4 @@ support::Fp128 fingerprintModule(const UModule &M) {
   return H.digest();
 }
 
-bool UirServiceTraits::appendTo(UModule &Batch, const UModule &Job) {
-  // Check first, mutate after: a rejected job must leave the batch usable.
-  for (size_t J = 0; J < Job.Funcs.size(); ++J) {
-    for (const UFunc &BF : Batch.Funcs)
-      if (BF.Name == Job.Funcs[J].Name)
-        return false;
-    for (size_t K = J + 1; K < Job.Funcs.size(); ++K)
-      if (Job.Funcs[J].Name == Job.Funcs[K].Name)
-        return false;
-  }
-  for (const UFunc &F : Job.Funcs)
-    Batch.Funcs.push_back(F);
-  return true;
-}
-
 } // namespace tpde::uir

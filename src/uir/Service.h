@@ -3,9 +3,8 @@
 /// \file
 /// Binds the database IR to the multi-tenant compile service
 /// (service/CompileService.h): canonical fingerprinting of UModules for
-/// the content-addressed code cache, and batch concatenation of query
-/// modules for the job-aligned parallel compile. This is the serving
-/// shape of the paper's §7 scenario — many sessions submitting query
+/// the content-addressed code cache. This is the serving shape of the
+/// paper's §7 scenario — many sessions submitting query
 /// plans concurrently instead of one client compiling one plan at a
 /// time. Sessions map naturally onto service tenants: give each session
 /// (or session class) a TenantId and a quota/weight via
@@ -37,15 +36,6 @@ struct UirServiceTraits {
   static support::Fp128 fingerprint(const UModule &M) {
     return fingerprintModule(M);
   }
-
-  /// Appends \p Job's queries to \p Batch. Transactional: on a function
-  /// name conflict (with the batch or within the job) Batch is left
-  /// untouched and the job is deferred to another batch. UIR has no
-  /// module-level globals, so the batch's module fragment is empty —
-  /// which keeps a batched job's bytes identical to a solo compile.
-  static bool appendTo(UModule &Batch, const UModule &Job);
-
-  static void clearModule(UModule &M) { M.Funcs.clear(); }
 
   static bool verify(const UModule &M, std::string &Err) {
     return verifyModule(M, Err);

@@ -4,9 +4,10 @@
 ///
 ///  * Cache correctness: a cache hit returns byte-identical mapped code
 ///    to a fresh compile — for the UIR and the TIR/x64 paths — and the
-///    batched service compile itself matches a solo compile byte for
-///    byte (the job-aligned sharding contract of
-///    core::ParallelModuleCompiler::compileJobs).
+///    service compile itself matches a solo compile byte for byte, for
+///    queued jobs of different shapes compiled back to back by one
+///    worker (core::ParallelModuleCompiler::compile on a replaced
+///    module).
 ///  * Fingerprints: sensitive to every content field (each bit of every
 ///    hashed field moves the digest, and no two fields share one), and
 ///    insensitive to the adapter scratch slots compilation mutates and to
@@ -16,9 +17,10 @@
 ///  * Eviction: the byte budget is enforced by epoch-LRU eviction, and
 ///    an evicted fingerprint recompiles correctly.
 ///  * Robustness: a malformed job is rejected at admission with a
-///    structured diagnostic; an uncompilable job inside a batch fails
-///    alone while its batch neighbors are served; the fault-injection
-///    shard-compile site inside the service path recovers (fault builds).
+///    structured diagnostic; an uncompilable job fails alone while the
+///    jobs queued beside it are served; a self-conflicting job fails with
+///    its solo compile's status; the fault-injection shard-compile site
+///    inside the service path recovers (fault builds).
 ///  * Support primitives: latency histogram quantiles; hasher length
 ///    and boundary cases.
 ///  * Allocation: a cache hit allocates only its result handle and the
@@ -28,7 +30,7 @@
 ///    retry lane, bounded-wait admission), structured Overloaded /
 ///    ServiceShutdown / DeadlineExceeded errors, deadline shed for
 ///    queued jobs and independent waiter timeout, transient-failure
-///    retry (fault builds), the stuck-batch watchdog, and liveness of a
+///    retry (fault builds), the stuck-job watchdog, and liveness of a
 ///    flooded service with a fault site armed across worker counts.
 ///
 //===----------------------------------------------------------------------===//
@@ -87,7 +89,7 @@ uir::QueryPlan planOf(const std::string &Name, u32 Variant) {
 }
 
 /// A generated TIR module with every function name prefixed so several
-/// jobs can share a batch (calls reference functions by index, so
+/// jobs define distinct symbols (calls reference functions by index, so
 /// renaming is content-neutral for codegen).
 tir::Module makeTirJob(u64 Seed, u32 NumFuncs, const std::string &Prefix) {
   tir::Module M;
@@ -524,27 +526,55 @@ TEST(ServiceCache, TirX64HitIsByteIdenticalToFreshCompile) {
   EXPECT_EQ(S.Misses, 1u);
 }
 
-TEST(ServiceCache, BatchedJobsMatchSoloCompiles) {
-  // Queue three distinct jobs against a paused worker so they are
-  // guaranteed to be compiled as ONE batch, then check every job's
-  // output against its solo compile — the job-aligned sharding contract.
+/// A 2-function job carrying one more initialized global than the
+/// generator's shared scratch global.
+tir::Module makeExtraGlobalJob() {
+  tir::Module M = makeTirJob(34, 2, "bd");
+  tir::addGlobal(M, "bd_extra", 24, 8, /*ReadOnly=*/false,
+                 std::vector<u8>(24, 0x5a));
+  return M;
+}
+
+/// A 12-function job whose scratch global has a different initializer.
+tir::Module makeOtherScratchJob() {
+  tir::Module M = makeTirJob(35, 12, "be");
+  for (tir::Global &G : M.Globals)
+    if (G.Name == "wl_scratch")
+      G.Init[0] ^= 0xff;
+  return M;
+}
+
+TEST(ServiceCache, QueuedJobsMatchSoloCompiles) {
+  // Queue jobs of different shapes against a paused worker — equal and
+  // differing global sets, 2 to 12 functions — so the worker's driver
+  // compiles them back to back on a replaced module, then check every
+  // job's output against its solo compile.
   std::vector<u8> SoloA = soloTirMappedText(makeTirJob(31, 5, "ba"));
   std::vector<u8> SoloB = soloTirMappedText(makeTirJob(32, 5, "bb"));
   std::vector<u8> SoloC = soloTirMappedText(makeTirJob(33, 5, "bc"));
+  std::vector<u8> SoloD = soloTirMappedText(makeExtraGlobalJob());
+  std::vector<u8> SoloE = soloTirMappedText(makeOtherScratchJob());
 
-  tpde_tir::TirCompileServiceX64 Svc(
-      {.NumWorkers = 1, .MaxBatchJobs = 8, .StartPaused = true});
+  tpde_tir::TirCompileServiceX64 Svc({.NumWorkers = 1, .StartPaused = true});
   auto RA = Svc.submit(makeTirJob(31, 5, "ba"));
   auto RB = Svc.submit(makeTirJob(32, 5, "bb"));
   auto RC = Svc.submit(makeTirJob(33, 5, "bc"));
+  auto RD = Svc.submit(makeExtraGlobalJob());
+  auto RE = Svc.submit(makeOtherScratchJob());
   Svc.resume();
   RA->wait();
   RB->wait();
   RC->wait();
+  RD->wait();
+  RE->wait();
   ASSERT_TRUE(RA->ok() && RB->ok() && RC->ok());
   EXPECT_EQ(mappedText(*RA->code()), SoloA);
   EXPECT_EQ(mappedText(*RB->code()), SoloB);
   EXPECT_EQ(mappedText(*RC->code()), SoloC);
+  ASSERT_TRUE(RD->ok()) << RD->status().Message;
+  ASSERT_TRUE(RE->ok()) << RE->status().Message;
+  EXPECT_EQ(mappedText(*RD->code()), SoloD);
+  EXPECT_EQ(mappedText(*RE->code()), SoloE);
 }
 
 TEST(ServiceCache, EvictionUnderByteBudget) {
@@ -638,17 +668,15 @@ TEST(ServiceRobustness, MalformedJobRejectedAtAdmission) {
   EXPECT_TRUE(Good->ok());
 }
 
-TEST(ServiceRobustness, UncompilableJobFailsAloneBatchNeighborsServed) {
+TEST(ServiceRobustness, UncompilableJobFailsAloneNeighborsServed) {
   std::vector<u8> SoloA = soloTirMappedText(makeTirJob(41, 5, "ga"));
   std::vector<u8> SoloC = soloTirMappedText(makeTirJob(43, 5, "gc"));
 
   // Verify off: the sabotaged module is verifier-clean (Op::None only
   // fails in the instruction compiler) — this exercises the driver's
-  // graceful-degradation path inside a service batch.
-  tpde_tir::TirCompileServiceX64 Svc({.NumWorkers = 1,
-                                      .MaxBatchJobs = 8,
-                                      .Verify = false,
-                                      .StartPaused = true});
+  // graceful-degradation path inside the service, between two good jobs.
+  tpde_tir::TirCompileServiceX64 Svc(
+      {.NumWorkers = 1, .Verify = false, .StartPaused = true});
   tir::Module BadJob = makeTirJob(42, 5, "gbad");
   sabotageTir(BadJob, 2);
 
@@ -680,14 +708,45 @@ TEST(ServiceRobustness, UncompilableJobFailsAloneBatchNeighborsServed) {
   EXPECT_TRUE(RFixed->ok());
 }
 
-TEST(ServiceRobustness, ShardFaultMidBatchRecoversAllJobs) {
+TEST(ServiceRobustness, SelfConflictingJobFailsLikeItsSoloCompile) {
+  // Verify off: a job whose own functions share a name is not caught at
+  // admission. It reaches the driver and fails exactly as a solo
+  // compile of the same module does, is never cached, and the worker
+  // goes on serving.
+  uir::UModule Dup = makeQueryModule("dupx", 1);
+  Dup.Funcs.push_back(makeQueryModule("dupx", 2).Funcs[0]);
+  support::CompileStatus Solo;
+  {
+    uir::UModule M = Dup;
+    asmx::Assembler Asm;
+    ASSERT_FALSE(uir::compileModuleUirParallel(M, Asm, /*NumThreads=*/0,
+                                               /*Verify=*/false, &Solo));
+  }
+
+  uir::UirCompileService Svc({.NumWorkers = 1, .Verify = false});
+  auto R = Svc.submit(Dup);
+  R->wait();
+  EXPECT_FALSE(R->ok());
+  EXPECT_EQ(R->status().Err, Solo.Err)
+      << support::compileErrName(R->status().Err) << " vs "
+      << support::compileErrName(Solo.Err);
+  EXPECT_EQ(R->status().Message, Solo.Message);
+  auto S = Svc.stats();
+  EXPECT_EQ(S.Failed, 1u);
+  EXPECT_EQ(S.CachedEntries, 0u) << "the failed fingerprint is never cached";
+
+  auto Next = Svc.submit(makeQueryModule("after_dupx", 2));
+  Next->wait();
+  EXPECT_TRUE(Next->ok()) << Next->status().Message;
+}
+
+TEST(ServiceRobustness, ShardFaultInServiceCompileRecoversAllJobs) {
   if (!support::faultInjectionEnabled())
     GTEST_SKIP() << "needs -DTPDE_FAULT_INJECTION=ON";
   std::vector<u8> SoloA = soloTirMappedText(makeTirJob(51, 5, "fa"));
   std::vector<u8> SoloB = soloTirMappedText(makeTirJob(52, 5, "fb"));
 
-  tpde_tir::TirCompileServiceX64 Svc(
-      {.NumWorkers = 1, .MaxBatchJobs = 8, .StartPaused = true});
+  tpde_tir::TirCompileServiceX64 Svc({.NumWorkers = 1, .StartPaused = true});
   auto RA = Svc.submit(makeTirJob(51, 5, "fa"));
   auto RB = Svc.submit(makeTirJob(52, 5, "fb"));
   support::FaultInjector::arm(support::FaultSite::ShardCompile, 1);
@@ -935,18 +994,16 @@ TEST(ServiceOverload, TenantQuotasBoundConcurrentFloods) {
   EXPECT_EQ(Svc.stats().Overloaded, NumTenants * (PerTenant - Quota));
 }
 
-TEST(ServiceCache, ConflictingJobsCarryToNextBatchAndCompile) {
-  // A and B share function names (same prefix, different content), so
-  // they cannot share a batch module; C is independent. The conflicting
-  // job and the popped tail behind it must be *carried* into the
-  // worker's next batch — never failed, never re-queued into a possibly
-  // full ring — and every job's bytes must still match its solo compile.
+TEST(ServiceCache, JobsSharingFunctionNamesCompileSeparately) {
+  // A and B share function names (same prefix, different content); C is
+  // independent. Each job compiles as its own module, so the shared
+  // names never conflict: no job is failed, and every job's bytes match
+  // its solo compile.
   std::vector<u8> SoloA = soloTirMappedText(makeTirJob(61, 5, "cf"));
   std::vector<u8> SoloB = soloTirMappedText(makeTirJob(62, 5, "cf"));
   std::vector<u8> SoloC = soloTirMappedText(makeTirJob(63, 5, "cfz"));
 
-  tpde_tir::TirCompileServiceX64 Svc(
-      {.NumWorkers = 1, .MaxBatchJobs = 8, .StartPaused = true});
+  tpde_tir::TirCompileServiceX64 Svc({.NumWorkers = 1, .StartPaused = true});
   auto RA = Svc.submit(makeTirJob(61, 5, "cf"));
   auto RB = Svc.submit(makeTirJob(62, 5, "cf"));
   auto RC = Svc.submit(makeTirJob(63, 5, "cfz"));
@@ -1102,7 +1159,7 @@ TEST(ServiceRetryTest, AdmissionFaultFailsCleanly) {
   EXPECT_FALSE(R2->hit());
 }
 
-// --- stuck-batch watchdog --------------------------------------------------
+// --- stuck-job watchdog ----------------------------------------------------
 
 TEST(ServiceWatchdog, StuckWorkerFailedOverAndServiceRecovers) {
   std::atomic<int> Calls{0};
@@ -1159,7 +1216,6 @@ TEST(ServiceFaultSweep, FloodedServiceStaysLiveAcrossWorkerCounts) {
     for (int Site : Sites) {
       uir::UirCompileService Svc({.NumWorkers = Workers,
                                   .QueueCapacity = 8,
-                                  .MaxBatchJobs = 4,
                                   .MaxRetries = 1,
                                   .RetryBackoffBaseNs = 100'000,
                                   .RetryBackoffCapNs = 1'000'000});
