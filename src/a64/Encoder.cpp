@@ -2,9 +2,10 @@
 //
 // Every public method batches its instruction words through the section
 // write cursor (Emitter::begin/putW/commit): space for the longest
-// possible encoding is reserved up front, words are raw stores, and the
-// final length is committed once — one bounds check per emitter call
-// (docs/PERF.md "Emission is batched"), matching the x64 encoder.
+// possible encoding is reserved up front, words are raw stores through a
+// cursor held in a local, and the final length is committed once — one
+// bounds check per emitter call (docs/PERF.md "Emission is batched"),
+// matching the x64 encoder.
 //
 //===----------------------------------------------------------------------===//
 
@@ -107,7 +108,7 @@ void Emitter::movSP(AsmReg Dst, AsmReg Src) {
   word(0x91000000u | (u32(Src.hw()) << 5) | Dst.hw());
 }
 
-void Emitter::movRIIn(AsmReg Dst, u64 Imm) {
+u8 *Emitter::movRIIn(u8 *P, AsmReg Dst, u64 Imm) {
   // Count 16-bit chunks equal to 0 and to 0xFFFF to pick MOVZ vs MOVN.
   unsigned ZeroChunks = 0, OneChunks = 0;
   for (unsigned I = 0; I < 4; ++I) {
@@ -124,15 +125,15 @@ void Emitter::movRIIn(AsmReg Dst, u64 Imm) {
       if (C == 0xFFFF)
         continue;
       if (First) {
-        putW(0x92800000u | (u32(I) << 21) | (u32(u16(~C)) << 5) | Rd); // MOVN
+        putW(P, 0x92800000u | (u32(I) << 21) | (u32(u16(~C)) << 5) | Rd); // MOVN
         First = false;
       } else {
-        putW(0xF2800000u | (u32(I) << 21) | (u32(C) << 5) | Rd); // MOVK
+        putW(P, 0xF2800000u | (u32(I) << 21) | (u32(C) << 5) | Rd); // MOVK
       }
     }
     if (First)
-      putW(0x92800000u | Rd); // Imm == ~0: MOVN Dst, #0
-    return;
+      putW(P, 0x92800000u | Rd); // Imm == ~0: MOVN Dst, #0
+    return P;
   }
   bool First = true;
   for (unsigned I = 0; I < 4; ++I) {
@@ -140,20 +141,20 @@ void Emitter::movRIIn(AsmReg Dst, u64 Imm) {
     if (C == 0)
       continue;
     if (First) {
-      putW(0xD2800000u | (u32(I) << 21) | (u32(C) << 5) | Rd); // MOVZ
+      putW(P, 0xD2800000u | (u32(I) << 21) | (u32(C) << 5) | Rd); // MOVZ
       First = false;
     } else {
-      putW(0xF2800000u | (u32(I) << 21) | (u32(C) << 5) | Rd); // MOVK
+      putW(P, 0xF2800000u | (u32(I) << 21) | (u32(C) << 5) | Rd); // MOVK
     }
   }
   if (First)
-    putW(0xD2800000u | Rd); // Imm == 0: MOVZ Dst, #0
+    putW(P, 0xD2800000u | Rd); // Imm == 0: MOVZ Dst, #0
+  return P;
 }
 
 void Emitter::movRI(AsmReg Dst, u64 Imm) {
-  begin(16); // at most MOVZ/MOVN + 3 MOVK
-  movRIIn(Dst, Imm);
-  commit();
+  u8 *P = begin(16); // at most MOVZ/MOVN + 3 MOVK
+  commit(movRIIn(P, Dst, Imm));
 }
 
 // ---------------------------------------------------------------------------
@@ -187,50 +188,49 @@ static u32 addSubImmWord(u8 Sz, bool SubOp, bool SetFlags, AsmReg Dst,
   return W | (Imm12 << 10) | (u32(Src.hw()) << 5) | Dst.hw();
 }
 
-void Emitter::addSubRIIn(u8 Sz, bool SubOp, AsmReg Dst, AsmReg Src, u64 Imm,
-                         bool SetFlags) {
+u8 *Emitter::addSubRIIn(u8 *P, u8 Sz, bool SubOp, AsmReg Dst, AsmReg Src,
+                        u64 Imm, bool SetFlags) {
   if (Imm < 4096) {
-    putW(addSubImmWord(Sz, SubOp, SetFlags, Dst, Src, static_cast<u32>(Imm),
-                       false));
-    return;
+    putW(P, addSubImmWord(Sz, SubOp, SetFlags, Dst, Src, static_cast<u32>(Imm),
+                          false));
+    return P;
   }
   assert(!SetFlags && "flag-setting add/sub requires an imm12 immediate");
   if ((Imm & 0xFFF) == 0 && Imm < (u64(4096) << 12)) {
-    putW(addSubImmWord(Sz, SubOp, false, Dst, Src,
-                       static_cast<u32>(Imm >> 12), true));
-    return;
+    putW(P, addSubImmWord(Sz, SubOp, false, Dst, Src,
+                          static_cast<u32>(Imm >> 12), true));
+    return P;
   }
   if (Imm < (u64(4096) << 12)) {
-    putW(addSubImmWord(Sz, SubOp, false, Dst, Src,
-                       static_cast<u32>(Imm & 0xFFF), false));
-    putW(addSubImmWord(Sz, SubOp, false, Dst, Dst,
-                       static_cast<u32>(Imm >> 12), true));
-    return;
+    putW(P, addSubImmWord(Sz, SubOp, false, Dst, Src,
+                          static_cast<u32>(Imm & 0xFFF), false));
+    putW(P, addSubImmWord(Sz, SubOp, false, Dst, Dst,
+                          static_cast<u32>(Imm >> 12), true));
+    return P;
   }
   assert(!(Src == X16) && !(Dst == X16) && "X16 is encoder scratch");
-  movRIIn(X16, Imm);
+  P = movRIIn(P, X16, Imm);
   const u32 OpBit = SubOp ? (1u << 30) : 0;
   if (Src.hw() == 31 || Dst.hw() == 31) {
     // ADD/SUB (extended register), UXTX: valid with SP.
-    putW(sf(Sz) | 0x0B206000u | OpBit | (u32(X16.hw()) << 16) |
-         (u32(Src.hw()) << 5) | Dst.hw());
+    putW(P, sf(Sz) | 0x0B206000u | OpBit | (u32(X16.hw()) << 16) |
+                (u32(Src.hw()) << 5) | Dst.hw());
   } else {
     // ADD/SUB (shifted register) with X16.
-    putW(sf(Sz) | 0x0B000000u | OpBit | (u32(X16.hw()) << 16) |
-         (u32(Src.hw()) << 5) | Dst.hw());
+    putW(P, sf(Sz) | 0x0B000000u | OpBit | (u32(X16.hw()) << 16) |
+                (u32(Src.hw()) << 5) | Dst.hw());
   }
+  return P;
 }
 
 void Emitter::addRI(u8 Sz, AsmReg Dst, AsmReg Src, u64 Imm, bool SetFlags) {
-  begin(20); // worst case: 4-word X16 materialization + the add
-  addSubRIIn(Sz, /*SubOp=*/false, Dst, Src, Imm, SetFlags);
-  commit();
+  u8 *P = begin(20); // worst case: 4-word X16 materialization + the add
+  commit(addSubRIIn(P, Sz, /*SubOp=*/false, Dst, Src, Imm, SetFlags));
 }
 
 void Emitter::subRI(u8 Sz, AsmReg Dst, AsmReg Src, u64 Imm, bool SetFlags) {
-  begin(20);
-  addSubRIIn(Sz, /*SubOp=*/true, Dst, Src, Imm, SetFlags);
-  commit();
+  u8 *P = begin(20);
+  commit(addSubRIIn(P, Sz, /*SubOp=*/true, Dst, Src, Imm, SetFlags));
 }
 
 void Emitter::adcsRRR(u8 Sz, AsmReg Dst, AsmReg Src1, AsmReg Src2) {
@@ -259,41 +259,42 @@ void Emitter::mvnRR(u8 Sz, AsmReg Dst, AsmReg Src) {
 }
 
 void Emitter::logicRI(LogicOp Op, u8 Sz, AsmReg Dst, AsmReg Src, u64 Imm) {
-  begin(20); // worst case: 4-word X16 materialization + the logic op
+  u8 *P = begin(20); // worst case: 4-word X16 materialization + the op
   u32 N, Immr, Imms;
   if (encodeLogicalImm(Imm, Sz == 8 ? 64 : 32, N, Immr, Imms)) {
     u32 W = sf(Sz) | 0x12000000u | (u32(static_cast<u8>(Op)) << 29);
-    putW(W | (N << 22) | (Immr << 16) | (Imms << 10) | (u32(Src.hw()) << 5) |
-         Dst.hw());
+    putW(P, W | (N << 22) | (Immr << 16) | (Imms << 10) |
+                (u32(Src.hw()) << 5) | Dst.hw());
   } else {
     assert(!(Src == X16) && !(Dst == X16) && "X16 is encoder scratch");
-    movRIIn(X16, Imm);
-    putW(sf(Sz) | 0x0A000000u | (u32(static_cast<u8>(Op)) << 29) |
-         (u32(X16.hw()) << 16) | (u32(Src.hw()) << 5) | Dst.hw());
+    P = movRIIn(P, X16, Imm);
+    putW(P, sf(Sz) | 0x0A000000u | (u32(static_cast<u8>(Op)) << 29) |
+                (u32(X16.hw()) << 16) | (u32(Src.hw()) << 5) | Dst.hw());
   }
-  commit();
+  commit(P);
 }
 
 void Emitter::cmpRI(u8 Sz, AsmReg R, u64 Imm) {
-  begin(20); // worst case: 4-word X16 materialization + the compare
+  u8 *P = begin(20); // worst case: 4-word X16 materialization + the compare
   if (Imm < 4096) {
-    putW(addSubImmWord(Sz, true, true, XZR, R, static_cast<u32>(Imm), false));
-    commit();
+    putW(P, addSubImmWord(Sz, true, true, XZR, R, static_cast<u32>(Imm), false));
+    commit(P);
     return;
   }
   u64 Neg = Sz == 8 ? (0 - Imm) : ((0 - Imm) & 0xFFFFFFFFull);
   if (Neg < 4096) {
     // CMN.
-    putW(addSubImmWord(Sz, false, true, XZR, R, static_cast<u32>(Neg), false));
-    commit();
+    putW(P, addSubImmWord(Sz, false, true, XZR, R, static_cast<u32>(Neg),
+                          false));
+    commit(P);
     return;
   }
   assert(!(R == X16) && "X16 is encoder scratch");
-  movRIIn(X16, Imm);
+  P = movRIIn(P, X16, Imm);
   // SUBS XZR, R, X16.
-  putW(sf(Sz) | 0x6B000000u | (u32(X16.hw()) << 16) | (u32(R.hw()) << 5) |
-       XZR.hw());
-  commit();
+  putW(P, sf(Sz) | 0x6B000000u | (u32(X16.hw()) << 16) | (u32(R.hw()) << 5) |
+              XZR.hw());
+  commit(P);
 }
 
 // ---------------------------------------------------------------------------
@@ -415,9 +416,11 @@ void Emitter::csel(u8 Sz, AsmReg Dst, AsmReg IfTrue, AsmReg IfFalse, Cond C) {
        (u32(static_cast<u8>(C)) << 12) | (u32(IfTrue.hw()) << 5) | Dst.hw());
 }
 
-void Emitter::csinc(u8 Sz, AsmReg Dst, AsmReg IfTrue, AsmReg IfFalse, Cond C) {
-  word(sf(Sz) | 0x1A800400u | (u32(IfFalse.hw()) << 16) |
-       (u32(static_cast<u8>(C)) << 12) | (u32(IfTrue.hw()) << 5) | Dst.hw());
+void Emitter::cset(AsmReg Dst, Cond C) {
+  // CSINC Dst, XZR, XZR, invert(C).
+  word(sf(8) | 0x1A800400u | (u32(XZR.hw()) << 16) |
+       (u32(static_cast<u8>(invert(C))) << 12) | (u32(XZR.hw()) << 5) |
+       Dst.hw());
 }
 
 // ---------------------------------------------------------------------------
@@ -425,37 +428,37 @@ void Emitter::csinc(u8 Sz, AsmReg Dst, AsmReg IfTrue, AsmReg IfFalse, Cond C) {
 // ---------------------------------------------------------------------------
 
 void Emitter::ldst(u8 SizeLog2, u32 Opc, bool V, AsmReg Rt, Mem M) {
-  begin(20); // worst case: 4-word X16 displacement + the access
+  u8 *P = begin(20); // worst case: 4-word X16 displacement + the access
   const u32 Base = (u32(SizeLog2) << 30) | 0x38000000u |
                    (V ? (1u << 26) : 0) | (Opc << 22);
   const u32 RtRn = (u32(M.Base.hw()) << 5) | Rt.hw();
   if (M.Index.isValid()) {
     assert((M.Shift == 0 || M.Shift == SizeLog2) && "bad index shift");
-    putW(Base | (1u << 21) | (u32(M.Index.hw()) << 16) | (0x3u << 13) |
-         (M.Shift ? (1u << 12) : 0) | (0x2u << 10) | RtRn);
-    commit();
+    putW(P, Base | (1u << 21) | (u32(M.Index.hw()) << 16) | (0x3u << 13) |
+                (M.Shift ? (1u << 12) : 0) | (0x2u << 10) | RtRn);
+    commit(P);
     return;
   }
   const i64 D = M.Disp;
   const u32 Scale = u32(1) << SizeLog2;
   if (D >= 0 && (D & (Scale - 1)) == 0 && (D >> SizeLog2) < 4096) {
     // Scaled unsigned-offset form (bit 24 distinguishes it).
-    putW(Base | (1u << 24) | (static_cast<u32>(D >> SizeLog2) << 10) | RtRn);
-    commit();
+    putW(P, Base | (1u << 24) | (static_cast<u32>(D >> SizeLog2) << 10) | RtRn);
+    commit(P);
     return;
   }
   if (D >= -256 && D <= 255) {
     // LDUR/STUR.
-    putW(Base | ((static_cast<u32>(D) & 0x1FF) << 12) | RtRn);
-    commit();
+    putW(P, Base | ((static_cast<u32>(D) & 0x1FF) << 12) | RtRn);
+    commit(P);
     return;
   }
   // Out-of-range displacement: X16 = Disp, register-offset access.
   assert(!(Rt == X16) && !(M.Base == X16) && "X16 is encoder scratch");
-  movRIIn(X16, static_cast<u64>(D));
-  putW(Base | (1u << 21) | (u32(X16.hw()) << 16) | (0x3u << 13) |
-       (0x2u << 10) | RtRn);
-  commit();
+  P = movRIIn(P, X16, static_cast<u64>(D));
+  putW(P, Base | (1u << 21) | (u32(X16.hw()) << 16) | (0x3u << 13) |
+              (0x2u << 10) | RtRn);
+  commit(P);
 }
 
 void Emitter::ldr(u8 Sz, AsmReg Dst, Mem M) {
@@ -498,14 +501,15 @@ void Emitter::leaMem(AsmReg Dst, AsmReg Base, i64 Disp) {
 }
 
 void Emitter::leaSym(AsmReg Dst, asmx::SymRef S, i64 Addend) {
-  begin(8);
-  A.addReloc(asmx::SecKind::Text, off(), asmx::RelocKind::A64AdrPage21, S,
+  u8 *P = begin(8);
+  const u64 Off = T.cursorOffset(P);
+  putW(P, 0x90000000u | Dst.hw()); // ADRP Dst, sym
+  putW(P, 0x91000000u | (u32(Dst.hw()) << 5) | Dst.hw()); // ADD Dst, Dst, #lo12
+  commit(P);
+  A.addReloc(asmx::SecKind::Text, Off, asmx::RelocKind::A64AdrPage21, S,
              Addend);
-  putW(0x90000000u | Dst.hw()); // ADRP Dst, sym
-  A.addReloc(asmx::SecKind::Text, off(), asmx::RelocKind::A64AddLo12, S,
+  A.addReloc(asmx::SecKind::Text, Off + 4, asmx::RelocKind::A64AddLo12, S,
              Addend);
-  putW(0x91000000u | (u32(Dst.hw()) << 5) | Dst.hw()); // ADD Dst, Dst, #lo12
-  commit();
 }
 
 // ---------------------------------------------------------------------------
@@ -530,12 +534,6 @@ void Emitter::cbzLabel(u8 Sz, AsmReg R, asmx::Label L) {
   A.addFixup(L, asmx::FixupKind::A64Branch19, Off);
 }
 
-void Emitter::cbnzLabel(u8 Sz, AsmReg R, asmx::Label L) {
-  u64 Off = offset();
-  word(sf(Sz) | 0x35000000u | R.hw());
-  A.addFixup(L, asmx::FixupKind::A64Branch19, Off);
-}
-
 void Emitter::blSym(asmx::SymRef S) {
   u64 Off = offset();
   word(0x94000000u);
@@ -552,10 +550,10 @@ void Emitter::nops(unsigned N) {
   assert(N % 4 == 0 && "NOP padding must be whole instructions");
   if (!N)
     return;
-  begin(N); // one bounds check for the whole pad
+  u8 *P = begin(N); // one bounds check for the whole pad
   for (unsigned I = 0; I < N; I += 4)
-    putW(0xD503201Fu);
-  commit();
+    putW(P, 0xD503201Fu);
+  commit(P);
 }
 
 // ---------------------------------------------------------------------------
@@ -599,10 +597,6 @@ void Emitter::fpArith(FpOp Op, u8 Sz, AsmReg Dst, AsmReg Src1, AsmReg Src2) {
 
 void Emitter::fpNeg(u8 Sz, AsmReg Dst, AsmReg Src) {
   word(0x1E214000u | fpType(Sz) | (u32(Src.hw()) << 5) | Dst.hw());
-}
-
-void Emitter::fpSqrt(u8 Sz, AsmReg Dst, AsmReg Src) {
-  word(0x1E21C000u | fpType(Sz) | (u32(Src.hw()) << 5) | Dst.hw());
 }
 
 void Emitter::fpCmp(u8 Sz, AsmReg A, AsmReg B) {
@@ -649,10 +643,10 @@ void Emitter::fmovFromFp(u8 Sz, AsmReg Dst, AsmReg Src) {
 // ---------------------------------------------------------------------------
 
 void Emitter::frameSubPlaceholder() {
-  begin(8);
-  putW(0xD10003FFu); // sub sp, sp, #0
-  putW(0xD14003FFu); // sub sp, sp, #0, lsl #12
-  commit();
+  u8 *P = begin(8);
+  putW(P, 0xD10003FFu); // sub sp, sp, #0
+  putW(P, 0xD14003FFu); // sub sp, sp, #0, lsl #12
+  commit(P);
 }
 
 void Emitter::patchFrameSub(asmx::Section &T, u64 Off, u32 FrameSize) {

@@ -126,9 +126,9 @@ public:
 
   /// Appends a raw 32-bit instruction word (one bounds check).
   void word(u32 W) {
-    begin(4);
-    putW(W);
-    commit();
+    u8 *P = begin(4);
+    putW(P, W);
+    commit(P);
   }
 
   // --- Moves and immediates ---------------------------------------------
@@ -170,9 +170,6 @@ public:
   // --- Compare / test --------------------------------------------------------
   void cmpRR(u8 Sz, AsmReg A, AsmReg B) { subRRR(Sz, XZR, A, B, true); }
   void cmpRI(u8 Sz, AsmReg R, u64 Imm);
-  void tstRR(u8 Sz, AsmReg A, AsmReg B) {
-    logicRRR(LogicOp::Ands, Sz, XZR, A, B);
-  }
   void tstRI(u8 Sz, AsmReg R, u64 Imm) { logicRI(LogicOp::Ands, Sz, XZR, R, Imm); }
 
   // --- Multiply / divide ----------------------------------------------------
@@ -206,9 +203,8 @@ public:
 
   // --- Conditionals -----------------------------------------------------------
   void csel(u8 Sz, AsmReg Dst, AsmReg IfTrue, AsmReg IfFalse, Cond C);
-  void csinc(u8 Sz, AsmReg Dst, AsmReg IfTrue, AsmReg IfFalse, Cond C);
-  /// Dst = C ? 1 : 0 (CSINC alias).
-  void cset(AsmReg Dst, Cond C) { csinc(8, Dst, XZR, XZR, invert(C)); }
+  /// Dst = C ? 1 : 0 (CSINC Dst, XZR, XZR, !C).
+  void cset(AsmReg Dst, Cond C);
 
   // --- Loads / stores -----------------------------------------------------------
   /// Load of Sz bytes (1/2/4/8). GP destinations zero-extend to 64 bits;
@@ -233,7 +229,6 @@ public:
   void bLabel(asmx::Label L);
   void bcondLabel(Cond C, asmx::Label L);
   void cbzLabel(u8 Sz, AsmReg R, asmx::Label L);
-  void cbnzLabel(u8 Sz, AsmReg R, asmx::Label L);
   void blSym(asmx::SymRef S);
   void blrReg(AsmReg R);
   void brReg(AsmReg R);
@@ -247,7 +242,6 @@ public:
   void fpMovRR(u8 Sz, AsmReg Dst, AsmReg Src);          ///< FMOV Dd/Sd, Dn/Sn
   void fpArith(FpOp Op, u8 Sz, AsmReg Dst, AsmReg Src1, AsmReg Src2);
   void fpNeg(u8 Sz, AsmReg Dst, AsmReg Src);
-  void fpSqrt(u8 Sz, AsmReg Dst, AsmReg Src);
   void fpCmp(u8 Sz, AsmReg A, AsmReg B);                ///< FCMP
   void fpCsel(u8 Sz, AsmReg Dst, AsmReg IfTrue, AsmReg IfFalse, Cond C);
   void fpCvt(u8 SrcSz, AsmReg Dst, AsmReg Src);         ///< FCVT S<->D
@@ -269,24 +263,19 @@ private:
 
   // --- Batched emission -------------------------------------------------
   // Every emitter call reserves its maximum encoded length once (begin),
-  // writes raw instruction words through the cursor (putW), and commits
-  // the final length (commit): one bounds check per emitted instruction
-  // sequence instead of one per word (see support::ByteBuffer), exactly
-  // like the x64 encoder. Multi-word sequences (immediate
-  // materialization, out-of-range displacements) reserve their worst
-  // case up front and route through the *In() helpers, which require an
-  // open cursor.
-  void begin(size_t MaxBytes = 4) {
-    assert(!P && "instruction already in progress");
-    P = T.writeCursor(MaxBytes);
-  }
-  void commit() {
-    T.commitCursor(P);
-    P = nullptr;
-  }
-  /// Section offset of the cursor (valid between begin and commit).
-  u64 off() const { return T.cursorOffset(P); }
-  void putW(u32 W) {
+  // writes raw instruction words through the returned cursor (putW), and
+  // commits the final length (commit): one bounds check per emitted
+  // instruction sequence instead of one per word (see support::ByteBuffer),
+  // exactly like the x64 encoder. The cursor is a local of the emitting
+  // method, never a member: a byte store through a member cursor may alias
+  // the member, so the compiler would reload and store it around every
+  // byte (docs/PERF.md). Multi-word sequences (immediate materialization,
+  // out-of-range displacements) reserve their worst case up front and
+  // route through the *In() helpers, which take an open cursor and return
+  // it advanced.
+  u8 *begin(size_t MaxBytes = 4) { return T.writeCursor(MaxBytes); }
+  void commit(u8 *P) { T.commitCursor(P); }
+  static void putW(u8 *&P, u32 W) {
     P[0] = static_cast<u8>(W);
     P[1] = static_cast<u8>(W >> 8);
     P[2] = static_cast<u8>(W >> 16);
@@ -295,11 +284,11 @@ private:
   }
 
   /// movRI body writing through an open cursor (max 16 bytes).
-  void movRIIn(AsmReg Dst, u64 Imm);
+  static u8 *movRIIn(u8 *P, AsmReg Dst, u64 Imm);
   /// ADD/SUB with arbitrary immediate through an open cursor (max 20
   /// bytes, including a possible X16 materialization).
-  void addSubRIIn(u8 Sz, bool SubOp, AsmReg Dst, AsmReg Src, u64 Imm,
-                  bool SetFlags);
+  static u8 *addSubRIIn(u8 *P, u8 Sz, bool SubOp, AsmReg Dst, AsmReg Src,
+                        u64 Imm, bool SetFlags);
 
   /// Emits a load/store for the operand size (SizeLog2), operation class
   /// opc, and register class V; handles all three addressing forms.
@@ -307,7 +296,6 @@ private:
 
   asmx::Assembler &A;
   asmx::Section &T;
-  u8 *P = nullptr; ///< Pending-instruction write cursor.
 };
 
 } // namespace tpde::a64

@@ -104,7 +104,8 @@ public:
   }
 
   /// True if the value's live range is over at (the end of) instruction
-  /// processing in block \p CurBlock once its RefCount reaches zero.
+  /// processing in block \p CurBlock once its RefCount reaches zero. The
+  /// code generator caches this per value as Assignment::FreeFrom.
   bool rangeEndsInBlock(u32 ValNum, u32 CurBlock) const {
     const LiveRange &L = Live[ValNum];
     return L.Last < CurBlock || (L.Last == CurBlock && !L.LastFull);
@@ -391,7 +392,11 @@ private:
             continue;
           LiveRange &L = Live[A.valNumber(V)];
           L.RefCount += A.valPartCount(V);
-          extendRange(L, B, /*AtEnd=*/false);
+          // A use in the defining block is inside every loop of the
+          // definition and never past Last: extendRange would not change
+          // the range.
+          if (L.First != B)
+            extendRange(L, B, /*AtEnd=*/false);
         }
       }
     }

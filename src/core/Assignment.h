@@ -58,6 +58,12 @@ struct Assignment {
   u32 RefCount = 0;
   /// Function epoch this entry belongs to (0 = never initialized).
   u32 Epoch = 0;
+  /// First layout block in which the value may be freed once RefCount
+  /// reaches zero: the last block of its live range, or the block after
+  /// it if the value is live to that block's end. Caches
+  /// Analyzer::rangeEndsInBlock(VN, B) as B >= FreeFrom, so releasing a
+  /// reference tests one field of the entry it already holds.
+  u32 FreeFrom = 0;
   u8 PartCount = 0;
   ValuePart Parts[MaxParts];
 

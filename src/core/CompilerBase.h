@@ -158,32 +158,35 @@ public:
   // Value part references (paper §3.4.3). RAII: holding a reference locks
   // the register; dropping a use decrements the remaining-use count and
   // frees registers/slots when the value dies.
+  //
+  // A reference holds the value's Assignment by pointer (Assigns is sized
+  // before codegen starts and never moves during a function), so the hot
+  // paths — register lookup, locking, release — touch that one entry and
+  // never re-index Assigns or the analyzer's liveness table. Reload and
+  // constant materialization are defined out of line, below the class.
   // =====================================================================
   class ValuePartRef {
   public:
     ValuePartRef() = default;
-    ValuePartRef(CompilerBase *C, ValRef V, u32 VN, u8 Part, bool IsUse)
-        : C(C), Val(V), VN(VN), Part(Part), IsUse(IsUse) {
+    /// Reference to an assigned value (use or definition).
+    ValuePartRef(CompilerBase *C, ValRef V, u32 VN, Assignment *As, u8 Part,
+                 bool IsUse)
+        : C(C), As(As), Val(V), VN(VN), Part(Part), IsUse(IsUse) {
       Bank = C->A.valPartBank(V, Part);
       Size = static_cast<u8>(C->A.valPartSize(V, Part));
-      ConstLike = VN == ~0u;
     }
-    ValuePartRef(ValuePartRef &&O) noexcept { *this = std::move(O); }
+    /// Reference to a constant-like value (no assignment).
+    ValuePartRef(CompilerBase *C, ValRef V, u8 Part)
+        : C(C), Val(V), Part(Part), IsUse(true) {
+      Bank = C->A.valPartBank(V, Part);
+      Size = static_cast<u8>(C->A.valPartSize(V, Part));
+    }
+    ValuePartRef(ValuePartRef &&O) noexcept { take(O); }
     ValuePartRef &operator=(ValuePartRef &&O) noexcept {
-      if (this == &O)
-        return *this;
-      reset();
-      C = O.C;
-      Val = O.Val;
-      VN = O.VN;
-      Part = O.Part;
-      Bank = O.Bank;
-      Size = O.Size;
-      IsUse = O.IsUse;
-      ConstLike = O.ConstLike;
-      Locked = O.Locked;
-      TmpReg = O.TmpReg;
-      O.C = nullptr;
+      if (this != &O) {
+        reset();
+        take(O);
+      }
       return *this;
     }
     ValuePartRef(const ValuePartRef &) = delete;
@@ -193,7 +196,7 @@ public:
     bool valid() const { return C != nullptr; }
     /// True for constants/globals/stack-var addresses: no assignment; the
     /// derived compiler materializes them on demand.
-    bool isConstLike() const { return ConstLike; }
+    bool isConstLike() const { return As == nullptr; }
     /// The IR value handle (e.g., for immediate-operand folding).
     ValRef irValue() const { return Val; }
     u8 part() const { return Part; }
@@ -202,137 +205,128 @@ public:
     u32 valNum() const { return VN; }
 
     bool hasReg() const {
-      if (ConstLike)
-        return TmpReg.isValid();
-      return C->Assigns[VN].Parts[Part].inReg();
+      return As ? As->Parts[Part].inReg() : TmpReg.isValid();
     }
-    Reg curReg() const {
-      if (ConstLike)
-        return TmpReg;
-      return Reg(C->Assigns[VN].Parts[Part].RegId);
-    }
+    Reg curReg() const { return As ? Reg(As->Parts[Part].RegId) : TmpReg; }
     /// True if the value currently has a valid stack-slot copy.
-    bool inMemory() const {
-      return !ConstLike && C->Assigns[VN].Parts[Part].stackValid();
-    }
+    bool inMemory() const { return As && As->Parts[Part].stackValid(); }
     /// Frame offset of this part's slot (requires inMemory()).
     i32 frameOff() const {
       assert(inMemory() && "no valid stack copy");
-      return C->Assigns[VN].FrameOff + 8 * Part;
+      return As->FrameOff + 8 * Part;
     }
 
     /// Ensures the value part is in a register (reloading or materializing
     /// as needed), locks it, and returns it.
     Reg asReg() {
       assert(C && "empty reference");
-      if (ConstLike) {
-        if (!TmpReg.isValid()) {
-          TmpReg = C->allocRegRaw(Bank);
-          C->Regs.markUsed(TmpReg, ~0u, 0);
-          C->Regs.lock(TmpReg);
-          C->derived()->materializeConstLike(Val, Part, TmpReg);
-        }
-        return TmpReg;
-      }
-      Assignment &As = C->Assigns[VN];
-      ValuePart &P = As.Parts[Part];
-      if (!P.inReg()) {
-        Reg R = C->allocPartReg(VN, Part, Bank);
-        assert(P.stackValid() && "value lost: neither register nor stack");
-        C->derived()->emitSlotLoad(Bank, 8, R, As.FrameOff + 8 * Part);
-      }
-      lockIfNeeded();
-      return Reg(P.RegId);
+      if (!As)
+        return materialize();
+      u8 Id = As->Parts[Part].RegId;
+      if (Id == 0xFF)
+        Id = reload();
+      lockIfNeeded(Id);
+      return Reg(Id);
     }
 
     /// For definitions: allocates a register for the result (no load).
     Reg allocReg() {
-      assert(!ConstLike && !IsUse && "allocReg on a use/constant");
-      Assignment &As = C->Assigns[VN];
-      ValuePart &P = As.Parts[Part];
-      if (!P.inReg())
-        C->allocPartReg(VN, Part, Bank);
-      lockIfNeeded();
-      return Reg(P.RegId);
+      assert(As && !IsUse && "allocReg on a use/constant");
+      u8 Id = As->Parts[Part].RegId;
+      if (Id == 0xFF)
+        Id = C->allocPartReg(*As, VN, Part, Bank).Id;
+      lockIfNeeded(Id);
+      return Reg(Id);
     }
 
     /// Marks the register contents as modified: the stack copy (if any)
     /// no longer matches and must be rewritten on eviction.
     void setModified() {
-      if (ConstLike)
-        return;
-      C->Assigns[VN].Parts[Part].Flags &= ~ValuePart::StackValid;
+      if (As)
+        As->Parts[Part].Flags &= ~ValuePart::StackValid;
     }
 
     /// Releases the reference early (unlock, use-count bookkeeping).
     void reset() {
       if (!C)
         return;
-      if (ConstLike) {
-        if (TmpReg.isValid()) {
-          C->Regs.unlock(TmpReg);
-          C->Regs.markFree(TmpReg);
-        }
-      } else {
+      if (As) {
         if (Locked)
-          C->Regs.unlock(Reg(C->Assigns[VN].Parts[Part].RegId));
-        if (IsUse)
-          C->decRef(VN);
-        else if (C->Assigns[VN].RefCount == 0 &&
-                 C->An.rangeEndsInBlock(VN, C->CurBlock))
-          C->freeValue(VN);
+          C->Regs.unlock(Reg(As->Parts[Part].RegId));
+        if (IsUse) {
+          assert(As->RefCount > 0 && "use count underflow");
+          --As->RefCount;
+        }
+        if (As->RefCount == 0 && C->CurBlock >= As->FreeFrom)
+          C->freeValue(*As);
+      } else if (TmpReg.isValid()) {
+        C->Regs.unlock(TmpReg);
+        C->Regs.markFree(TmpReg);
       }
       C = nullptr;
     }
 
     /// Remaining uses including the one held by this reference.
-    u32 remainingUses() const {
-      return ConstLike ? 0 : C->Assigns[VN].RefCount;
-    }
+    u32 remainingUses() const { return As ? As->RefCount : 0; }
     /// True if this use is the last one and the live range ends here, so
     /// the register may be overwritten/reused (paper §3.4.3 step 3).
     bool canReuseReg() const {
-      if (ConstLike || !IsUse)
-        return false;
-      const Assignment &As = C->Assigns[VN];
-      return As.RefCount == 1 && C->An.rangeEndsInBlock(VN, C->CurBlock) &&
-             !As.Parts[Part].isFixed();
+      return As && IsUse && As->RefCount == 1 &&
+             C->CurBlock >= As->FreeFrom && !As->Parts[Part].isFixed();
     }
 
     /// Locks the current register (if any) for this reference's lifetime,
     /// preventing eviction during parallel-move collection.
     void lockReg() {
-      if (!ConstLike && hasReg())
-        lockIfNeeded();
+      if (As && As->Parts[Part].inReg())
+        lockIfNeeded(As->Parts[Part].RegId);
     }
 
     /// Current location for parallel-move collection.
     MoveLoc loc() const {
-      if (ConstLike)
+      if (!As)
         return TmpReg.isValid() ? MoveLoc::reg(TmpReg) : MoveLoc::konst();
-      if (hasReg())
-        return MoveLoc::reg(curReg());
+      if (As->Parts[Part].inReg())
+        return MoveLoc::reg(Reg(As->Parts[Part].RegId));
       assert(inMemory() && "value lost");
-      return MoveLoc::slot(C->Assigns[VN].FrameOff + 8 * Part);
+      return MoveLoc::slot(As->FrameOff + 8 * Part);
     }
 
   private:
-    void lockIfNeeded() {
+    void take(ValuePartRef &O) {
+      C = O.C;
+      As = O.As;
+      Val = O.Val;
+      VN = O.VN;
+      Part = O.Part;
+      Bank = O.Bank;
+      Size = O.Size;
+      IsUse = O.IsUse;
+      Locked = O.Locked;
+      TmpReg = O.TmpReg;
+      O.C = nullptr;
+    }
+    void lockIfNeeded(u8 Id) {
       if (Locked)
         return;
-      C->Regs.lock(Reg(C->Assigns[VN].Parts[Part].RegId));
+      C->Regs.lock(Reg(Id));
       Locked = true;
     }
+    // Cold paths, defined after the class so they stay out of the inline
+    // fast path of asReg().
+    u8 reload();
+    Reg materialize();
 
     friend class CompilerBase;
     CompilerBase *C = nullptr;
+    /// The value's assignment; null for constant-like values.
+    Assignment *As = nullptr;
     ValRef Val{};
     u32 VN = ~0u;
     u8 Part = 0;
     u8 Bank = 0;
     u8 Size = 8;
     bool IsUse = false;
-    bool ConstLike = false;
     bool Locked = false;
     Reg TmpReg;
   };
@@ -396,17 +390,18 @@ public:
   /// Handle for operand \p Part of value \p V (a use).
   ValuePartRef valRef(ValRef V, u8 Part) {
     if (A.isConstLike(V))
-      return ValuePartRef(this, V, ~0u, Part, /*IsUse=*/true);
+      return ValuePartRef(this, V, Part);
     u32 VN = A.valNumber(V);
-    assert(Assigns[VN].Epoch == CurEpoch && "use before definition");
-    return ValuePartRef(this, V, VN, Part, /*IsUse=*/true);
+    Assignment &As = Assigns[VN];
+    assert(As.Epoch == CurEpoch && "use before definition");
+    return ValuePartRef(this, V, VN, &As, Part, /*IsUse=*/true);
   }
 
   /// Handle for result \p Part of value \p V (a definition).
   ValuePartRef resultRef(ValRef V, u8 Part) {
     u32 VN = A.valNumber(V);
-    ensureAssignment(V, VN);
-    return ValuePartRef(this, V, VN, Part, /*IsUse=*/false);
+    return ValuePartRef(this, V, VN, &ensureAssignment(V, VN), Part,
+                        /*IsUse=*/false);
   }
 
   /// Result handle that tries to reuse \p Op's register when this is its
@@ -416,8 +411,8 @@ public:
   /// has a register holding the operand value, ready to be overwritten.
   ValuePartRef resultRefReuse(ValRef V, u8 Part, ValuePartRef &&Op) {
     ValuePartRef Res = resultRef(V, Part);
-    ValuePart &RP = Assigns[Res.VN].Parts[Part];
-    if (!RP.inReg() && !Op.isConstLike() && Op.canReuseReg() && Op.hasReg() &&
+    ValuePart &RP = Res.As->Parts[Part];
+    if (!RP.inReg() && Op.canReuseReg() && Op.hasReg() &&
         Op.bank() == Res.bank()) {
       // Transfer the register from the dying operand to the result.
       Reg R = Op.curReg();
@@ -425,7 +420,7 @@ public:
         Regs.unlock(R);
         Op.Locked = false;
       }
-      Assigns[Op.VN].Parts[Op.Part].RegId = 0xFF;
+      Op.As->Parts[Op.Part].RegId = 0xFF;
       Regs.markFree(R);
       Regs.markUsed(R, Res.VN, Part);
       RP.RegId = R.Id;
@@ -630,8 +625,7 @@ public:
     CCAssigner<Config> CC;
     for (ValRef V : A.funcArgs()) {
       u32 VN = A.valNumber(V);
-      ensureAssignment(V, VN);
-      Assignment &As = Assigns[VN];
+      Assignment &As = ensureAssignment(V, VN);
       const u8 N = As.PartCount;
       if (N > Assignment::MaxParts)
         TPDE_UNREACHABLE("too many value parts");
@@ -654,7 +648,7 @@ public:
         }
       }
       if (As.RefCount == 0)
-        freeValue(VN);
+        freeValue(As);
     }
   }
 
@@ -754,8 +748,7 @@ public:
     if (Result) {
       ValRef RV = *Result;
       u32 VN = A.valNumber(RV);
-      ensureAssignment(RV, VN);
-      Assignment &As = Assigns[VN];
+      Assignment &As = ensureAssignment(RV, VN);
       if (As.RefCount != 0) {
         u8 GPUsed = 0, FPUsed = 0;
         for (u8 P = 0; P < As.PartCount; ++P) {
@@ -956,8 +949,10 @@ public:
       if (!KeepRegs)
         resetRegisterState();
       sweepFixedRegs();
-      for (auto I : A.blockInsts(An.block(B).Ref))
-        if (!derived()->compileInst(I))
+      auto Insts = A.blockInsts(An.block(B).Ref);
+      CurInstEnd = Insts.data() + Insts.size();
+      for (CurInst = Insts.data(); CurInst != CurInstEnd; ++CurInst)
+        if (!derived()->compileInst(*CurInst))
           return false;
       PrevFallsThrough = blockFallsThrough(B);
     }
@@ -972,65 +967,81 @@ public:
 
   Assignment &assignment(u32 VN) { return Assigns[VN]; }
 
-  void ensureAssignment(ValRef V, u32 VN) {
+  /// The instruction after the one being compiled, within the current
+  /// block; null while compiling the block's last instruction. Instruction
+  /// compilers use it for fusion (§3.4.4: they "will only want to look at
+  /// immediately following instructions; the framework provides access to
+  /// this list").
+  const ValRef *nextInst() const {
+    return CurInst + 1 != CurInstEnd ? CurInst + 1 : nullptr;
+  }
+
+  /// Returns the current function's assignment of \p V, initializing it
+  /// at the value's first touch in this function (epoch mismatch).
+  Assignment &ensureAssignment(ValRef V, u32 VN) {
     Assignment &As = Assigns[VN];
-    if (As.Epoch == CurEpoch)
-      return;
+    if (As.Epoch != CurEpoch)
+      initAssignment(V, VN, As);
+    return As;
+  }
+
+  void initAssignment(ValRef V, u32 VN, Assignment &As) {
+    const auto &LR = An.liveness(VN);
     As.Epoch = CurEpoch;
     As.PartCount = static_cast<u8>(A.valPartCount(V));
     assert(As.PartCount <= Assignment::MaxParts && "too many value parts");
-    As.RefCount = An.liveness(VN).RefCount;
+    As.RefCount = LR.RefCount;
+    // Same predicate as Analyzer::rangeEndsInBlock, as one comparison.
+    As.FreeFrom = LR.Last + (LR.LastFull ? 1 : 0);
     As.FrameOff = 0;
-    for (u8 P = 0; P < As.PartCount; ++P)
-      As.Parts[P] = ValuePart{};
+    for (ValuePart &P : As.Parts)
+      P = ValuePart{};
     // Fixed-register heuristic (§3.4.5): multi-block live range fully
     // inside the innermost loop of the definition.
-    const auto &LR = An.liveness(VN);
+    if (LR.Last == LR.First || DisableFixedRegHeuristic)
+      return;
     u32 Loop = An.block(LR.First).Loop;
-    if (!DisableFixedRegHeuristic && Loop != 0 && LR.Last > LR.First &&
-        LR.Last <= An.loop(Loop).End) {
-      for (u8 P = 0; P < As.PartCount; ++P) {
-        u8 Bank = A.valPartBank(V, P);
-        u32 Pool = FixedPoolFree[Bank] & ~Regs.usedMask(Bank);
-        if (!Pool)
-          continue; // only currently-free pool registers
-        u8 Idx = static_cast<u8>(countTrailingZeros(Pool));
-        Reg R(Config::regId(Bank, Idx));
-        FixedPoolFree[Bank] &= ~(u32(1) << Idx);
-        Regs.markUsed(R, VN, P);
-        Regs.markFixed(R);
-        As.Parts[P].RegId = R.Id;
-        As.Parts[P].Flags |= ValuePart::FixedReg;
-        UsedCalleeSaved[Bank] |= u32(1) << Idx;
-      }
-      FixedActive.push_back(VN);
+    if (Loop == 0 || LR.Last > An.loop(Loop).End)
+      return;
+    for (u8 P = 0; P < As.PartCount; ++P) {
+      u8 Bank = A.valPartBank(V, P);
+      u32 Pool = FixedPoolFree[Bank] & ~Regs.usedMask(Bank);
+      if (!Pool)
+        continue; // only currently-free pool registers
+      u8 Idx = static_cast<u8>(countTrailingZeros(Pool));
+      Reg R(Config::regId(Bank, Idx));
+      FixedPoolFree[Bank] &= ~(u32(1) << Idx);
+      Regs.markUsed(R, VN, P);
+      Regs.markFixed(R);
+      As.Parts[P].RegId = R.Id;
+      As.Parts[P].Flags |= ValuePart::FixedReg;
+      UsedCalleeSaved[Bank] |= u32(1) << Idx;
     }
+    FixedActive.push_back(VN);
   }
 
   /// Allocates a register in \p Bank (free or by eviction); raw: the
   /// caller must mark it used.
   Reg allocRegRaw(u8 Bank, u32 AllowMask = ~0u) {
     Reg R = Regs.findFree(Bank, AllowMask);
-    if (!R.isValid()) {
-      R = Regs.pickEvictionCandidate(Bank, AllowMask);
-      assert(R.isValid() && "all registers locked/fixed");
-      u32 Owner = Regs.ownerVal(R);
-      assert(Owner != ~0u && "unowned used register");
-      spillPart(Owner, Regs.ownerPart(R));
-      Assigns[Owner].Parts[Regs.ownerPart(R)].RegId = 0xFF;
-      Regs.markFree(R);
-    }
+    if (!R.isValid())
+      R = evictForAlloc(Bank, AllowMask);
     u8 Idx = Config::idxOf(R.Id);
     if ((Config::CalleeSaved[Bank] >> Idx) & 1)
       UsedCalleeSaved[Bank] |= u32(1) << Idx;
     return R;
   }
 
-  /// Allocates a register for (VN, Part) and records ownership.
-  Reg allocPartReg(u32 VN, u8 Part, u8 Bank) {
+  /// Frees a register of \p Bank for allocRegRaw by spilling the owner of
+  /// the round-robin eviction candidate (defined out of line).
+  Reg evictForAlloc(u8 Bank, u32 AllowMask);
+
+  /// Allocates a register for part \p Part of value \p VN (assignment
+  /// \p As) and records ownership.
+  Reg allocPartReg(Assignment &As, u32 VN, u8 Part, u8 Bank) {
     Reg R = allocRegRaw(Bank);
     Regs.markUsed(R, VN, Part);
-    Assigns[VN].Parts[Part].RegId = R.Id;
+    As.Parts[Part].RegId = R.Id;
     return R;
   }
 
@@ -1047,33 +1058,36 @@ public:
     P.Flags |= ValuePart::StackValid;
   }
 
-  void decRef(u32 VN) {
-    Assignment &As = Assigns[VN];
+  void decRef(Assignment &As) {
     assert(As.RefCount > 0 && "use count underflow");
-    if (--As.RefCount == 0 && An.rangeEndsInBlock(VN, CurBlock))
-      freeValue(VN);
+    if (--As.RefCount == 0 && CurBlock >= As.FreeFrom)
+      freeValue(As);
   }
 
   /// Releases all registers and the frame slot of a dead value.
-  void freeValue(u32 VN) {
-    Assignment &As = Assigns[VN];
-    for (u8 P = 0; P < As.PartCount; ++P) {
-      ValuePart &Part = As.Parts[P];
-      if (Part.inReg()) {
-        Reg R(Part.RegId);
-        if (Regs.isLocked(R))
-          continue; // freed when the last reference drops
-        if (Part.isFixed())
-          FixedPoolFree[Config::bankOf(R.Id)] |= u32(1) << Config::idxOf(R.Id);
-        Regs.markFree(R);
-        Part.RegId = 0xFF;
-        Part.Flags &= ~ValuePart::FixedReg;
-      }
-    }
+  void freeValue(Assignment &As) {
+    freePartReg(As.Parts[0]);
+    if (As.PartCount > 1)
+      freePartReg(As.Parts[1]);
     if (As.hasSlot()) {
       Frame.release(As.FrameOff, As.PartCount > 1 ? 16 : 8);
       As.FrameOff = 0;
     }
+  }
+
+  /// Frees the register of a dead value's part unless a live reference
+  /// still locks it (then the last reference to drop frees it).
+  void freePartReg(ValuePart &Part) {
+    if (!Part.inReg())
+      return;
+    Reg R(Part.RegId);
+    if (Regs.isLocked(R))
+      return;
+    if (Part.isFixed())
+      FixedPoolFree[Config::bankOf(R.Id)] |= u32(1) << Config::idxOf(R.Id);
+    Regs.markFree(R);
+    Part.RegId = 0xFF;
+    Part.Flags &= ~ValuePart::FixedReg;
   }
 
   /// Clears all non-fixed register associations (block entry with unknown
@@ -1244,7 +1258,7 @@ public:
 
     for (ValRef Phi : Phis) {
       u32 PhiVN = A.valNumber(Phi);
-      ensureAssignment(Phi, PhiVN);
+      Assignment &PhiAs = ensureAssignment(Phi, PhiVN);
       ValRef In{};
       bool Found = false;
       u32 NumInc = A.phiIncomingCount(Phi);
@@ -1258,7 +1272,6 @@ public:
       }
       assert(Found && "no phi incoming for this edge");
       (void)Found;
-      Assignment &PhiAs = Assigns[PhiVN];
       bool SelfRef = !A.isConstLike(In) && A.valNumber(In) == PhiVN;
 
       if (SelfRef) {
@@ -1274,7 +1287,7 @@ public:
             DP.Flags |= ValuePart::StackValid;
           }
         }
-        decRef(PhiVN);
+        decRef(PhiAs);
         continue;
       }
 
@@ -1380,6 +1393,10 @@ protected:
   u32 FixedPoolFree[Config::NumBanks] = {};
   u32 UsedCalleeSaved[Config::NumBanks] = {};
   u32 CurBlock = 0;
+  /// The instruction being compiled and the end of its block's
+  /// instruction span (nextInst()).
+  const ValRef *CurInst = nullptr;
+  const ValRef *CurInstEnd = nullptr;
   /// Current function epoch for lazy Assigns invalidation (never 0).
   u32 CurEpoch = 0;
   /// Epoch of the funcSym()/global-symbol caches; bumped by every compile
@@ -1388,6 +1405,42 @@ protected:
   /// compile bumps before any lookup.
   u64 SymEpoch = 0;
 };
+
+template <IRAdapter Adapter, typename Derived, typename Config>
+Reg CompilerBase<Adapter, Derived, Config>::evictForAlloc(u8 Bank,
+                                                          u32 AllowMask) {
+  Reg R = Regs.pickEvictionCandidate(Bank, AllowMask);
+  assert(R.isValid() && "all registers locked/fixed");
+  u32 Owner = Regs.ownerVal(R);
+  assert(Owner != ~0u && "unowned used register");
+  spillPart(Owner, Regs.ownerPart(R));
+  Assigns[Owner].Parts[Regs.ownerPart(R)].RegId = 0xFF;
+  Regs.markFree(R);
+  return R;
+}
+
+/// Loads a spilled part into a fresh register; returns its id.
+template <IRAdapter Adapter, typename Derived, typename Config>
+u8 CompilerBase<Adapter, Derived, Config>::ValuePartRef::reload() {
+  Reg R = C->allocPartReg(*As, VN, Part, Bank);
+  assert(As->Parts[Part].stackValid() &&
+         "value lost: neither register nor stack");
+  C->derived()->emitSlotLoad(Bank, 8, R, As->FrameOff + 8 * Part);
+  return R.Id;
+}
+
+/// Materializes a constant-like value into a locked temporary (once per
+/// reference).
+template <IRAdapter Adapter, typename Derived, typename Config>
+Reg CompilerBase<Adapter, Derived, Config>::ValuePartRef::materialize() {
+  if (!TmpReg.isValid()) {
+    TmpReg = C->allocRegRaw(Bank);
+    C->Regs.markUsed(TmpReg, ~0u, 0);
+    C->Regs.lock(TmpReg);
+    C->derived()->materializeConstLike(Val, Part, TmpReg);
+  }
+  return TmpReg;
+}
 
 /// The one-shot module compile behind every back-end's convenience entry
 /// point (tpde_tir::compileModuleX64/A64, uir::compileTpdeUir). With

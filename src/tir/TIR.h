@@ -25,7 +25,7 @@ namespace tpde::tir {
 enum class Type : u8 { Void, I1, I8, I16, I32, I64, I128, F32, F64, Ptr };
 
 /// Size of a type in bytes (Void is 0).
-inline u32 typeSize(Type T) {
+constexpr u32 typeSize(Type T) {
   switch (T) {
   case Type::Void:
     return 0;
@@ -49,7 +49,9 @@ inline u32 typeSize(Type T) {
   TPDE_UNREACHABLE("bad type");
 }
 
-inline bool isFloatType(Type T) { return T == Type::F32 || T == Type::F64; }
+constexpr bool isFloatType(Type T) {
+  return T == Type::F32 || T == Type::F64;
+}
 inline bool isIntType(Type T) {
   return T >= Type::I1 && T <= Type::I128;
 }
@@ -206,7 +208,7 @@ struct Module {
 /// Number of register-allocator parts of a TIR value (paper §3.1.2).
 inline u32 partCount(Type T) { return T == Type::I128 ? 2 : 1; }
 /// Size in bytes of part \p P of a value of type \p T.
-inline u32 partSize(Type T, u32 P) {
+constexpr u32 partSize(Type T, u32 P) {
   if (T == Type::I128)
     return 8;
   return typeSize(T);

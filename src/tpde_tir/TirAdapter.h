@@ -15,6 +15,7 @@
 #include "core/Adapter.h"
 #include "tir/TIR.h"
 
+#include <array>
 #include <span>
 
 namespace tpde::tpde_tir {
@@ -32,6 +33,8 @@ public:
       if (F.Blocks.size() > MaxBlocks)
         MaxBlocks = static_cast<u32>(F.Blocks.size());
     }
+    StackVarIdx.resize(MaxValues);
+    Meta.resize(MaxValues);
   }
 
   /// Capacity hints (largest function of the module): the framework uses
@@ -65,41 +68,27 @@ public:
   void switchFunc(FuncRef FR) {
     F = &M.Funcs[FR];
     const u32 N = static_cast<u32>(F->Values.size());
-    Next.reserve(MaxValues);
-    StackVarIdx.reserve(MaxValues);
-    Meta.reserve(MaxValues);
-    // Next-instruction table for fusion decisions (§3.4.4: "instruction
-    // compilers will only want to look at immediately following
-    // instructions; the framework provides access to this list").
-    Next.assign(N, tir::InvalidRef);
-    for (const tir::Block &B : F->Blocks)
-      for (size_t I = 0; I + 1 < B.Insts.size(); ++I)
-        Next[B.Insts[I]] = B.Insts[I + 1];
-    // Stack-variable index of a value.
-    StackVarIdx.assign(N, ~0u);
+    // Both tables are sized for the module's largest function up front;
+    // this grows them only for a module refilled after construction (a
+    // service worker's module slot).
+    if (Meta.size() < N) {
+      Meta.resize(N);
+      StackVarIdx.resize(N);
+    }
+    // Stack-variable index of a value; only stack-variable slots are
+    // ever read, so only they are written.
     for (u32 I = 0; I < F->StackVars.size(); ++I)
       StackVarIdx[F->StackVars[I]] = I;
     // Dense per-value metadata byte: the analysis and value machinery
     // query part count/size/bank and const-likeness for random values on
-    // every use; one sequential pass here turns those into single-byte
-    // reads instead of strided Value fetches (docs/PERF.md).
-    Meta.resize(N);
-    for (u32 I = 0; I < N; ++I) {
-      const tir::Value &V = F->Values[I];
-      u8 B = static_cast<u8>(tir::partSize(V.Ty, 0) & MetaSizeMask);
-      if (V.Kind == tir::ValKind::ConstInt ||
-          V.Kind == tir::ValKind::ConstFP ||
-          V.Kind == tir::ValKind::GlobalAddr ||
-          V.Kind == tir::ValKind::StackVar)
-        B |= MetaConstLike;
-      if (V.Kind == tir::ValKind::ConstInt)
-        B |= MetaConstInt;
-      if (V.Ty == tir::Type::I128)
-        B |= MetaTwoParts;
-      if (tir::isFloatType(V.Ty))
-        B |= MetaFpBank;
-      Meta[I] = B;
-    }
+    // every use; one sequential pass of two table lookups here turns
+    // those into single-byte reads instead of strided Value fetches
+    // (docs/PERF.md).
+    const tir::Value *Vals = F->Values.data();
+    u8 *Out = Meta.data();
+    for (u32 I = 0; I < N; ++I)
+      Out[I] = TypeMeta[static_cast<u8>(Vals[I].Ty)] |
+               KindMeta[static_cast<u8>(Vals[I].Kind)];
   }
   void finalizeFunc() {}
 
@@ -149,7 +138,7 @@ public:
 
   // --- Extras used by the TIR instruction compilers -----------------------
   const tir::Value &val(ValRef V) const { return F->val(V); }
-  ValRef nextInst(ValRef V) const { return Next[V]; }
+  /// Index of stack variable \p V in the current function's StackVars.
   u32 stackVarIdx(ValRef V) const { return StackVarIdx[V]; }
 
 private:
@@ -161,9 +150,31 @@ private:
   static constexpr u8 MetaFpBank = 0x40;
   static constexpr u8 MetaConstInt = 0x80;
 
+  /// Metadata bits by type: part-0 size, two parts, FP bank.
+  static constexpr auto TypeMeta = [] {
+    std::array<u8, static_cast<u8>(tir::Type::Ptr) + 1> T{};
+    for (u8 I = 0; I < T.size(); ++I) {
+      auto Ty = static_cast<tir::Type>(I);
+      T[I] = static_cast<u8>(tir::partSize(Ty, 0) & MetaSizeMask);
+      if (Ty == tir::Type::I128)
+        T[I] |= MetaTwoParts;
+      if (tir::isFloatType(Ty))
+        T[I] |= MetaFpBank;
+    }
+    return T;
+  }();
+  /// Metadata bits by value kind: const-like, integer constant.
+  static constexpr auto KindMeta = [] {
+    std::array<u8, static_cast<u8>(tir::ValKind::Inst) + 1> T{};
+    T[static_cast<u8>(tir::ValKind::StackVar)] = MetaConstLike;
+    T[static_cast<u8>(tir::ValKind::ConstInt)] = MetaConstLike | MetaConstInt;
+    T[static_cast<u8>(tir::ValKind::ConstFP)] = MetaConstLike;
+    T[static_cast<u8>(tir::ValKind::GlobalAddr)] = MetaConstLike;
+    return T;
+  }();
+
   tir::Module &M;
   tir::Function *F = nullptr;
-  std::vector<ValRef> Next;
   std::vector<u32> StackVarIdx;
   std::vector<u8> Meta;
   u32 MaxValues = 0;

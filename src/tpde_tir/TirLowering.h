@@ -68,10 +68,9 @@ public:
 
   void defineGlobals() {
     // Constant-pool symbols refer into the assembler's symbol table,
-    // which restarts per compile (capacity retained). Sizing the fusion
-    // marks here, once per compile, keeps beginFunc allocation-free.
+    // which restarts per compile (capacity retained).
     FpPool.clear();
-    Fused.reserve(this->A.maxValueCount());
+    sizeFusionMarks(this->A.maxValueCount());
     defineTirGlobals(this->Asm, this->A.module(), GlobalSyms,
                      this->moduleSymEpoch());
   }
@@ -81,7 +80,7 @@ public:
   /// reference, so a shard only pays for globals it touches.
   void declareGlobals() {
     FpPool.clear();
-    Fused.reserve(this->A.maxValueCount());
+    sizeFusionMarks(this->A.maxValueCount());
     GlobalSyms.prepare(this->A.module());
   }
 
@@ -101,7 +100,13 @@ public:
 
   void beginFunc(asmx::SymRef Sym) {
     TargetBase::beginFunc(Sym);
-    Fused.assign(this->A.valueCount(), 0);
+    // Only the previous function's marks are cleared, not the table. The
+    // guard covers an adapter whose capacity hint predates its module (a
+    // service worker's module slot is refilled per job).
+    for (tir::ValRef V : FusedMarks)
+      Fused[V] = 0;
+    FusedMarks.clear();
+    sizeFusionMarks(this->A.valueCount());
   }
 
   // =====================================================================
@@ -225,12 +230,11 @@ protected:
   bool compileICmp(tir::ValRef I, const tir::Value &V) {
     // Compare-branch fusion (§5.1.2): if the single user is the condbr
     // immediately following, defer to the branch.
-    tir::ValRef Nxt = this->A.nextInst(I);
-    if (!DisableFusion && Nxt != tir::InvalidRef &&
-        this->analyzer().liveness(I).RefCount == 1) {
-      const tir::Value &NV = this->A.val(Nxt);
+    const tir::ValRef *Nxt = this->nextInst();
+    if (!DisableFusion && Nxt && this->analyzer().liveness(I).RefCount == 1) {
+      const tir::Value &NV = this->A.val(*Nxt);
       if (NV.Opcode == tir::Op::CondBr && fn().operand(NV, 0) == I) {
-        Fused[I] = 1;
+        markFused(I);
         return true;
       }
     }
@@ -248,16 +252,16 @@ protected:
   bool tryFusePtrAdd(tir::ValRef I, const tir::Value &V) {
     if (DisableFusion || this->analyzer().liveness(I).RefCount != 1)
       return false;
-    tir::ValRef Nxt = this->A.nextInst(I);
-    if (Nxt == tir::InvalidRef)
+    const tir::ValRef *Nxt = this->nextInst();
+    if (!Nxt)
       return false;
-    const tir::Value &NV = this->A.val(Nxt);
+    const tir::Value &NV = this->A.val(*Nxt);
     bool IsLoad = NV.Opcode == tir::Op::Load && fn().operand(NV, 0) == I;
     bool IsStore = NV.Opcode == tir::Op::Store && fn().operand(NV, 1) == I &&
                    fn().operand(NV, 0) != I;
     if ((!IsLoad && !IsStore) || !this->derived()->addrModeFits(V, NV))
       return false;
-    Fused[I] = 1;
+    markFused(I);
     return true;
   }
 
@@ -266,9 +270,8 @@ protected:
     tir::ValRef CV = fn().operand(V, 0);
     // A fused compare sets the flags right here; otherwise the i1 value's
     // bit 0 is tested.
-    auto CC = CV < Fused.size() && Fused[CV]
-                  ? this->derived()->emitICmpFlags(this->A.val(CV))
-                  : testBool(CV);
+    auto CC = Fused[CV] ? this->derived()->emitICmpFlags(this->A.val(CV))
+                        : testBool(CV);
     this->generateCondBranch(B.Succs[0], B.Succs[1],
                              [&](asmx::Label L, bool Inv) {
                                this->derived()->emitCondJump(
@@ -283,9 +286,26 @@ protected:
 
   TirGlobalSyms GlobalSyms;
   support::DenseMap<u64, asmx::SymRef> FpPool;
+  /// Per-value fusion mark of the current function, and the values marked
+  /// so far (cleared at the next function's start).
   std::vector<u8> Fused;
+  std::vector<tir::ValRef> FusedMarks;
 
 private:
+  void markFused(tir::ValRef I) {
+    Fused[I] = 1;
+    FusedMarks.push_back(I);
+  }
+  /// Grows the mark table (all zero) to cover \p N values; never shrinks.
+  void sizeFusionMarks(u32 N) {
+    if (Fused.size() >= N)
+      return;
+    Fused.resize(N, 0);
+    // A fused instruction's single user is the next instruction, which is
+    // never fused itself: at most every other value is marked.
+    FusedMarks.reserve(N / 2 + 1);
+  }
+
   auto testBool(tir::ValRef CV) {
     VPR Cond = this->valRef(CV, 0);
     return this->derived()->emitTestBit0(Cond.asReg());

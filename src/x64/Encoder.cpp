@@ -1,9 +1,11 @@
 //===- x64/Encoder.cpp - x86-64 instruction encoder ----------------------===//
 //
 // Every public method batches its instruction bytes through the section
-// write cursor (Emitter::begin/put/commit): space for the longest possible
-// encoding is reserved up front, bytes are raw stores, and the final
-// length is committed once — one bounds check per instruction.
+// write cursor: space for the longest possible encoding is reserved up
+// front (Emitter::begin), bytes are raw stores through a cursor held in a
+// local, and the final length is committed once (Emitter::commit) — one
+// bounds check per instruction. The byte helpers below take that local by
+// reference and inline, so the cursor stays in a register.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,7 +15,26 @@ using namespace tpde;
 using namespace tpde::asmx;
 using namespace tpde::x64;
 
-void Emitter::rex(bool W, u8 RegId, u8 IdxId, u8 BaseId, bool Force) {
+namespace {
+
+inline void put(u8 *&P, u8 B) { *P++ = B; }
+
+template <typename V> inline void putLE(u8 *&P, V Val) {
+  static_assert(std::is_integral_v<V>);
+  for (unsigned I = 0; I < sizeof(V); ++I)
+    P[I] = static_cast<u8>(static_cast<u64>(Val) >> (8 * I));
+  P += sizeof(V);
+}
+
+inline void opSizePrefix(u8 *&P, u8 Sz) {
+  if (Sz == 2)
+    put(P, 0x66);
+}
+
+/// Emits a REX prefix if required. \p RegId/\p IdxId/\p BaseId are full
+/// register ids (0xFF if absent); \p Force handles SPL/BPL/SIL/DIL.
+inline void rex(u8 *&P, bool W, u8 RegId, u8 IdxId, u8 BaseId,
+                bool Force = false) {
   u8 Rex = 0x40;
   if (W)
     Rex |= 0x08;
@@ -24,30 +45,35 @@ void Emitter::rex(bool W, u8 RegId, u8 IdxId, u8 BaseId, bool Force) {
   if (BaseId != 0xFF && (BaseId & 0x8))
     Rex |= 0x01;
   if (Rex != 0x40 || Force)
-    put(Rex);
+    put(P, Rex);
 }
 
-void Emitter::modRMReg(u8 RegField, u8 RmReg) {
-  put(0xC0 | ((RegField & 7) << 3) | (RmReg & 7));
+inline bool rex8Needed(AsmReg R) { return R.bank() == 0 && R.hw() >= 4; }
+
+inline void modRMReg(u8 *&P, u8 RegField, u8 RmReg) {
+  put(P, 0xC0 | ((RegField & 7) << 3) | (RmReg & 7));
 }
 
-void Emitter::modRMMem(u8 RegField, const Mem &M) {
+/// ModRM (+ SIB + displacement) for a memory operand. Takes and returns
+/// the cursor by value so it stays in a register whether or not the call
+/// is inlined.
+u8 *modRMMem(u8 *P, u8 RegField, const Mem &M) {
   const u8 Reg = (RegField & 7) << 3;
   if (!M.Base.isValid() && !M.Index.isValid()) {
     // Absolute 32-bit address: mod=00, rm=100, SIB base=101 index=100.
-    put(Reg | 0x04);
-    put(0x25);
-    putLE<i32>(M.Disp);
-    return;
+    put(P, Reg | 0x04);
+    put(P, 0x25);
+    putLE<i32>(P, M.Disp);
+    return P;
   }
   if (!M.Base.isValid()) {
     // Index-only: mod=00 rm=100, SIB with base=101 forces disp32.
     assert(M.Index.hw() != 4 && "RSP cannot be an index register");
     u8 ScaleBits = M.Scale == 1 ? 0 : M.Scale == 2 ? 1 : M.Scale == 4 ? 2 : 3;
-    put(Reg | 0x04);
-    put(static_cast<u8>((ScaleBits << 6) | ((M.Index.hw() & 7) << 3) | 0x05));
-    putLE<i32>(M.Disp);
-    return;
+    put(P, Reg | 0x04);
+    put(P, static_cast<u8>((ScaleBits << 6) | ((M.Index.hw() & 7) << 3) | 0x05));
+    putLE<i32>(P, M.Disp);
+    return P;
   }
 
   const u8 BaseLow = M.Base.hw() & 7;
@@ -62,26 +88,42 @@ void Emitter::modRMMem(u8 RegField, const Mem &M) {
     Mod = 0x80;
 
   if (!NeedSib) {
-    put(Mod | Reg | BaseLow);
+    put(P, Mod | Reg | BaseLow);
   } else {
     assert((!M.Index.isValid() || M.Index.hw() != 4) &&
            "RSP cannot be an index register");
     u8 ScaleBits = M.Scale == 1 ? 0 : M.Scale == 2 ? 1 : M.Scale == 4 ? 2 : 3;
     u8 IdxLow = M.Index.isValid() ? (M.Index.hw() & 7) : 4;
-    put(Mod | Reg | 0x04);
-    put(static_cast<u8>((ScaleBits << 6) | (IdxLow << 3) | BaseLow));
+    put(P, Mod | Reg | 0x04);
+    put(P, static_cast<u8>((ScaleBits << 6) | (IdxLow << 3) | BaseLow));
   }
   if (Mod == 0x40)
-    put(static_cast<u8>(M.Disp));
+    put(P, static_cast<u8>(M.Disp));
   else if (Mod == 0x80)
-    putLE<i32>(M.Disp);
+    putLE<i32>(P, M.Disp);
+  return P;
 }
 
-void Emitter::modRMRip(u8 RegField, SymRef S, i64 Addend) {
-  put(((RegField & 7) << 3) | 0x05);
-  u64 Off = off();
-  putLE<i32>(0);
-  // P points at the displacement field; the CPU adds from the end of the
+/// The one-operand F6/F7 group (mul/div/idiv/neg/not): opcode and
+/// /digit only differ.
+inline void group3(u8 *&P, u8 Sz, u8 Digit, AsmReg R) {
+  opSizePrefix(P, Sz);
+  rex(P, Sz == 8, 0, 0xFF, R.Id, Sz == 1 && rex8Needed(R));
+  put(P, Sz == 1 ? 0xF6 : 0xF7);
+  modRMReg(P, Digit, R.Id);
+}
+
+u8 aluBase(AluOp Op) { return static_cast<u8>(Op) << 3; }
+
+} // namespace
+
+void Emitter::modRMRip(u8 *&Cur, u8 RegField, SymRef S, i64 Addend) {
+  u8 *P = Cur;
+  put(P, ((RegField & 7) << 3) | 0x05);
+  u64 Off = T.cursorOffset(P);
+  putLE<i32>(P, 0);
+  Cur = P;
+  // Off is the displacement field; the CPU adds from the end of the
   // instruction, which for all our uses is the end of the 4 disp bytes.
   A.addReloc(SecKind::Text, Off, RelocKind::PC32, S, Addend - 4);
 }
@@ -90,43 +132,42 @@ void Emitter::modRMRip(u8 RegField, SymRef S, i64 Addend) {
 
 void Emitter::movRR(u8 Sz, AsmReg Dst, AsmReg Src) {
   assert(Dst.bank() == 0 && Src.bank() == 0 && "GP registers expected");
-  begin();
-  opSizePrefix(Sz);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
   bool F8 = Sz == 1 && (rex8Needed(Dst) || rex8Needed(Src));
-  rex(Sz == 8, Src.Id, 0xFF, Dst.Id, F8);
-  put(Sz == 1 ? 0x88 : 0x89);
-  modRMReg(Src.Id, Dst.Id);
-  commit();
+  rex(P, Sz == 8, Src.Id, 0xFF, Dst.Id, F8);
+  put(P, Sz == 1 ? 0x88 : 0x89);
+  modRMReg(P, Src.Id, Dst.Id);
+  commit(P);
 }
 
 void Emitter::movRI(AsmReg Dst, u64 Imm) {
-  begin();
+  u8 *P = begin();
   if (isUInt32(Imm)) {
     // mov r32, imm32 zero-extends to the full register.
-    rex(false, 0xFF, 0xFF, Dst.Id);
-    put(0xB8 | (Dst.hw() & 7));
-    putLE<u32>(static_cast<u32>(Imm));
+    rex(P, false, 0xFF, 0xFF, Dst.Id);
+    put(P, 0xB8 | (Dst.hw() & 7));
+    putLE<u32>(P, static_cast<u32>(Imm));
   } else if (isInt32(static_cast<i64>(Imm))) {
-    rex(true, 0, 0xFF, Dst.Id);
-    put(0xC7);
-    modRMReg(0, Dst.Id);
-    putLE<i32>(static_cast<i32>(Imm));
+    rex(P, true, 0, 0xFF, Dst.Id);
+    put(P, 0xC7);
+    modRMReg(P, 0, Dst.Id);
+    putLE<i32>(P, static_cast<i32>(Imm));
   } else {
-    rex(true, 0xFF, 0xFF, Dst.Id);
-    put(0xB8 | (Dst.hw() & 7));
-    putLE<u64>(Imm);
+    rex(P, true, 0xFF, 0xFF, Dst.Id);
+    put(P, 0xB8 | (Dst.hw() & 7));
+    putLE<u64>(P, Imm);
   }
-  commit();
+  commit(P);
 }
 
 void Emitter::load(u8 Sz, AsmReg Dst, Mem M) {
-  begin();
-  opSizePrefix(Sz);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
   bool F8 = Sz == 1 && rex8Needed(Dst);
-  rex(Sz == 8, Dst.Id, M.Index.Id, M.Base.Id, F8);
-  put(Sz == 1 ? 0x8A : 0x8B);
-  modRMMem(Dst.Id, M);
-  commit();
+  rex(P, Sz == 8, Dst.Id, M.Index.Id, M.Base.Id, F8);
+  put(P, Sz == 1 ? 0x8A : 0x8B);
+  commit(modRMMem(P, Dst.Id, M));
 }
 
 void Emitter::loadZext(u8 Sz, AsmReg Dst, Mem M) {
@@ -134,12 +175,11 @@ void Emitter::loadZext(u8 Sz, AsmReg Dst, Mem M) {
     load(Sz, Dst, M);
     return;
   }
-  begin();
-  rex(false, Dst.Id, M.Index.Id, M.Base.Id);
-  put(0x0F);
-  put(Sz == 1 ? 0xB6 : 0xB7);
-  modRMMem(Dst.Id, M);
-  commit();
+  u8 *P = begin();
+  rex(P, false, Dst.Id, M.Index.Id, M.Base.Id);
+  put(P, 0x0F);
+  put(P, Sz == 1 ? 0xB6 : 0xB7);
+  commit(modRMMem(P, Dst.Id, M));
 }
 
 void Emitter::loadSext(u8 Sz, AsmReg Dst, Mem M) {
@@ -147,462 +187,358 @@ void Emitter::loadSext(u8 Sz, AsmReg Dst, Mem M) {
     load(8, Dst, M);
     return;
   }
-  begin();
-  rex(true, Dst.Id, M.Index.Id, M.Base.Id);
+  u8 *P = begin();
+  rex(P, true, Dst.Id, M.Index.Id, M.Base.Id);
   if (Sz == 4) {
-    put(0x63); // movsxd
+    put(P, 0x63); // movsxd
   } else {
-    put(0x0F);
-    put(Sz == 1 ? 0xBE : 0xBF);
+    put(P, 0x0F);
+    put(P, Sz == 1 ? 0xBE : 0xBF);
   }
-  modRMMem(Dst.Id, M);
-  commit();
+  commit(modRMMem(P, Dst.Id, M));
 }
 
 void Emitter::store(u8 Sz, Mem M, AsmReg Src) {
-  begin();
-  opSizePrefix(Sz);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
   bool F8 = Sz == 1 && rex8Needed(Src);
-  rex(Sz == 8, Src.Id, M.Index.Id, M.Base.Id, F8);
-  put(Sz == 1 ? 0x88 : 0x89);
-  modRMMem(Src.Id, M);
-  commit();
+  rex(P, Sz == 8, Src.Id, M.Index.Id, M.Base.Id, F8);
+  put(P, Sz == 1 ? 0x88 : 0x89);
+  commit(modRMMem(P, Src.Id, M));
 }
 
 void Emitter::storeImm(u8 Sz, Mem M, i32 Imm) {
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, 0, M.Index.Id, M.Base.Id);
-  put(Sz == 1 ? 0xC6 : 0xC7);
-  modRMMem(0, M);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
+  rex(P, Sz == 8, 0, M.Index.Id, M.Base.Id);
+  put(P, Sz == 1 ? 0xC6 : 0xC7);
+  P = modRMMem(P, 0, M);
   if (Sz == 1)
-    put(static_cast<u8>(Imm));
+    put(P, static_cast<u8>(Imm));
   else if (Sz == 2)
-    putLE<i16>(static_cast<i16>(Imm));
+    putLE<i16>(P, static_cast<i16>(Imm));
   else
-    putLE<i32>(Imm);
-  commit();
+    putLE<i32>(P, Imm);
+  commit(P);
 }
 
 void Emitter::movzxRR(u8 SrcSz, AsmReg Dst, AsmReg Src) {
-  begin();
+  u8 *P = begin();
   if (SrcSz == 4) {
     // mov r32, r32 zero-extends.
-    rex(false, Src.Id, 0xFF, Dst.Id);
-    put(0x89);
-    modRMReg(Src.Id, Dst.Id);
+    rex(P, false, Src.Id, 0xFF, Dst.Id);
+    put(P, 0x89);
+    modRMReg(P, Src.Id, Dst.Id);
   } else {
     bool F8 = SrcSz == 1 && rex8Needed(Src);
-    rex(false, Dst.Id, 0xFF, Src.Id, F8);
-    put(0x0F);
-    put(SrcSz == 1 ? 0xB6 : 0xB7);
-    modRMReg(Dst.Id, Src.Id);
+    rex(P, false, Dst.Id, 0xFF, Src.Id, F8);
+    put(P, 0x0F);
+    put(P, SrcSz == 1 ? 0xB6 : 0xB7);
+    modRMReg(P, Dst.Id, Src.Id);
   }
-  commit();
+  commit(P);
 }
 
 void Emitter::movsxRR(u8 SrcSz, AsmReg Dst, AsmReg Src) {
-  begin();
+  u8 *P = begin();
   bool F8 = SrcSz == 1 && rex8Needed(Src);
-  rex(true, Dst.Id, 0xFF, Src.Id, F8);
+  rex(P, true, Dst.Id, 0xFF, Src.Id, F8);
   if (SrcSz == 4) {
-    put(0x63);
+    put(P, 0x63);
   } else {
-    put(0x0F);
-    put(SrcSz == 1 ? 0xBE : 0xBF);
+    put(P, 0x0F);
+    put(P, SrcSz == 1 ? 0xBE : 0xBF);
   }
-  modRMReg(Dst.Id, Src.Id);
-  commit();
+  modRMReg(P, Dst.Id, Src.Id);
+  commit(P);
 }
 
 void Emitter::lea(AsmReg Dst, Mem M) {
-  begin();
-  rex(true, Dst.Id, M.Index.Id, M.Base.Id);
-  put(0x8D);
-  modRMMem(Dst.Id, M);
-  commit();
+  u8 *P = begin();
+  rex(P, true, Dst.Id, M.Index.Id, M.Base.Id);
+  put(P, 0x8D);
+  commit(modRMMem(P, Dst.Id, M));
 }
 
 void Emitter::xchgRR(u8 Sz, AsmReg RegA, AsmReg RegB) {
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, RegA.Id, 0xFF, RegB.Id);
-  put(Sz == 1 ? 0x86 : 0x87);
-  modRMReg(RegA.Id, RegB.Id);
-  commit();
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
+  rex(P, Sz == 8, RegA.Id, 0xFF, RegB.Id);
+  put(P, Sz == 1 ? 0x86 : 0x87);
+  modRMReg(P, RegA.Id, RegB.Id);
+  commit(P);
 }
 
 // --- Integer arithmetic ----------------------------------------------------
 
-static u8 aluBase(AluOp Op) { return static_cast<u8>(Op) << 3; }
-
 void Emitter::aluRR(AluOp Op, u8 Sz, AsmReg Dst, AsmReg Src) {
-  begin();
-  opSizePrefix(Sz);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
   bool F8 = Sz == 1 && (rex8Needed(Dst) || rex8Needed(Src));
-  rex(Sz == 8, Src.Id, 0xFF, Dst.Id, F8);
-  put(aluBase(Op) + (Sz == 1 ? 0x00 : 0x01));
-  modRMReg(Src.Id, Dst.Id);
-  commit();
+  rex(P, Sz == 8, Src.Id, 0xFF, Dst.Id, F8);
+  put(P, aluBase(Op) + (Sz == 1 ? 0x00 : 0x01));
+  modRMReg(P, Src.Id, Dst.Id);
+  commit(P);
 }
 
 void Emitter::aluRI(AluOp Op, u8 Sz, AsmReg Dst, i64 Imm) {
-  begin();
-  opSizePrefix(Sz);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
   bool F8 = Sz == 1 && rex8Needed(Dst);
-  rex(Sz == 8, 0, 0xFF, Dst.Id, F8);
+  rex(P, Sz == 8, 0, 0xFF, Dst.Id, F8);
   u8 Digit = static_cast<u8>(Op);
   if (Sz == 1) {
-    put(0x80);
-    modRMReg(Digit, Dst.Id);
-    put(static_cast<u8>(Imm));
+    put(P, 0x80);
+    modRMReg(P, Digit, Dst.Id);
+    put(P, static_cast<u8>(Imm));
   } else if (isInt8(Imm)) {
-    put(0x83);
-    modRMReg(Digit, Dst.Id);
-    put(static_cast<u8>(Imm));
+    put(P, 0x83);
+    modRMReg(P, Digit, Dst.Id);
+    put(P, static_cast<u8>(Imm));
   } else {
-    put(0x81);
-    modRMReg(Digit, Dst.Id);
+    put(P, 0x81);
+    modRMReg(P, Digit, Dst.Id);
     if (Sz == 2) {
-      putLE<i16>(static_cast<i16>(Imm));
+      putLE<i16>(P, static_cast<i16>(Imm));
     } else {
       assert(isInt32(Imm) && "ALU immediate exceeds 32 bits");
-      putLE<i32>(static_cast<i32>(Imm));
+      putLE<i32>(P, static_cast<i32>(Imm));
     }
   }
-  commit();
+  commit(P);
 }
 
 void Emitter::aluRM(AluOp Op, u8 Sz, AsmReg Dst, Mem M) {
-  begin();
-  opSizePrefix(Sz);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
   bool F8 = Sz == 1 && rex8Needed(Dst);
-  rex(Sz == 8, Dst.Id, M.Index.Id, M.Base.Id, F8);
-  put(aluBase(Op) + (Sz == 1 ? 0x02 : 0x03));
-  modRMMem(Dst.Id, M);
-  commit();
+  rex(P, Sz == 8, Dst.Id, M.Index.Id, M.Base.Id, F8);
+  put(P, aluBase(Op) + (Sz == 1 ? 0x02 : 0x03));
+  commit(modRMMem(P, Dst.Id, M));
 }
 
 void Emitter::testRR(u8 Sz, AsmReg RegA, AsmReg RegB) {
-  begin();
-  opSizePrefix(Sz);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
   bool F8 = Sz == 1 && (rex8Needed(RegA) || rex8Needed(RegB));
-  rex(Sz == 8, RegB.Id, 0xFF, RegA.Id, F8);
-  put(Sz == 1 ? 0x84 : 0x85);
-  modRMReg(RegB.Id, RegA.Id);
-  commit();
+  rex(P, Sz == 8, RegB.Id, 0xFF, RegA.Id, F8);
+  put(P, Sz == 1 ? 0x84 : 0x85);
+  modRMReg(P, RegB.Id, RegA.Id);
+  commit(P);
 }
 
 void Emitter::testRI(u8 Sz, AsmReg R, i32 Imm) {
-  begin();
-  opSizePrefix(Sz);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
   bool F8 = Sz == 1 && rex8Needed(R);
-  rex(Sz == 8, 0, 0xFF, R.Id, F8);
-  put(Sz == 1 ? 0xF6 : 0xF7);
-  modRMReg(0, R.Id);
+  rex(P, Sz == 8, 0, 0xFF, R.Id, F8);
+  put(P, Sz == 1 ? 0xF6 : 0xF7);
+  modRMReg(P, 0, R.Id);
   if (Sz == 1)
-    put(static_cast<u8>(Imm));
+    put(P, static_cast<u8>(Imm));
   else if (Sz == 2)
-    putLE<i16>(static_cast<i16>(Imm));
+    putLE<i16>(P, static_cast<i16>(Imm));
   else
-    putLE<i32>(Imm);
-  commit();
+    putLE<i32>(P, Imm);
+  commit(P);
 }
 
 void Emitter::imulRR(u8 Sz, AsmReg Dst, AsmReg Src) {
   assert(Sz >= 2 && "8-bit imul must use the one-operand form");
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(0xAF);
-  modRMReg(Dst.Id, Src.Id);
-  commit();
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
+  rex(P, Sz == 8, Dst.Id, 0xFF, Src.Id);
+  put(P, 0x0F);
+  put(P, 0xAF);
+  modRMReg(P, Dst.Id, Src.Id);
+  commit(P);
 }
 
 void Emitter::imulRRI(u8 Sz, AsmReg Dst, AsmReg Src, i32 Imm) {
   assert(Sz >= 2 && "8-bit imul must use the one-operand form");
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, Dst.Id, 0xFF, Src.Id);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
+  rex(P, Sz == 8, Dst.Id, 0xFF, Src.Id);
   if (isInt8(Imm)) {
-    put(0x6B);
-    modRMReg(Dst.Id, Src.Id);
-    put(static_cast<u8>(Imm));
+    put(P, 0x6B);
+    modRMReg(P, Dst.Id, Src.Id);
+    put(P, static_cast<u8>(Imm));
   } else {
-    put(0x69);
-    modRMReg(Dst.Id, Src.Id);
+    put(P, 0x69);
+    modRMReg(P, Dst.Id, Src.Id);
     if (Sz == 2)
-      putLE<i16>(static_cast<i16>(Imm));
+      putLE<i16>(P, static_cast<i16>(Imm));
     else
-      putLE<i32>(Imm);
+      putLE<i32>(P, Imm);
   }
-  commit();
+  commit(P);
 }
 
-/// One-operand F6/F7 group (mul/imul/div/idiv/neg/not) shared encoding.
 void Emitter::mulR(u8 Sz, AsmReg Src) {
-  begin();
-  opSizePrefix(Sz);
-  bool F8 = Sz == 1 && rex8Needed(Src);
-  rex(Sz == 8, 0, 0xFF, Src.Id, F8);
-  put(Sz == 1 ? 0xF6 : 0xF7);
-  modRMReg(4, Src.Id);
-  commit();
-}
-
-void Emitter::imulR(u8 Sz, AsmReg Src) {
-  begin();
-  opSizePrefix(Sz);
-  bool F8 = Sz == 1 && rex8Needed(Src);
-  rex(Sz == 8, 0, 0xFF, Src.Id, F8);
-  put(Sz == 1 ? 0xF6 : 0xF7);
-  modRMReg(5, Src.Id);
-  commit();
+  u8 *P = begin();
+  group3(P, Sz, 4, Src);
+  commit(P);
 }
 
 void Emitter::divR(u8 Sz, AsmReg Src) {
-  begin();
-  opSizePrefix(Sz);
-  bool F8 = Sz == 1 && rex8Needed(Src);
-  rex(Sz == 8, 0, 0xFF, Src.Id, F8);
-  put(Sz == 1 ? 0xF6 : 0xF7);
-  modRMReg(6, Src.Id);
-  commit();
+  u8 *P = begin();
+  group3(P, Sz, 6, Src);
+  commit(P);
 }
 
 void Emitter::idivR(u8 Sz, AsmReg Src) {
-  begin();
-  opSizePrefix(Sz);
-  bool F8 = Sz == 1 && rex8Needed(Src);
-  rex(Sz == 8, 0, 0xFF, Src.Id, F8);
-  put(Sz == 1 ? 0xF6 : 0xF7);
-  modRMReg(7, Src.Id);
-  commit();
+  u8 *P = begin();
+  group3(P, Sz, 7, Src);
+  commit(P);
 }
 
 void Emitter::cwd(u8 Sz) {
-  begin();
-  opSizePrefix(Sz);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
   if (Sz == 8)
-    put(0x48);
-  put(0x99);
-  commit();
+    put(P, 0x48);
+  put(P, 0x99);
+  commit(P);
 }
 
 void Emitter::negR(u8 Sz, AsmReg R) {
-  begin();
-  opSizePrefix(Sz);
-  bool F8 = Sz == 1 && rex8Needed(R);
-  rex(Sz == 8, 0, 0xFF, R.Id, F8);
-  put(Sz == 1 ? 0xF6 : 0xF7);
-  modRMReg(3, R.Id);
-  commit();
+  u8 *P = begin();
+  group3(P, Sz, 3, R);
+  commit(P);
 }
 
 void Emitter::notR(u8 Sz, AsmReg R) {
-  begin();
-  opSizePrefix(Sz);
-  bool F8 = Sz == 1 && rex8Needed(R);
-  rex(Sz == 8, 0, 0xFF, R.Id, F8);
-  put(Sz == 1 ? 0xF6 : 0xF7);
-  modRMReg(2, R.Id);
-  commit();
+  u8 *P = begin();
+  group3(P, Sz, 2, R);
+  commit(P);
 }
 
 void Emitter::shiftRI(ShiftOp Op, u8 Sz, AsmReg R, u8 Imm) {
-  begin();
-  opSizePrefix(Sz);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
   bool F8 = Sz == 1 && rex8Needed(R);
-  rex(Sz == 8, 0, 0xFF, R.Id, F8);
+  rex(P, Sz == 8, 0, 0xFF, R.Id, F8);
   u8 Digit = static_cast<u8>(Op);
   if (Imm == 1) {
-    put(Sz == 1 ? 0xD0 : 0xD1);
-    modRMReg(Digit, R.Id);
+    put(P, Sz == 1 ? 0xD0 : 0xD1);
+    modRMReg(P, Digit, R.Id);
   } else {
-    put(Sz == 1 ? 0xC0 : 0xC1);
-    modRMReg(Digit, R.Id);
-    put(Imm);
+    put(P, Sz == 1 ? 0xC0 : 0xC1);
+    modRMReg(P, Digit, R.Id);
+    put(P, Imm);
   }
-  commit();
+  commit(P);
 }
 
 void Emitter::shiftRC(ShiftOp Op, u8 Sz, AsmReg R) {
-  begin();
-  opSizePrefix(Sz);
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
   bool F8 = Sz == 1 && rex8Needed(R);
-  rex(Sz == 8, 0, 0xFF, R.Id, F8);
-  put(Sz == 1 ? 0xD2 : 0xD3);
-  modRMReg(static_cast<u8>(Op), R.Id);
-  commit();
-}
-
-void Emitter::shldRRC(u8 Sz, AsmReg Dst, AsmReg Src) {
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, Src.Id, 0xFF, Dst.Id);
-  put(0x0F);
-  put(0xA5);
-  modRMReg(Src.Id, Dst.Id);
-  commit();
-}
-
-void Emitter::shrdRRC(u8 Sz, AsmReg Dst, AsmReg Src) {
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, Src.Id, 0xFF, Dst.Id);
-  put(0x0F);
-  put(0xAD);
-  modRMReg(Src.Id, Dst.Id);
-  commit();
+  rex(P, Sz == 8, 0, 0xFF, R.Id, F8);
+  put(P, Sz == 1 ? 0xD2 : 0xD3);
+  modRMReg(P, static_cast<u8>(Op), R.Id);
+  commit(P);
 }
 
 void Emitter::shldRRI(u8 Sz, AsmReg Dst, AsmReg Src, u8 Imm) {
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, Src.Id, 0xFF, Dst.Id);
-  put(0x0F);
-  put(0xA4);
-  modRMReg(Src.Id, Dst.Id);
-  put(Imm);
-  commit();
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
+  rex(P, Sz == 8, Src.Id, 0xFF, Dst.Id);
+  put(P, 0x0F);
+  put(P, 0xA4);
+  modRMReg(P, Src.Id, Dst.Id);
+  put(P, Imm);
+  commit(P);
 }
 
 void Emitter::shrdRRI(u8 Sz, AsmReg Dst, AsmReg Src, u8 Imm) {
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, Src.Id, 0xFF, Dst.Id);
-  put(0x0F);
-  put(0xAC);
-  modRMReg(Src.Id, Dst.Id);
-  put(Imm);
-  commit();
-}
-
-void Emitter::bsr(u8 Sz, AsmReg Dst, AsmReg Src) {
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(0xBD);
-  modRMReg(Dst.Id, Src.Id);
-  commit();
-}
-
-void Emitter::bsf(u8 Sz, AsmReg Dst, AsmReg Src) {
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(0xBC);
-  modRMReg(Dst.Id, Src.Id);
-  commit();
-}
-
-void Emitter::popcnt(u8 Sz, AsmReg Dst, AsmReg Src) {
-  begin();
-  put(0xF3);
-  opSizePrefix(Sz);
-  rex(Sz == 8, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(0xB8);
-  modRMReg(Dst.Id, Src.Id);
-  commit();
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
+  rex(P, Sz == 8, Src.Id, 0xFF, Dst.Id);
+  put(P, 0x0F);
+  put(P, 0xAC);
+  modRMReg(P, Src.Id, Dst.Id);
+  put(P, Imm);
+  commit(P);
 }
 
 // --- Flags and conditionals -------------------------------------------------
 
 void Emitter::setcc(Cond C, AsmReg Dst8) {
-  begin();
-  rex(false, 0, 0xFF, Dst8.Id, rex8Needed(Dst8));
-  put(0x0F);
-  put(0x90 | static_cast<u8>(C));
-  modRMReg(0, Dst8.Id);
-  commit();
+  u8 *P = begin();
+  rex(P, false, 0, 0xFF, Dst8.Id, rex8Needed(Dst8));
+  put(P, 0x0F);
+  put(P, 0x90 | static_cast<u8>(C));
+  modRMReg(P, 0, Dst8.Id);
+  commit(P);
 }
 
 void Emitter::cmovcc(Cond C, u8 Sz, AsmReg Dst, AsmReg Src) {
   assert(Sz >= 2 && "no 8-bit cmov");
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(0x40 | static_cast<u8>(C));
-  modRMReg(Dst.Id, Src.Id);
-  commit();
+  u8 *P = begin();
+  opSizePrefix(P, Sz);
+  rex(P, Sz == 8, Dst.Id, 0xFF, Src.Id);
+  put(P, 0x0F);
+  put(P, 0x40 | static_cast<u8>(C));
+  modRMReg(P, Dst.Id, Src.Id);
+  commit(P);
 }
 
 // --- Control flow -------------------------------------------------------------
 
 void Emitter::jmpLabel(Label L) {
-  begin();
-  put(0xE9);
-  u64 Off = off();
-  putLE<i32>(0);
-  commit(); // the fixup may patch immediately; the bytes must be live
+  u8 *P = begin();
+  put(P, 0xE9);
+  u64 Off = T.cursorOffset(P);
+  putLE<i32>(P, 0);
+  commit(P); // the fixup may patch immediately; the bytes must be live
   A.addFixup(L, FixupKind::Rel32, Off);
 }
 
 void Emitter::jccLabel(Cond C, Label L) {
-  begin();
-  put(0x0F);
-  put(0x80 | static_cast<u8>(C));
-  u64 Off = off();
-  putLE<i32>(0);
-  commit();
+  u8 *P = begin();
+  put(P, 0x0F);
+  put(P, 0x80 | static_cast<u8>(C));
+  u64 Off = T.cursorOffset(P);
+  putLE<i32>(P, 0);
+  commit(P);
   A.addFixup(L, FixupKind::Rel32, Off);
 }
 
-void Emitter::jmpReg(AsmReg R) {
-  begin();
-  rex(false, 0, 0xFF, R.Id);
-  put(0xFF);
-  modRMReg(4, R.Id);
-  commit();
-}
-
 void Emitter::callSym(SymRef S) {
-  begin();
-  put(0xE8);
-  u64 Off = off();
-  putLE<i32>(0);
-  commit();
+  u8 *P = begin();
+  put(P, 0xE8);
+  u64 Off = T.cursorOffset(P);
+  putLE<i32>(P, 0);
+  commit(P);
   A.addReloc(SecKind::Text, Off, RelocKind::PC32, S, -4);
 }
 
-void Emitter::callReg(AsmReg R) {
-  begin();
-  rex(false, 0, 0xFF, R.Id);
-  put(0xFF);
-  modRMReg(2, R.Id);
-  commit();
-}
-
 void Emitter::ret() {
-  begin();
-  put(0xC3);
-  commit();
+  u8 *P = begin();
+  put(P, 0xC3);
+  commit(P);
 }
 
 void Emitter::ud2() {
-  begin();
-  put(0x0F);
-  put(0x0B);
-  commit();
+  u8 *P = begin();
+  put(P, 0x0F);
+  put(P, 0x0B);
+  commit(P);
 }
 
 void Emitter::push(AsmReg R) {
-  begin();
-  rex(false, 0xFF, 0xFF, R.Id);
-  put(0x50 | (R.hw() & 7));
-  commit();
+  u8 *P = begin();
+  rex(P, false, 0xFF, 0xFF, R.Id);
+  put(P, 0x50 | (R.hw() & 7));
+  commit(P);
 }
 
 void Emitter::pop(AsmReg R) {
-  begin();
-  rex(false, 0xFF, 0xFF, R.Id);
-  put(0x58 | (R.hw() & 7));
-  commit();
+  u8 *P = begin();
+  rex(P, false, 0xFF, 0xFF, R.Id);
+  put(P, 0x58 | (R.hw() & 7));
+  commit(P);
 }
 
 void Emitter::nops(unsigned N) {
@@ -627,152 +563,140 @@ void Emitter::nops(unsigned N) {
 // --- RIP-relative addressing ----------------------------------------------
 
 void Emitter::leaSym(AsmReg Dst, SymRef S, i64 Addend) {
-  begin();
-  rex(true, Dst.Id, 0xFF, 0xFF);
-  put(0x8D);
-  modRMRip(Dst.Id, S, Addend);
-  commit();
-}
-
-void Emitter::loadSym(u8 Sz, AsmReg Dst, SymRef S, i64 Addend) {
-  begin();
-  opSizePrefix(Sz);
-  rex(Sz == 8, Dst.Id, 0xFF, 0xFF, Sz == 1 && rex8Needed(Dst));
-  put(Sz == 1 ? 0x8A : 0x8B);
-  modRMRip(Dst.Id, S, Addend);
-  commit();
+  u8 *P = begin();
+  rex(P, true, Dst.Id, 0xFF, 0xFF);
+  put(P, 0x8D);
+  modRMRip(P, Dst.Id, S, Addend);
+  commit(P);
 }
 
 void Emitter::fpLoadSym(u8 Sz, AsmReg Dst, SymRef S, i64 Addend) {
-  begin();
-  put(Sz == 4 ? 0xF3 : 0xF2);
-  rex(false, Dst.Id, 0xFF, 0xFF);
-  put(0x0F);
-  put(0x10);
-  modRMRip(Dst.Id, S, Addend);
-  commit();
+  u8 *P = begin();
+  put(P, Sz == 4 ? 0xF3 : 0xF2);
+  rex(P, false, Dst.Id, 0xFF, 0xFF);
+  put(P, 0x0F);
+  put(P, 0x10);
+  modRMRip(P, Dst.Id, S, Addend);
+  commit(P);
 }
 
 // --- Scalar SSE ---------------------------------------------------------------
 
 void Emitter::fpMovRR(u8 Sz, AsmReg Dst, AsmReg Src) {
   (void)Sz; // movaps copies all 128 bits; fine for scalar values.
-  begin();
-  rex(false, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(0x28);
-  modRMReg(Dst.Id, Src.Id);
-  commit();
+  u8 *P = begin();
+  rex(P, false, Dst.Id, 0xFF, Src.Id);
+  put(P, 0x0F);
+  put(P, 0x28);
+  modRMReg(P, Dst.Id, Src.Id);
+  commit(P);
 }
 
 void Emitter::fpLoad(u8 Sz, AsmReg Dst, Mem M) {
-  begin();
-  put(Sz == 4 ? 0xF3 : 0xF2);
-  rex(false, Dst.Id, M.Index.Id, M.Base.Id);
-  put(0x0F);
-  put(0x10);
-  modRMMem(Dst.Id, M);
-  commit();
+  u8 *P = begin();
+  put(P, Sz == 4 ? 0xF3 : 0xF2);
+  rex(P, false, Dst.Id, M.Index.Id, M.Base.Id);
+  put(P, 0x0F);
+  put(P, 0x10);
+  commit(modRMMem(P, Dst.Id, M));
 }
 
 void Emitter::fpStore(u8 Sz, Mem M, AsmReg Src) {
-  begin();
-  put(Sz == 4 ? 0xF3 : 0xF2);
-  rex(false, Src.Id, M.Index.Id, M.Base.Id);
-  put(0x0F);
-  put(0x11);
-  modRMMem(Src.Id, M);
-  commit();
+  u8 *P = begin();
+  put(P, Sz == 4 ? 0xF3 : 0xF2);
+  rex(P, false, Src.Id, M.Index.Id, M.Base.Id);
+  put(P, 0x0F);
+  put(P, 0x11);
+  commit(modRMMem(P, Src.Id, M));
 }
 
 void Emitter::fpArith(FpOp Op, u8 Sz, AsmReg Dst, AsmReg Src) {
-  begin();
-  put(Sz == 4 ? 0xF3 : 0xF2);
-  rex(false, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(static_cast<u8>(Op));
-  modRMReg(Dst.Id, Src.Id);
-  commit();
+  u8 *P = begin();
+  put(P, Sz == 4 ? 0xF3 : 0xF2);
+  rex(P, false, Dst.Id, 0xFF, Src.Id);
+  put(P, 0x0F);
+  put(P, static_cast<u8>(Op));
+  modRMReg(P, Dst.Id, Src.Id);
+  commit(P);
 }
 
 void Emitter::fpArithMem(FpOp Op, u8 Sz, AsmReg Dst, Mem M) {
-  begin();
-  put(Sz == 4 ? 0xF3 : 0xF2);
-  rex(false, Dst.Id, M.Index.Id, M.Base.Id);
-  put(0x0F);
-  put(static_cast<u8>(Op));
-  modRMMem(Dst.Id, M);
-  commit();
+  u8 *P = begin();
+  put(P, Sz == 4 ? 0xF3 : 0xF2);
+  rex(P, false, Dst.Id, M.Index.Id, M.Base.Id);
+  put(P, 0x0F);
+  put(P, static_cast<u8>(Op));
+  commit(modRMMem(P, Dst.Id, M));
 }
 
 void Emitter::ucomis(u8 Sz, AsmReg RegA, AsmReg RegB) {
-  begin();
+  u8 *P = begin();
   if (Sz == 8)
-    put(0x66);
-  rex(false, RegA.Id, 0xFF, RegB.Id);
-  put(0x0F);
-  put(0x2E);
-  modRMReg(RegA.Id, RegB.Id);
-  commit();
+    put(P, 0x66);
+  rex(P, false, RegA.Id, 0xFF, RegB.Id);
+  put(P, 0x0F);
+  put(P, 0x2E);
+  modRMReg(P, RegA.Id, RegB.Id);
+  commit(P);
 }
 
 void Emitter::xorps(AsmReg Dst, AsmReg Src) {
-  begin();
-  rex(false, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(0x57);
-  modRMReg(Dst.Id, Src.Id);
-  commit();
+  u8 *P = begin();
+  rex(P, false, Dst.Id, 0xFF, Src.Id);
+  put(P, 0x0F);
+  put(P, 0x57);
+  modRMReg(P, Dst.Id, Src.Id);
+  commit(P);
 }
 
 void Emitter::cvtsi2fp(u8 IntSz, u8 FpSz, AsmReg Dst, AsmReg Src) {
   assert(IntSz == 4 || IntSz == 8);
-  begin();
-  put(FpSz == 4 ? 0xF3 : 0xF2);
-  rex(IntSz == 8, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(0x2A);
-  modRMReg(Dst.Id, Src.Id);
-  commit();
+  u8 *P = begin();
+  put(P, FpSz == 4 ? 0xF3 : 0xF2);
+  rex(P, IntSz == 8, Dst.Id, 0xFF, Src.Id);
+  put(P, 0x0F);
+  put(P, 0x2A);
+  modRMReg(P, Dst.Id, Src.Id);
+  commit(P);
 }
 
 void Emitter::cvtfp2si(u8 FpSz, u8 IntSz, AsmReg Dst, AsmReg Src) {
   assert(IntSz == 4 || IntSz == 8);
-  begin();
-  put(FpSz == 4 ? 0xF3 : 0xF2);
-  rex(IntSz == 8, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(0x2C);
-  modRMReg(Dst.Id, Src.Id);
-  commit();
+  u8 *P = begin();
+  put(P, FpSz == 4 ? 0xF3 : 0xF2);
+  rex(P, IntSz == 8, Dst.Id, 0xFF, Src.Id);
+  put(P, 0x0F);
+  put(P, 0x2C);
+  modRMReg(P, Dst.Id, Src.Id);
+  commit(P);
 }
 
 void Emitter::cvtfp2fp(u8 SrcSz, AsmReg Dst, AsmReg Src) {
-  begin();
-  put(SrcSz == 4 ? 0xF3 : 0xF2);
-  rex(false, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(0x5A);
-  modRMReg(Dst.Id, Src.Id);
-  commit();
+  u8 *P = begin();
+  put(P, SrcSz == 4 ? 0xF3 : 0xF2);
+  rex(P, false, Dst.Id, 0xFF, Src.Id);
+  put(P, 0x0F);
+  put(P, 0x5A);
+  modRMReg(P, Dst.Id, Src.Id);
+  commit(P);
 }
 
 void Emitter::movdToFp(u8 Sz, AsmReg Dst, AsmReg Src) {
-  begin();
-  put(0x66);
-  rex(Sz == 8, Dst.Id, 0xFF, Src.Id);
-  put(0x0F);
-  put(0x6E);
-  modRMReg(Dst.Id, Src.Id);
-  commit();
+  u8 *P = begin();
+  put(P, 0x66);
+  rex(P, Sz == 8, Dst.Id, 0xFF, Src.Id);
+  put(P, 0x0F);
+  put(P, 0x6E);
+  modRMReg(P, Dst.Id, Src.Id);
+  commit(P);
 }
 
 void Emitter::movdFromFp(u8 Sz, AsmReg Dst, AsmReg Src) {
-  begin();
-  put(0x66);
-  rex(Sz == 8, Src.Id, 0xFF, Dst.Id);
-  put(0x0F);
-  put(0x7E);
-  modRMReg(Src.Id, Dst.Id);
-  commit();
+  u8 *P = begin();
+  put(P, 0x66);
+  rex(P, Sz == 8, Src.Id, 0xFF, Dst.Id);
+  put(P, 0x0F);
+  put(P, 0x7E);
+  modRMReg(P, Src.Id, Dst.Id);
+  commit(P);
 }

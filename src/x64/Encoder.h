@@ -145,7 +145,6 @@ public:
   void imulRR(u8 Sz, AsmReg Dst, AsmReg Src);     // Sz >= 2
   void imulRRI(u8 Sz, AsmReg Dst, AsmReg Src, i32 Imm);
   void mulR(u8 Sz, AsmReg Src);                   // rdx:rax = rax * src
-  void imulR(u8 Sz, AsmReg Src);
   void divR(u8 Sz, AsmReg Src);                   // unsigned divide
   void idivR(u8 Sz, AsmReg Src);
   void cwd(u8 Sz);                                // cwd/cdq/cqo
@@ -153,13 +152,8 @@ public:
   void notR(u8 Sz, AsmReg R);
   void shiftRI(ShiftOp Op, u8 Sz, AsmReg R, u8 Imm);
   void shiftRC(ShiftOp Op, u8 Sz, AsmReg R);      // count in CL
-  void shldRRC(u8 Sz, AsmReg Dst, AsmReg Src);    // count in CL
-  void shrdRRC(u8 Sz, AsmReg Dst, AsmReg Src);
   void shldRRI(u8 Sz, AsmReg Dst, AsmReg Src, u8 Imm);
   void shrdRRI(u8 Sz, AsmReg Dst, AsmReg Src, u8 Imm);
-  void bsr(u8 Sz, AsmReg Dst, AsmReg Src);
-  void bsf(u8 Sz, AsmReg Dst, AsmReg Src);
-  void popcnt(u8 Sz, AsmReg Dst, AsmReg Src);
 
   // --- Flags and conditionals --------------------------------------------
   void setcc(Cond C, AsmReg Dst8);
@@ -168,9 +162,7 @@ public:
   // --- Control flow -------------------------------------------------------
   void jmpLabel(asmx::Label L);
   void jccLabel(Cond C, asmx::Label L);
-  void jmpReg(AsmReg R);
   void callSym(asmx::SymRef S);
-  void callReg(AsmReg R);
   void ret();
   void ud2();
   void push(AsmReg R);
@@ -181,8 +173,6 @@ public:
   // --- RIP-relative addressing -------------------------------------------
   /// lea Dst, [rip + Sym + Addend]
   void leaSym(AsmReg Dst, asmx::SymRef S, i64 Addend = 0);
-  /// mov Dst, [rip + Sym]
-  void loadSym(u8 Sz, AsmReg Dst, asmx::SymRef S, i64 Addend = 0);
   /// movss/movsd Dst, [rip + Sym]
   void fpLoadSym(u8 Sz, AsmReg Dst, asmx::SymRef S, i64 Addend = 0);
 
@@ -206,42 +196,19 @@ public:
 private:
   // --- Batched emission -------------------------------------------------
   // Every instruction reserves its maximum encoded length once (begin),
-  // writes raw bytes through the cursor (put*), and commits the final
+  // writes raw bytes through the returned cursor, and commits the final
   // length (commit): one bounds check per instruction instead of one per
-  // byte (see support::ByteBuffer).
-  void begin(size_t MaxBytes = 24) {
-    assert(!P && "instruction already in progress");
-    P = T.writeCursor(MaxBytes);
-  }
-  void commit() {
-    T.commitCursor(P);
-    P = nullptr;
-  }
-  /// Section offset of the cursor (valid between begin and commit).
-  u64 off() const { return T.cursorOffset(P); }
-  void put(u8 B) { *P++ = B; }
-  template <typename V> void putLE(V Val) {
-    static_assert(std::is_integral_v<V>);
-    for (unsigned I = 0; I < sizeof(V); ++I)
-      *P++ = static_cast<u8>(static_cast<u64>(Val) >> (8 * I));
-  }
-
-  void opSizePrefix(u8 Sz) {
-    if (Sz == 2)
-      put(0x66);
-  }
-  /// Emits a REX prefix if required. \p RegId/\p IdxId/\p BaseId are full
-  /// register ids (0xFF if absent); \p Force8 handles SPL/BPL/SIL/DIL.
-  void rex(bool W, u8 RegId, u8 IdxId, u8 BaseId, bool Force = false);
-  static bool rex8Needed(AsmReg R) { return R.bank() == 0 && R.hw() >= 4; }
-  void modRMReg(u8 RegField, u8 RmReg);
-  void modRMMem(u8 RegField, const Mem &M);
+  // byte (see support::ByteBuffer). The cursor lives in a local of the
+  // emitting method and is passed to the byte helpers by reference, never
+  // kept in a member: a u8 store may alias any object, so a member cursor
+  // would be reloaded and stored back around every byte (docs/PERF.md).
+  u8 *begin(size_t MaxBytes = 24) { return T.writeCursor(MaxBytes); }
+  void commit(u8 *P) { T.commitCursor(P); }
   /// Emits mod=00 rm=101 (RIP-relative) with a PC32 relocation for S.
-  void modRMRip(u8 RegField, asmx::SymRef S, i64 Addend);
+  void modRMRip(u8 *&P, u8 RegField, asmx::SymRef S, i64 Addend);
 
   asmx::Assembler &A;
   asmx::Section &T;
-  u8 *P = nullptr; ///< Pending-instruction write cursor.
 };
 
 } // namespace tpde::x64

@@ -211,6 +211,58 @@ TEST_F(EncTest, ScalarFP) {
   EXPECT_EQ(wordAt(13), 0x1E604020u);
 }
 
+// Forms the golden codegen corpus does not reach.
+
+TEST_F(EncTest, FpCselAndMultiplySubtract) {
+  E.fpCsel(8, V0, V1, V2, Cond::EQ);
+  E.fpCsel(4, V3, V4, V5, Cond::LT);
+  E.msubRRRR(8, X0, X1, X2, X3);
+  E.msubRRRR(4, X4, X5, X6, X7);
+  EXPECT_EQ(wordAt(0), 0x1E620C20u); // fcsel d0, d1, d2, eq
+  EXPECT_EQ(wordAt(1), 0x1E25BC83u); // fcsel s3, s4, s5, lt
+  EXPECT_EQ(wordAt(2), 0x9B028C20u); // msub x0, x1, x2, x3
+  EXPECT_EQ(wordAt(3), 0x1B069CA4u); // msub w4, w5, w6, w7
+}
+
+TEST_F(EncTest, LeaMem) {
+  E.leaMem(X0, FP, -16);
+  E.leaMem(X1, SP, 32);
+  E.leaMem(X2, FP, -0x1010);   // two SUB immediates
+  E.leaMem(X3, SP, 0x123456);  // two ADD immediates
+  ASSERT_EQ(numWords(), 6u);
+  EXPECT_EQ(wordAt(0), 0xD10043A0u);
+  EXPECT_EQ(wordAt(1), 0x910083E1u);
+  EXPECT_EQ(wordAt(2), 0xD10043A2u);
+  EXPECT_EQ(wordAt(3), 0xD1400442u);
+  EXPECT_EQ(wordAt(4), 0x91115BE3u);
+  EXPECT_EQ(wordAt(5), 0x91448C63u);
+}
+
+TEST_F(EncTest, NegAndZeroExtensions) {
+  E.negR(8, X0, X1);
+  E.negR(4, X2, X3);
+  E.uxth(X0, X1);
+  E.uxth(X5, X9);
+  E.uxtw(X0, X1);
+  E.uxtw(X7, X8);
+  EXPECT_EQ(wordAt(0), 0xCB0103E0u); // neg x0, x1
+  EXPECT_EQ(wordAt(1), 0x4B0303E2u); // neg w2, w3
+  EXPECT_EQ(wordAt(2), 0x53003C20u); // uxth w0, w1
+  EXPECT_EQ(wordAt(3), 0x53003D25u);
+  EXPECT_EQ(wordAt(4), 0x2A0103E0u); // mov w0, w1
+  EXPECT_EQ(wordAt(5), 0x2A0803E7u);
+}
+
+TEST_F(EncTest, FrameSubPlaceholderAndPatch) {
+  E.frameSubPlaceholder();
+  ASSERT_EQ(numWords(), 2u);
+  EXPECT_EQ(wordAt(0), 0xD10003FFu); // sub sp, sp, #0
+  EXPECT_EQ(wordAt(1), 0xD14003FFu); // sub sp, sp, #0, lsl #12
+  Emitter::patchFrameSub(Asm.text(), 0, 0x12340);
+  EXPECT_EQ(wordAt(0), 0xD10D03FFu); // sub sp, sp, #0x340
+  EXPECT_EQ(wordAt(1), 0xD1404BFFu); // sub sp, sp, #0x12, lsl #12
+}
+
 /// The write-cursor batching regression (mirrors the x64 encoder suite):
 /// once the section reached its high-water mark, re-emitting the same
 /// instruction stream — covering every multi-word path (immediate

@@ -2,7 +2,9 @@
 ///
 /// Unit tests for the framework-internal machinery: the analysis pass
 /// (loop identification incl. irreducible CFGs, block layout, coarse
-/// liveness), the register file, and the frame allocator.
+/// liveness), the register file, the frame allocator, and two caches the
+/// code generation pass keeps over the analysis and the IR (the
+/// assignment's free-from block and nextInst()).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +13,7 @@
 #include "core/RegFile.h"
 #include "tir/Builder.h"
 #include "tpde_tir/TirAdapter.h"
+#include "workloads/Generator.h"
 #include "x64/CompilerX64.h"
 
 #include <gtest/gtest.h>
@@ -259,4 +262,148 @@ TEST(FrameAllocator, SeparateSizeClasses) {
   // A 16-byte request must not reuse the 8-byte slot.
   i32 S16 = F.alloc(16);
   EXPECT_NE(S16, S8);
+}
+
+// --- Code generation caches ------------------------------------------------
+
+namespace {
+
+/// A compiler that emits no instruction code. It runs the framework's
+/// per-function driver (analysis, layout walk, block boundaries) and, from
+/// inside it, checks two caches against the data they stand for:
+///  * at a function's first instruction it initializes the assignment of
+///    every value the analysis defined and checks that the cached
+///    free-from block agrees with Analyzer::rangeEndsInBlock for every
+///    layout block;
+///  * at every instruction it checks nextInst() against the block's
+///    instruction list: the following instruction, or null exactly on
+///    the block's last one.
+class CacheProbe
+    : public x64::CompilerX64<tpde_tir::TirAdapter, CacheProbe> {
+public:
+  using Base = x64::CompilerX64<tpde_tir::TirAdapter, CacheProbe>;
+  CacheProbe(tpde_tir::TirAdapter &A, asmx::Assembler &Asm) : Base(A, Asm) {}
+
+  void defineGlobals() {}
+  void declareGlobals() {}
+  template <typename Fn> void forEachStackVar(Fn) {}
+  void materializeConstLike(ValRef, u8, core::Reg) {}
+
+  void beginFunc(asmx::SymRef Sym) {
+    Base::beginFunc(Sym);
+    FuncStart = true;
+  }
+
+  bool compileInst(ValRef I) {
+    const u32 B = curBlockIdx();
+    if (FuncStart || B != PosBlock) {
+      PosBlock = B;
+      Pos = 0;
+    }
+    if (FuncStart) {
+      FuncStart = false;
+      checkFreeFrom();
+    }
+    auto Block = A.blockInsts(An.block(B).Ref);
+    EXPECT_EQ(Block[Pos], I);
+    const ValRef *Next = nextInst();
+    if (Pos + 1 == Block.size()) {
+      EXPECT_EQ(Next, nullptr) << "block " << B << " last instruction";
+    } else {
+      EXPECT_EQ(Next, Block.data() + Pos + 1);
+      ++NonLast;
+    }
+    ++Pos;
+    ++Insts;
+    return true;
+  }
+
+  u64 Insts = 0, NonLast = 0, ValuesChecked = 0;
+
+private:
+  void checkFreeFrom() {
+    auto Check = [&](ValRef V) {
+      if (A.isConstLike(V))
+        return;
+      u32 VN = A.valNumber(V);
+      const core::Assignment &As = ensureAssignment(V, VN);
+      for (u32 B = 0; B < An.numBlocks(); ++B)
+        EXPECT_EQ(B >= As.FreeFrom, An.rangeEndsInBlock(VN, B))
+            << "value " << VN << " block " << B;
+      ++ValuesChecked;
+    };
+    for (ValRef V : A.funcArgs())
+      Check(V);
+    for (u32 B = 0; B < An.numBlocks(); ++B) {
+      for (ValRef V : A.blockPhis(An.block(B).Ref))
+        Check(V);
+      for (ValRef V : A.blockInsts(An.block(B).Ref))
+        Check(V);
+    }
+    // The probe compiles nothing, so no instruction consumes the
+    // arguments: give their registers a stack copy before the next block
+    // boundary drops them.
+    spillAllDirty();
+  }
+
+  bool FuncStart = false;
+  u32 PosBlock = 0;
+  size_t Pos = 0;
+};
+
+/// Runs the probe over every function of \p M.
+void probeModule(Module &M, u64 &Insts, u64 &NonLast, u64 &Values) {
+  tpde_tir::TirAdapter A(M);
+  asmx::Assembler Asm;
+  CacheProbe C(A, Asm);
+  ASSERT_TRUE(C.compile());
+  Insts += C.Insts;
+  NonLast += C.NonLast;
+  Values += C.ValuesChecked;
+}
+
+} // namespace
+
+TEST(CodegenCaches, SpecLikeModulesAgreeWithAnalysisAndBlocks) {
+  u64 Insts = 0, NonLast = 0, Values = 0;
+  for (bool O0 : {true, false}) {
+    for (const workloads::NamedProfile &NP : workloads::specLikeProfiles(O0)) {
+      Module M;
+      workloads::genModule(M, NP.P);
+      probeModule(M, Insts, NonLast, Values);
+    }
+  }
+  // Every check above ran on real data: both nextInst() outcomes and the
+  // free-from cache were exercised.
+  EXPECT_GT(NonLast, 0u);
+  EXPECT_GT(Insts, NonLast);
+  EXPECT_GT(Values, 0u);
+}
+
+TEST(CodegenCaches, DifferentialSeedsAgreeWithAnalysisAndBlocks) {
+  u64 Insts = 0, NonLast = 0, Values = 0;
+  // The shapes of tests/differential_test.cpp's fuzz profiles.
+  for (u64 Seed = 1; Seed <= 40; ++Seed) {
+    for (bool SSA : {true, false}) {
+      workloads::Profile P;
+      P.Seed = Seed;
+      P.NumFuncs = 4;
+      P.RegionBudget = 8;
+      P.InstsPerBlock = 6;
+      P.MaxLoopDepth = 2;
+      P.MemoryPct = 25;
+      P.FloatPct = 10;
+      P.CallPct = 8;
+      P.BranchPct = 30;
+      P.I128Pct = 5;
+      P.NarrowPct = 15;
+      P.SSAForm = SSA;
+      Module M;
+      workloads::genModule(M, P);
+      probeModule(M, Insts, NonLast, Values);
+    }
+  }
+  EXPECT_GT(NonLast, 0u);
+  EXPECT_GT(Insts, NonLast);
+  EXPECT_GT(Values, 0u);
 }

@@ -154,6 +154,101 @@ TEST(X64Encode, SSE) {
   EXPECT_BYTES(E.movdFromFp(8, RAX, XMM0), 0x66, 0x48, 0x0f, 0x7e, 0xc0);
 }
 
+// Forms the golden codegen corpus does not reach: every operand size
+// and extended registers.
+
+TEST(X64Encode, ExtendingLoads) {
+  EXPECT_BYTES(E.loadZext(1, RAX, Mem(RDI, 8)), 0x0f, 0xb6, 0x47, 0x08);
+  EXPECT_BYTES(E.loadZext(2, R9, Mem(RBP, -16)), 0x44, 0x0f, 0xb7, 0x4d,
+               0xf0);
+  EXPECT_BYTES(E.loadZext(4, RCX, Mem(RSI, 0)), 0x8b, 0x0e);
+  EXPECT_BYTES(E.loadZext(8, R12, Mem(RSP, 32)), 0x4c, 0x8b, 0x64, 0x24,
+               0x20);
+  EXPECT_BYTES(E.loadSext(1, RAX, Mem(RDI, 0)), 0x48, 0x0f, 0xbe, 0x07);
+  EXPECT_BYTES(E.loadSext(2, RDX, Mem(R13, 4)), 0x49, 0x0f, 0xbf, 0x55, 0x04);
+  EXPECT_BYTES(E.loadSext(4, R10, Mem(RBX, RCX, 4, 0x100)), 0x4c, 0x63, 0x94,
+               0x8b, 0x00, 0x01, 0x00, 0x00);
+  EXPECT_BYTES(E.loadSext(8, RSI, Mem(RBP, -8)), 0x48, 0x8b, 0x75, 0xf8);
+}
+
+TEST(X64Encode, StoreImm) {
+  EXPECT_BYTES(E.storeImm(1, Mem(RDI, 0), 0x7f), 0xc6, 0x07, 0x7f);
+  EXPECT_BYTES(E.storeImm(2, Mem(RBP, -2), 0x1234), 0x66, 0xc7, 0x45, 0xfe,
+               0x34, 0x12);
+  EXPECT_BYTES(E.storeImm(4, Mem(R8, 16), -1), 0x41, 0xc7, 0x40, 0x10, 0xff,
+               0xff, 0xff, 0xff);
+  EXPECT_BYTES(E.storeImm(8, Mem(RSP, 8), 0x12345678), 0x48, 0xc7, 0x44, 0x24,
+               0x08, 0x78, 0x56, 0x34, 0x12);
+}
+
+TEST(X64Encode, XchgAndTest) {
+  EXPECT_BYTES(E.xchgRR(8, RAX, RBX), 0x48, 0x87, 0xc3);
+  EXPECT_BYTES(E.xchgRR(4, R8, RCX), 0x44, 0x87, 0xc1);
+  EXPECT_BYTES(E.xchgRR(2, RDX, RSI), 0x66, 0x87, 0xd6);
+  EXPECT_BYTES(E.xchgRR(1, RAX, RCX), 0x86, 0xc1);
+  EXPECT_BYTES(E.testRR(8, RAX, RAX), 0x48, 0x85, 0xc0);
+  EXPECT_BYTES(E.testRR(4, R9, RDX), 0x41, 0x85, 0xd1);
+  EXPECT_BYTES(E.testRR(1, RSI, RDI), 0x40, 0x84, 0xfe);
+  EXPECT_BYTES(E.testRR(2, RCX, RBX), 0x66, 0x85, 0xd9);
+  EXPECT_BYTES(E.testRI(1, RAX, 1), 0xf6, 0xc0, 0x01);
+  EXPECT_BYTES(E.testRI(1, RDI, 1), 0x40, 0xf6, 0xc7, 0x01);
+  EXPECT_BYTES(E.testRI(2, RCX, 0x100), 0x66, 0xf7, 0xc1, 0x00, 0x01);
+  EXPECT_BYTES(E.testRI(4, RDX, 0x80000), 0xf7, 0xc2, 0x00, 0x00, 0x08, 0x00);
+  EXPECT_BYTES(E.testRI(8, R11, -16), 0x49, 0xf7, 0xc3, 0xf0, 0xff, 0xff,
+               0xff);
+}
+
+TEST(X64Encode, MulForms) {
+  EXPECT_BYTES(E.imulRRI(8, RAX, RBX, 10), 0x48, 0x6b, 0xc3, 0x0a);
+  EXPECT_BYTES(E.imulRRI(4, R8, R9, 1000), 0x45, 0x69, 0xc1, 0xe8, 0x03, 0x00,
+               0x00);
+  EXPECT_BYTES(E.imulRRI(2, RCX, RDX, 300), 0x66, 0x69, 0xca, 0x2c, 0x01);
+  EXPECT_BYTES(E.imulRRI(8, R15, RSI, -3), 0x4c, 0x6b, 0xfe, 0xfd);
+  EXPECT_BYTES(E.mulR(8, RCX), 0x48, 0xf7, 0xe1);
+  EXPECT_BYTES(E.mulR(4, R10), 0x41, 0xf7, 0xe2);
+  EXPECT_BYTES(E.mulR(1, RSI), 0x40, 0xf6, 0xe6);
+  EXPECT_BYTES(E.mulR(2, RBX), 0x66, 0xf7, 0xe3);
+}
+
+TEST(X64Encode, DoubleShiftsAndTrap) {
+  EXPECT_BYTES(E.shldRRI(8, RAX, RDX, 4), 0x48, 0x0f, 0xa4, 0xd0, 0x04);
+  EXPECT_BYTES(E.shldRRI(4, R8, RCX, 31), 0x41, 0x0f, 0xa4, 0xc8, 0x1f);
+  EXPECT_BYTES(E.shrdRRI(8, RAX, RDX, 4), 0x48, 0x0f, 0xac, 0xd0, 0x04);
+  EXPECT_BYTES(E.shrdRRI(8, R9, R10, 63), 0x4d, 0x0f, 0xac, 0xd1, 0x3f);
+  EXPECT_BYTES(E.ud2(), 0x0f, 0x0b);
+}
+
+TEST(X64Encode, LeaSymRelocation) {
+  EXPECT_BYTES(E.leaSym(RAX, E.assembler().createSymbol(
+                                 "g", Linkage::External, false)),
+               0x48, 0x8d, 0x05, 0x00, 0x00, 0x00, 0x00);
+  Assembler A;
+  Emitter E(A);
+  SymRef S = A.createSymbol("g", Linkage::External, false);
+  E.leaSym(R11, S, 24);
+  std::vector<u8> Want = {0x4c, 0x8d, 0x1d, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(std::vector<u8>(A.text().Data.begin(), A.text().Data.end()), Want);
+  ASSERT_EQ(A.relocs().size(), 1u);
+  EXPECT_EQ(A.relocs()[0].Off, 3u);
+  EXPECT_EQ(A.relocs()[0].Kind, RelocKind::PC32);
+  EXPECT_EQ(A.relocs()[0].Addend, 20); // disp32 ends the instruction
+}
+
+TEST(X64Encode, SSEMovesArithMemAndConversion) {
+  EXPECT_BYTES(E.fpMovRR(8, XMM0, XMM1), 0x0f, 0x28, 0xc1);
+  EXPECT_BYTES(E.fpMovRR(4, XMM9, XMM2), 0x44, 0x0f, 0x28, 0xca);
+  EXPECT_BYTES(E.fpMovRR(8, XMM3, XMM15), 0x41, 0x0f, 0x28, 0xdf);
+  EXPECT_BYTES(E.fpArithMem(FpOp::Add, 8, XMM0, Mem(RBP, -24)), 0xf2, 0x0f,
+               0x58, 0x45, 0xe8);
+  EXPECT_BYTES(E.fpArithMem(FpOp::Mul, 4, XMM10, Mem(RDI, 0)), 0xf3, 0x44,
+               0x0f, 0x59, 0x17);
+  EXPECT_BYTES(E.fpArithMem(FpOp::Div, 8, XMM1, Mem(R8, RAX, 8, 0x200)), 0xf2,
+               0x41, 0x0f, 0x5e, 0x8c, 0xc0, 0x00, 0x02, 0x00, 0x00);
+  EXPECT_BYTES(E.cvtfp2fp(4, XMM0, XMM1), 0xf3, 0x0f, 0x5a, 0xc1);
+  EXPECT_BYTES(E.cvtfp2fp(8, XMM2, XMM3), 0xf2, 0x0f, 0x5a, 0xd3);
+  EXPECT_BYTES(E.cvtfp2fp(4, XMM8, XMM12), 0xf3, 0x45, 0x0f, 0x5a, 0xc4);
+}
+
 TEST(X64Encode, Nops) {
   for (unsigned N = 1; N <= 32; ++N) {
     Assembler A;
