@@ -7,7 +7,8 @@
 /// required interface as a C++20 concept used by Analyzer and CompilerBase.
 ///
 /// Requirements beyond the signatures:
-///  * ValRef/BlockRef/FuncRef should be cheap handle types (integers).
+///  * ValRef/BlockRef/FuncRef should be cheap handle types (integers);
+///    ModuleT is the IR module type the adapter is constructed from.
 ///  * valNumber() must be a dense per-function numbering usable as an
 ///    array index (paper: "suitable as array index for fast lookup").
 ///  * blockAux() exposes 64 bits of per-block scratch storage that the
@@ -36,12 +37,16 @@ template <typename A>
 concept IRAdapter = requires(A Ad, const A CAd, typename A::FuncRef F,
                              typename A::BlockRef B, typename A::ValRef V,
                              u32 I) {
+  typename A::ModuleT;
   typename A::FuncRef;
   typename A::BlockRef;
   typename A::ValRef;
 
   // --- Module-level -----------------------------------------------------
   { CAd.funcCount() } -> std::convertible_to<u32>;
+  /// Value count of any function without switching to it: the parallel
+  /// driver's shard-balancing weight.
+  { CAd.funcValueCount(F) } -> std::convertible_to<u32>;
   { CAd.funcRef(I) } -> std::same_as<typename A::FuncRef>;
   { CAd.funcName(F) } -> std::convertible_to<std::string_view>;
   { CAd.funcLinkage(F) } -> std::same_as<asmx::Linkage>;

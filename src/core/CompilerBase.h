@@ -1442,42 +1442,50 @@ Reg CompilerBase<Adapter, Derived, Config>::ValuePartRef::materialize() {
   return TmpReg;
 }
 
-/// The one-shot module compile behind every back-end's convenience entry
-/// point (tpde_tir::compileModuleX64/A64, uir::compileTpdeUir). With
-/// \p Verify the module is validated first — verifyModule is found by
-/// argument-dependent lookup in the IR's namespace — so malformed IR never
-/// reaches the emitter. \p StatusOut (optional) receives the structured
-/// diagnostic on failure.
+/// The verify-then-compile step of every one-shot entry point
+/// (compileModuleOneShot, compileModuleParallel). With \p Verify the
+/// module is validated first — verifyModule is found by argument-dependent
+/// lookup in the IR's namespace — so malformed IR never reaches the
+/// emitter. \p Compile(St) runs the compile and fills St on failure;
+/// \p StatusOut (optional) receives the structured diagnostic (Ok after a
+/// clean compile).
+template <typename ModuleT, typename CompileFn>
+bool compileVerified(ModuleT &M, bool Verify, support::CompileStatus *StatusOut,
+                     CompileFn &&Compile) {
+  support::CompileStatus St;
+  std::string Errors;
+  bool OK = false;
+  if (Verify && !verifyModule(M, Errors)) {
+    St.Err = support::CompileErr::VerifyFailed;
+    St.Message = std::move(Errors);
+  } else {
+    OK = Compile(St);
+  }
+  if (StatusOut)
+    *StatusOut = std::move(St);
+  return OK;
+}
+
+/// The one-shot serial module compile behind every back-end's convenience
+/// entry point (tpde_tir::compileModuleX64/A64, uir::compileTpdeUir).
 template <typename CompilerT, typename ModuleT>
 bool compileModuleOneShot(ModuleT &M, asmx::Assembler &Asm, bool Verify,
                           support::CompileStatus *StatusOut) {
-  if (StatusOut)
-    StatusOut->clear();
-  if (Verify) {
-    std::string Errors;
-    if (!verifyModule(M, Errors)) {
-      if (StatusOut) {
-        StatusOut->Err = support::CompileErr::VerifyFailed;
-        StatusOut->Message = std::move(Errors);
-      }
+  return compileVerified(M, Verify, StatusOut,
+                         [&](support::CompileStatus &St) {
+    typename CompilerT::AdapterT Adapter(M);
+    CompilerT Compiler(Adapter, Asm);
+    try {
+      if (Compiler.compile())
+        return true;
+    } catch (...) { // arena growth (interned names) can throw bad_alloc
+      St.Err = support::CompileErr::OutOfMemory;
+      St.Message = "allocation failed during module compile";
       return false;
     }
-  }
-  typename CompilerT::AdapterT Adapter(M);
-  CompilerT Compiler(Adapter, Asm);
-  bool OK = false;
-  try {
-    OK = Compiler.compile();
-  } catch (...) { // arena growth (interned names) can throw bad_alloc
-    if (StatusOut) {
-      StatusOut->Err = support::CompileErr::OutOfMemory;
-      StatusOut->Message = "allocation failed during module compile";
-    }
+    St = Compiler.status();
     return false;
-  }
-  if (!OK && StatusOut)
-    *StatusOut = Compiler.status();
-  return OK;
+  });
 }
 
 } // namespace tpde::core

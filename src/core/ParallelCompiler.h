@@ -7,34 +7,16 @@
 /// PERF.md), then deterministically merges the per-shard text/rodata,
 /// relocations, and symbol tables into one linkable/JIT-mappable module.
 ///
-/// The driver is a template over the *worker* type — parallel compilation
-/// is a framework property, not a per-target feature. A back-end opts in
-/// by providing a type satisfying the ParallelCompileWorker concept:
-///
-///   struct MyWorker {
-///     using ModuleT = ...;                 // the IR module type
-///     explicit MyWorker(ModuleT &M);       // per-thread state (adapter,
-///                                          // assembler, compiler)
-///     asmx::Assembler &assembler();        // the worker's private output
-///     bool compileGlobals();               // module-level fragment only
-///                                          //   (CompilerBase::compileGlobals)
-///     bool compileRange(u32 Begin, u32 End); // functions [Begin, End)
-///                                          //   (CompilerBase::compileRange)
-///     static u32 funcCount(const ModuleT &M);
-///     static u32 funcWeight(const ModuleT &M, u32 I); // size proxy for
-///                                          // shard balancing (e.g. value count)
-///     const support::CompileStatus &status() const; // last failure's
-///                                          // structured diagnostic
-///     // optional: enables the ParallelCompileOptions::Verify pre-pass
-///     static bool verifyModule(const ModuleT &M, std::string &Errors);
-///   };
-///
-/// A worker's compileRange()/compileGlobals() forward to the CompilerBase
-/// entry points of the same name, which in turn require the derived
-/// compiler to implement the declareGlobals() hook (see
-/// core/CompilerBase.h); Assembler::mergeFrom() supplies the cross-shard
-/// symbol resolution. Nothing in this file knows about the target or the
-/// IR.
+/// The driver is a template over the *compiler* type — parallel
+/// compilation is a framework property, not a per-target feature. Any
+/// CompilerBase-derived compiler works as is: each worker owns an
+/// {adapter, assembler, compiler} bundle built from the module, the
+/// driver calls the compiler's compileRange()/compileGlobals()/status()
+/// (core/CompilerBase.h), and it reads the function count and the
+/// per-function value count (the shard-balancing weight) through the
+/// adapter (core/Adapter.h). Assembler::mergeFrom() supplies the
+/// cross-shard symbol resolution. Nothing in this file knows about the
+/// target or the IR.
 ///
 /// Determinism contract: the merged output is **byte-identical regardless
 /// of thread count and schedule**. This falls out of three rules:
@@ -83,13 +65,13 @@
 #define TPDE_CORE_PARALLELCOMPILER_H
 
 #include "asmx/Assembler.h"
+#include "core/CompilerBase.h"
 #include "support/Diag.h"
 #include "support/FaultInjector.h"
 #include "support/Sync.h"
 #include "support/Timer.h"
 #include "support/WorkQueue.h"
 
-#include <concepts>
 #include <memory>
 #include <span>
 #include <string>
@@ -98,45 +80,18 @@
 
 namespace tpde::core {
 
-template <typename W>
-concept ParallelCompileWorker =
-    requires(W Wk, typename W::ModuleT &M, const typename W::ModuleT &CM,
-             u32 I) {
-      typename W::ModuleT;
-      requires std::constructible_from<W, typename W::ModuleT &>;
-      { Wk.assembler() } -> std::same_as<asmx::Assembler &>;
-      { Wk.compileGlobals() } -> std::convertible_to<bool>;
-      { Wk.compileRange(I, I) } -> std::convertible_to<bool>;
-      { W::funcCount(CM) } -> std::convertible_to<u32>;
-      { W::funcWeight(CM, I) } -> std::convertible_to<u32>;
-      /// Structured diagnostic of the worker's last failed compile; the
-      /// driver lifts it into the per-shard status slot.
-      { std::as_const(Wk).status() }
-          -> std::convertible_to<const support::CompileStatus &>;
-      // optional: static u64 shardTextBound(const ModuleT &, u32 Begin,
-      // u32 End) — an upper-bound text-size estimate for a shard, used
-      // to pre-size the shard's fragment buffer so early compiles skip
-      // the geometric-growth ladder. A *hint* only: correctness and
-      // byte-identity never depend on it.
-    };
-
 struct ParallelCompileOptions {
   /// Worker threads including the calling thread; 0 means
   /// tpde::hardwareConcurrency().
   unsigned NumThreads = 0;
   /// Shard granularity in functions: a module of F functions becomes
   /// ceil(F / FuncsPerShard) shards whose boundaries equalize the
-  /// per-function size proxy (WorkerT::funcWeight), so modules with a few
-  /// giant functions balance across workers. Part of the determinism
-  /// contract: the same module always decomposes into the same shards,
-  /// whatever the thread count. Smaller shards balance better; larger
-  /// shards amortize the per-shard snapshot/merge cost.
+  /// per-function value count (the adapter's funcValueCount), so modules
+  /// with a few giant functions balance across workers. Part of the
+  /// determinism contract: the same module always decomposes into the
+  /// same shards, whatever the thread count. Smaller shards balance
+  /// better; larger shards amortize the per-shard snapshot/merge cost.
   u32 FuncsPerShard = 4;
-  /// Run the worker's verifier (WorkerT::verifyModule, when provided)
-  /// before sharding; a malformed module is rejected with a VerifyFailed
-  /// status and never reaches codegen. Off by default on the production
-  /// path, on in the tests.
-  bool Verify = false;
 };
 
 /// Per-phase cost breakdown of the last compile(), for the bench rows
@@ -156,13 +111,13 @@ struct EmitStats {
 /// recompiling on deoptimization) and is allocation-free in steady state:
 /// workers reset their compiler/assembler state without freeing it, and
 /// all fragments retain their capacity.
-template <ParallelCompileWorker WorkerT>
-class ParallelModuleCompiler {
+template <typename CompilerT> class ParallelModuleCompiler {
 public:
-  using ModuleT = typename WorkerT::ModuleT;
+  using AdapterT = typename CompilerT::AdapterT;
+  using ModuleT = typename AdapterT::ModuleT;
 
   explicit ParallelModuleCompiler(ModuleT &M, ParallelCompileOptions Opts = {})
-      : M(M), Opts(Opts) {
+      : Opts(Opts) {
     unsigned N = Opts.NumThreads;
     if (N == 0)
       N = tpde::hardwareConcurrency();
@@ -209,10 +164,6 @@ public:
     FirstStatus.clear();
     Diags.clear();
     Stats = EmitStats{};
-    if (Opts.Verify && !verifyGate()) {
-      Out.reset();
-      return false;
-    }
     computeShardBounds();
     u64 T0 = nowNs();
     runParallelPass();
@@ -235,8 +186,8 @@ public:
     } catch (...) {
       // Shards not yet reserved stay unplanned: the placement and stitch
       // passes skip them.
-      failMerge(support::CompileErr::OutOfMemory,
-                "allocation failed merging the module", ~0u);
+      addDiag(support::CompileErr::OutOfMemory,
+              "allocation failed merging the module", ~0u);
     }
     Stats.ReserveNs += nowNs() - T;
     runPlacementPass();
@@ -244,8 +195,8 @@ public:
       // Terminal placement failure: runPlacementPass zero-filled the
       // slice (the only source is the section-place fault site).
       if (PlaceFailed[S])
-        failMerge(support::CompileErr::FaultInjected,
-                  "fault injected: section-place", S);
+        addDiag(support::CompileErr::FaultInjected,
+                "fault injected: section-place", S);
     }
     T = nowNs();
     try {
@@ -259,8 +210,8 @@ public:
           noteMergeError(Out, S);
       }
     } catch (...) {
-      failMerge(support::CompileErr::OutOfMemory,
-                "allocation failed merging the module", ~0u);
+      addDiag(support::CompileErr::OutOfMemory,
+              "allocation failed merging the module", ~0u);
     }
     Stats.StitchNs += nowNs() - T;
 
@@ -289,25 +240,22 @@ public:
   /// Shard S covers functions [shardBounds()[S], shardBounds()[S+1]);
   /// NumShards+1 entries, valid after the first compile().
   std::span<const u32> shardBounds() const { return ShardBounds; }
-  /// Pre-recovery status slot of shard \p S from the last compile()
-  /// (Ok if the shard compiled cleanly on the parallel pass). The
-  /// recovery pass may still have compiled the shard's functions
-  /// afterwards — diagnostics() has the final per-function picture.
-  const support::CompileStatus &shardStatus(u32 S) const {
-    return ShardStatus[S];
-  }
   /// Per-phase cost breakdown of the last compile() — where the
   /// wall-clock went.
   const EmitStats &emitStats() const { return Stats; }
 
 private:
+  /// Per-thread compile state: a private adapter, assembler and compiler
+  /// (reset-not-freed, docs/PERF.md).
   struct Worker {
-    explicit Worker(ModuleT &M) : W(M) {}
-    WorkerT W;
+    explicit Worker(ModuleT &M) : Adapter(M), Compiler(Adapter, Asm) {}
+    AdapterT Adapter;
+    asmx::Assembler Asm;
+    CompilerT Compiler;
     tpde::Thread Thread; ///< Unjoinable for worker 0 (the calling thread).
   };
 
-  /// What a published job asks the pool to do with each popped shard
+  /// What a published job asks the pool to do with each claimed shard
   /// index: compile it into its fragment, or place its fragment's bytes
   /// into the pre-reserved output slice.
   enum class PassKind : u8 { Compile, Place };
@@ -321,30 +269,12 @@ private:
     while (Frags.size() < NumShards)
       Frags.push_back(std::make_unique<asmx::Assembler>());
     ShardFailed.assign(NumShards, 0);
-    if (ShardStatus.size() < NumShards)
-      ShardStatus.resize(NumShards);
-    Queue.reset(NumShards, threadCount());
-
-    // Publish the job. The mutex orders the shard/fragment setup above
-    // before any worker starts draining.
-    {
-      LockGuard L(Mtx);
-      Phase = PassKind::Compile;
-      ++JobSeq;
-      Pending = threadCount() - 1;
-    }
-    JobCV.notify_all();
-
+    publish(PassKind::Compile);
     // The calling thread produces the module-level fragment (global data)
     // and then joins shard compilation as worker 0.
     bool GlobalsFailed = !compileGlobalsFrag();
-    drainQueue(0, PassKind::Compile);
-
-    {
-      LockGuard L(Mtx);
-      while (Pending != 0)
-        DoneCV.wait(Mtx);
-    }
+    drain(0, PassKind::Compile);
+    awaitPool();
 
     // Recovery pass, single-threaded on the calling thread (every worker
     // is idle past the barrier, so the per-shard slots are safe to read).
@@ -389,21 +319,9 @@ private:
   /// PlaceFailed[S] set for the caller to diagnose.
   void runPlacementPass() {
     u64 T = nowNs();
-    Queue.reset(NumShards, threadCount());
-    {
-      LockGuard L(Mtx);
-      Phase = PassKind::Place;
-      ++JobSeq;
-      Pending = threadCount() - 1;
-    }
-    JobCV.notify_all();
-    drainQueue(0, PassKind::Place);
-    {
-      LockGuard L(Mtx);
-      while (Pending != 0)
-        DoneCV.wait(Mtx);
-      Phase = PassKind::Compile;
-    }
+    publish(PassKind::Place);
+    drain(0, PassKind::Place);
+    awaitPool();
     for (u32 S = 0; S < NumShards; ++S) {
       if (!PlaceFailed[S])
         continue;
@@ -416,14 +334,24 @@ private:
     Stats.PlaceNs += nowNs() - T;
   }
 
-  /// A merge-stage failure: the diagnostic (attributed to shard \p S, ~0u
-  /// when no single shard caused it) joins diagnostics().
-  void failMerge(support::CompileErr E, std::string_view Msg, u32 S) {
-    support::CompileStatus D;
+  /// Appends a diagnostic attributed to shard \p S and function \p F
+  /// (~0u when no single shard or function caused it).
+  support::CompileStatus &addDiag(support::CompileErr E, std::string_view Msg,
+                                  u32 S, u32 F = ~0u) {
+    support::CompileStatus &D = Diags.emplace_back();
     D.Err = E;
     D.Shard = S;
+    D.Func = F;
     D.Message.assign(Msg);
-    Diags.push_back(std::move(D));
+    return D;
+  }
+
+  /// The code of a merge-stage error \p A recorded: an injected fault stays
+  /// FaultInjected, anything else is a MergeError.
+  static support::CompileErr mergeErr(const asmx::Assembler &A) {
+    return A.errorCode() == support::CompileErr::FaultInjected
+               ? support::CompileErr::FaultInjected
+               : support::CompileErr::MergeError;
   }
 
   /// A merge/stitch-stage inconsistency that \p Out just recorded,
@@ -431,15 +359,8 @@ private:
   /// diagnostic only when nothing earlier did, so each quarantined
   /// function still owns exactly one diagnostic.
   void noteMergeError(const asmx::Assembler &Out, u32 S) {
-    if (!Diags.empty())
-      return;
-    support::CompileStatus D;
-    D.Err = Out.errorCode() == support::CompileErr::FaultInjected
-                ? support::CompileErr::FaultInjected
-                : support::CompileErr::MergeError;
-    D.Shard = S;
-    D.Message.assign(Out.errorMessage());
-    Diags.push_back(std::move(D));
+    if (Diags.empty())
+      addDiag(mergeErr(Out), Out.errorMessage(), S);
   }
 
   /// Deterministic shard decomposition: ceil(Funcs / FuncsPerShard)
@@ -449,7 +370,7 @@ private:
   /// is a pure function of the module's weights and FuncsPerShard, never
   /// of the thread count.
   void computeShardBounds() {
-    const u32 Funcs = WorkerT::funcCount(M);
+    const u32 Funcs = Workers[0]->Adapter.funcCount();
     NumShards = (Funcs + Opts.FuncsPerShard - 1) / Opts.FuncsPerShard;
     ShardBounds.clear();
     ShardBounds.push_back(0);
@@ -478,8 +399,33 @@ private:
   }
 
   u64 weightOf(u32 F) const {
-    u32 W = WorkerT::funcWeight(M, F);
+    const AdapterT &A = Workers[0]->Adapter;
+    u32 W = A.funcValueCount(A.funcRef(F));
     return W ? W : 1; // declarations and empty functions still occupy a slot
+  }
+
+  /// Publishes pass \p P to the pool: re-partitions the shard queue and
+  /// wakes every spawned worker. The mutex orders the caller's
+  /// shard/fragment setup (and the queue reset) before any worker starts
+  /// draining; the caller then joins as worker 0 (drain) and waits in
+  /// awaitPool().
+  void publish(PassKind P) {
+    Queue.reset(NumShards, threadCount());
+    {
+      LockGuard L(Mtx);
+      Phase = P;
+      ++JobSeq;
+      Pending = threadCount() - 1;
+    }
+    JobCV.notify_all();
+  }
+
+  /// The pass barrier: returns once every spawned worker drained the
+  /// current pass, which publishes their per-shard slots to the caller.
+  void awaitPool() {
+    LockGuard L(Mtx);
+    while (Pending != 0)
+      DoneCV.wait(Mtx);
   }
 
   void workerMain(unsigned Id) {
@@ -495,7 +441,7 @@ private:
         Seen = JobSeq;
         P = Phase;
       }
-      drainQueue(Id, P);
+      drain(Id, P);
       {
         LockGuard L(Mtx);
         if (--Pending == 0)
@@ -504,7 +450,10 @@ private:
     }
   }
 
-  void drainQueue(unsigned Id, PassKind P) {
+  /// Claims shards off the queue until the pass runs dry: worker \p Id's
+  /// own contiguous range first (the same shards on every compile of a
+  /// reused pool), then by stealing.
+  void drain(unsigned Id, PassKind P) {
     u32 Shard;
     while (Queue.pop(Id, Shard)) {
       if (P == PassKind::Compile)
@@ -530,67 +479,32 @@ private:
 
   void compileShard(unsigned Id, u32 Shard) {
     Worker &W = *Workers[Id];
-    u32 Begin = ShardBounds[Shard];
-    u32 End = ShardBounds[Shard + 1];
     asmx::Assembler &Frag = *Frags[Shard];
     // The queue hands each shard to exactly one worker, so this thread is
-    // the only writer of the shard's slot/fragment; the Pending barrier
-    // publishes the writes to the calling thread.
-    support::CompileStatus &St = ShardStatus[Shard];
-    St.clear();
-    St.Shard = Shard;
-    // Pre-size the fragment's text buffer from the worker's size bound
-    // (when it provides one) so the snapshot merge of a first-time-large
-    // shard skips the geometric growth ladder. Purely a capacity hint.
-    Frag.reset();
-    if constexpr (requires(const ModuleT &CM, u32 A) {
-                    { WorkerT::shardTextBound(CM, A, A) }
-                        -> std::convertible_to<u64>;
-                  })
-      Frag.text().ensureSpace(static_cast<size_t>(
-          WorkerT::shardTextBound(std::as_const(M), Begin, End)));
-    auto failShard = [&](support::CompileErr E, std::string_view Msg) {
-      Frag.reset(); // never leave a poisoned fragment behind
-      St.Err = E;
-      St.Message.assign(Msg);
-      ShardFailed[Shard] = 1;
-    };
-    if (support::faultPoint(support::FaultSite::ShardCompile)) {
-      failShard(support::CompileErr::FaultInjected,
-                "fault injected: shard-compile");
-      return;
-    }
-    // compileRange resets the worker's assembler itself, at a cost
-    // proportional to the previous shard's symbol table; once warm the
-    // whole shard compile is allocation-free. A throwing compile (e.g. an
+    // the only writer of the shard's flag/fragment; the Pending barrier
+    // publishes the writes to the calling thread. compileRange resets the
+    // worker's assembler itself, at a cost proportional to the previous
+    // shard's symbol table; once warm the whole shard compile is
+    // allocation-free. A throwing compile or snapshot merge (e.g. an
     // injected arena-growth failure) poisons only this shard: the worker's
     // state is reset wholesale at its next compileRange.
+    Frag.reset();
     bool OK = false;
     try {
-      OK = W.W.compileRange(Begin, End);
+      if (!support::faultPoint(support::FaultSite::ShardCompile) &&
+          W.Compiler.compileRange(ShardBounds[Shard], ShardBounds[Shard + 1])) {
+        Frag.mergeFrom(W.Asm);
+        OK = !Frag.hasError();
+      }
     } catch (...) {
-      failShard(support::CompileErr::OutOfMemory,
-                "allocation failed during shard compile");
-      return;
     }
     if (!OK) {
-      // A failed shard may hold half-emitted code with unbound labels; drop
-      // it and let the recovery pass isolate the bad function.
-      const support::CompileStatus &WS = W.W.status();
-      failShard(WS.Err, WS.Message);
-      St.Func = WS.Func;
-      St.Symbol = WS.Symbol;
-      return;
+      // A failed shard may hold half-emitted code with unbound labels: drop
+      // it. Its status is not kept — the recovery pass recompiles the
+      // shard function by function and diagnoses each failure.
+      Frag.reset();
+      ShardFailed[Shard] = 1;
     }
-    try {
-      Frag.mergeFrom(W.W.assembler());
-    } catch (...) { // arena-backed name interning in the snapshot merge
-      failShard(support::CompileErr::OutOfMemory,
-                "allocation failed snapshotting shard");
-      return;
-    }
-    if (Frag.hasError())
-      failShard(Frag.errorCode(), Frag.errorMessage());
   }
 
   /// (Re)builds the module-level fragment on the calling thread. Returns
@@ -601,37 +515,27 @@ private:
     GlobalsFrag.reset();
     bool OK = false;
     try {
-      OK = W0.W.compileGlobals();
-      if (OK)
-        GlobalsFrag.mergeFrom(W0.W.assembler());
+      if (W0.Compiler.compileGlobals()) {
+        GlobalsFrag.mergeFrom(W0.Asm);
+        OK = !GlobalsFrag.hasError();
+      }
     } catch (...) {
-      GlobalsFrag.reset();
-      return false;
     }
     if (!OK)
-      return false;
-    if (GlobalsFrag.hasError()) {
       GlobalsFrag.reset();
-      return false;
-    }
-    return true;
+    return OK;
   }
 
   /// Records the module-level diagnostic after the globals fragment failed
   /// twice (initial + retry). Shard/Func stay ~0u: the failure is not
   /// attributable to a function.
   void recordGlobalsFailure() {
-    Worker &W0 = *Workers[0];
-    support::CompileStatus D;
-    const support::CompileStatus &WS = W0.W.status();
-    if (!WS.ok()) {
-      D.Err = WS.Err;
-      D.Message = WS.Message;
-    } else {
-      D.Err = support::CompileErr::AssemblerError;
-      D.Message = "module-level fragment compile failed";
-    }
-    Diags.push_back(std::move(D));
+    const support::CompileStatus &WS = Workers[0]->Compiler.status();
+    if (!WS.ok())
+      addDiag(WS.Err, WS.Message, ~0u);
+    else
+      addDiag(support::CompileErr::AssemblerError,
+              "module-level fragment compile failed", ~0u);
   }
 
   /// Recovery for one failed shard: recompiles its functions one at a time
@@ -649,14 +553,14 @@ private:
       bool OK = false;
       bool Threw = false;
       try {
-        OK = W0.W.compileRange(F, F + 1);
+        OK = W0.Compiler.compileRange(F, F + 1);
       } catch (...) {
         Threw = true;
       }
       if (OK) {
         bool MergeThrew = false;
         try {
-          Frag.mergeFrom(W0.W.assembler());
+          Frag.mergeFrom(W0.Asm);
         } catch (...) { // arena-backed name interning in the merge
           MergeThrew = true;
         }
@@ -664,35 +568,21 @@ private:
           continue;
         // The merge itself failed; quarantine this function and rebuild
         // the fragment so earlier good functions are not lost.
-        support::CompileStatus D;
-        if (MergeThrew) {
-          D.Err = support::CompileErr::OutOfMemory;
-          D.Message = "allocation failed merging function";
-        } else {
-          D.Err = Frag.errorCode() == support::CompileErr::FaultInjected
-                      ? support::CompileErr::FaultInjected
-                      : support::CompileErr::MergeError;
-          D.Message.assign(Frag.errorMessage());
-        }
-        D.Shard = S;
-        D.Func = F;
-        Diags.push_back(std::move(D));
+        if (MergeThrew)
+          addDiag(support::CompileErr::OutOfMemory,
+                  "allocation failed merging function", S, F);
+        else
+          addDiag(mergeErr(Frag), Frag.errorMessage(), S, F);
         rebuildShardFragment(S, F);
         continue;
       }
-      support::CompileStatus D;
       if (Threw) {
-        D.Err = support::CompileErr::OutOfMemory;
-        D.Message = "allocation failed compiling function";
+        addDiag(support::CompileErr::OutOfMemory,
+                "allocation failed compiling function", S, F);
       } else {
-        const support::CompileStatus &WS = W0.W.status();
-        D.Err = WS.Err;
-        D.Symbol = WS.Symbol;
-        D.Message = WS.Message;
+        const support::CompileStatus &WS = W0.Compiler.status();
+        addDiag(WS.Err, WS.Message, S, F).Symbol = WS.Symbol;
       }
-      D.Shard = S;
-      D.Func = F;
-      Diags.push_back(std::move(D));
     }
   }
 
@@ -706,40 +596,18 @@ private:
     for (u32 F = ShardBounds[S]; F < Skip; ++F) {
       bool OK = false;
       try {
-        OK = W0.W.compileRange(F, F + 1);
+        OK = W0.Compiler.compileRange(F, F + 1);
         // These functions compiled and merged cleanly moments ago; a
         // repeat failure (compile or merge) means a second independent
         // fault — give up on the function silently (its diagnostic would
         // duplicate the merge one).
         if (OK)
-          Frag.mergeFrom(W0.W.assembler());
+          Frag.mergeFrom(W0.Asm);
       } catch (...) {
       }
     }
   }
 
-  /// Verifier gate: rejects a malformed module with a structured
-  /// diagnostic before any codegen. Only instantiated for workers that
-  /// expose a static verifyModule(const ModuleT &, std::string &).
-  bool verifyGate() {
-    if constexpr (requires(const ModuleT &CM, std::string &E) {
-                    { WorkerT::verifyModule(CM, E) } -> std::convertible_to<bool>;
-                  }) {
-      VerifyErrors.clear();
-      if (WorkerT::verifyModule(std::as_const(M), VerifyErrors))
-        return true;
-      support::CompileStatus D;
-      D.Err = support::CompileErr::VerifyFailed;
-      D.Message = VerifyErrors;
-      Diags.push_back(std::move(D));
-      FirstStatus = Diags.front();
-      return false;
-    } else {
-      return true;
-    }
-  }
-
-  ModuleT &M;
   ParallelCompileOptions Opts;
   std::vector<std::unique_ptr<Worker>> Workers;
   /// Per-shard output snapshots, indexed by shard — the schedule-proof
@@ -751,14 +619,12 @@ private:
   /// retained across compiles (docs/PERF.md).
   std::vector<u32> ShardBounds;
   u32 NumShards = 0;
-  /// Per-shard failure flag + status slot. Each shard has exactly one
-  /// writer (the queue's exactly-once pop) and the Pending==0 barrier
-  /// publishes the slots to the calling thread, so no atomics are needed
-  /// and the reported first error is keyed by shard index, never by
-  /// thread arrival. Capacity is retained across compiles (docs/PERF.md);
-  /// only the flags are re-zeroed per compile.
+  /// Per-shard failure flag. Each shard has exactly one writer (the
+  /// queue's exactly-once pop) and the Pending==0 barrier publishes
+  /// the flags to the calling thread, so no atomics are needed and the
+  /// recovery pass walks failures in shard order, never thread arrival.
+  /// Capacity is retained across compiles (docs/PERF.md).
   std::vector<u8> ShardFailed;
-  std::vector<support::CompileStatus> ShardStatus;
   /// In-place emission scratch: the compile's output assembler, and,
   /// capacity-retained across compiles (docs/PERF.md), shard S's slice
   /// plan, whether its slice was reserved (0 = unplanned, skip
@@ -774,17 +640,15 @@ private:
   /// single-threaded in the recovery pass. FirstStatus mirrors the front.
   std::vector<support::CompileStatus> Diags;
   support::CompileStatus FirstStatus;
-  /// Scratch for the verifier gate (reused; docs/PERF.md).
-  std::string VerifyErrors;
 
   /// The one-mutex job handshake. Everything below is GUARDED_BY(Mtx);
-  /// the per-shard result slots (ShardStatus, ShardFailed, Frags,
-  /// PlaceOut, Plans, Planned, PlaceFailed) deliberately are NOT: they are
-  /// published to workers by the JobSeq bump under Mtx and read back by
-  /// the caller only after the Pending==0 barrier, so each slot is
-  /// exclusively owned by one shard's worker between those two fences.
-  /// The annotations cannot express that transfer-of-ownership protocol;
-  /// TSan verifies it (CI runs the full suite under TSan).
+  /// the per-shard result slots (ShardFailed, Frags, PlaceOut, Plans,
+  /// Planned, PlaceFailed) deliberately are NOT: they are published to
+  /// workers by the JobSeq bump under Mtx and read back by the caller
+  /// only after the Pending==0 barrier, so each slot is exclusively owned
+  /// by one shard's worker between those two fences. The annotations
+  /// cannot express that transfer-of-ownership protocol; TSan verifies it
+  /// (CI runs the full suite under TSan).
   Mutex Mtx;
   CondVar JobCV, DoneCV;
   /// Bumped per published job; workers wait for it.
@@ -797,6 +661,26 @@ private:
   PassKind Phase TPDE_GUARDED_BY(Mtx) = PassKind::Compile;
   bool Stop TPDE_GUARDED_BY(Mtx) = false;
 };
+
+/// One-shot parallel compile of \p M into \p Out with \p NumThreads
+/// workers (0 = hardware concurrency), behind the same verify step as the
+/// serial one-shot (compileVerified). \p Out is reset first, so a module
+/// the verifier rejects leaves it empty. For repeated compiles keep a
+/// ParallelModuleCompiler around instead — this constructs and tears down
+/// the pool per call.
+template <typename CompilerT, typename ModuleT>
+bool compileModuleParallel(ModuleT &M, asmx::Assembler &Out,
+                           unsigned NumThreads, bool Verify,
+                           support::CompileStatus *StatusOut) {
+  Out.reset();
+  return compileVerified(M, Verify, StatusOut,
+                         [&](support::CompileStatus &St) {
+    ParallelModuleCompiler<CompilerT> PC(M, {.NumThreads = NumThreads});
+    bool OK = PC.compile(Out);
+    St = PC.status();
+    return OK;
+  });
+}
 
 } // namespace tpde::core
 

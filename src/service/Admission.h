@@ -98,15 +98,14 @@ enum class Admit : u8 {
 /// policies. T must be movable. All operations are thread-safe.
 template <typename T> class AdmissionQueue {
 public:
-  explicit AdmissionQueue(size_t Capacity, TenantConfig DefaultCfg = {})
-      : Cap(Capacity ? Capacity : 1), Default(DefaultCfg) {}
+  explicit AdmissionQueue(size_t Capacity) : Cap(Capacity ? Capacity : 1) {}
 
   AdmissionQueue(const AdmissionQueue &) = delete;
   AdmissionQueue &operator=(const AdmissionQueue &) = delete;
 
   size_t capacity() const { return Cap; }
 
-  /// Installs a per-tenant policy (overriding the constructor default
+  /// Installs a per-tenant policy (overriding the default TenantConfig
   /// for that tenant). Safe to call while producers run; an existing
   /// bucket is re-capped to the new burst.
   void setTenantConfig(TenantId Tid, const TenantConfig &Cfg)
@@ -274,11 +273,10 @@ private:
     u64 DueNs;
   };
 
+  /// A tenant without setTenantConfig() gets the default TenantConfig:
+  /// unmetered, weight 1.
   TenantState &tenantLocked(TenantId Tid) TPDE_REQUIRES(Mtx) {
-    auto [It, Inserted] = Tenants.try_emplace(Tid);
-    if (Inserted)
-      It->second.Cfg = Default;
-    return It->second;
+    return Tenants.try_emplace(Tid).first->second;
   }
 
   /// \p RingFull is set (only) when the verdict is Overloaded because the
@@ -365,7 +363,6 @@ private:
   }
 
   const size_t Cap;
-  const TenantConfig Default;
   mutable Mutex Mtx;
   CondVar NotEmpty;
   CondVar NotFull;

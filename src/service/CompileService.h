@@ -29,9 +29,9 @@
 ///  * **Admission control.** Every submit names a tenant; per-tenant
 ///    token buckets and weighted-fair dequeue (AdmissionQueue) keep a
 ///    flooding tenant from starving the others. submit() waits at most
-///    AdmitMaxWaitNs for ring space before failing with Overloaded;
-///    trySubmit() never waits. A closed service reports ServiceShutdown,
-///    never an ad-hoc assembler error.
+///    AdmitMaxWaitNs (200 ms) for ring space before failing with
+///    Overloaded; trySubmit() never waits. A closed service reports
+///    ServiceShutdown, never an ad-hoc assembler error.
 ///
 ///  * **Deadlines.** A job may carry an absolute deadline: expired jobs
 ///    are shed at dequeue (never compiled), and a waiter attached to an
@@ -61,9 +61,10 @@
 /// The service is a template over a Traits type binding it to an IR:
 ///
 ///   struct MyTraits {
-///     using WorkerT = ...;   // satisfies core::ParallelCompileWorker
-///     // ModuleT = WorkerT::ModuleT, default-constructible, copyable
-///     // and movable
+///     using CompilerT = ...; // a CompilerBase-derived compiler; the
+///     // parallel driver takes it as is (core/ParallelCompiler.h).
+///     // ModuleT = CompilerT::AdapterT::ModuleT, default-constructible,
+///     // copyable and movable
 ///     static support::Fp128 fingerprint(const ModuleT &M);
 ///     static bool verify(const ModuleT &M, std::string &Err);
 ///     static constexpr asmx::JITMapper::StubArch Stub = ...;
@@ -98,6 +99,10 @@
 
 namespace tpde::service {
 
+/// Longest a blocking submit() waits for admission-ring space before
+/// failing the job with Overloaded.
+inline constexpr u64 AdmitMaxWaitNs = 200'000'000; // 200ms
+
 struct ServiceOptions {
   /// Service worker threads, each popping and compiling one job at a time.
   unsigned NumWorkers = 1;
@@ -115,12 +120,6 @@ struct ServiceOptions {
   asmx::JITMapper::Resolver Resolver;
 
   // -- Overload control -------------------------------------------------
-  /// Longest a blocking submit() waits for ring space before failing the
-  /// job with Overloaded. 0 makes submit() behave like trySubmit().
-  u64 AdmitMaxWaitNs = 200'000'000; // 200ms
-  /// Admission policy for tenants without an explicit setTenantConfig().
-  /// The default is unmetered, weight 1.
-  TenantConfig DefaultTenant;
   /// Max recompiles of a job whose failure is transient
   /// (support::compileErrTransient) before its waiters are failed.
   u32 MaxRetries = 2;
@@ -152,12 +151,12 @@ struct SubmitOptions {
 
 template <typename Traits> class CompileService {
 public:
-  using WorkerT = typename Traits::WorkerT;
-  using ModuleT = typename WorkerT::ModuleT;
+  using CompilerT = typename Traits::CompilerT;
+  using ModuleT = typename core::ParallelModuleCompiler<CompilerT>::ModuleT;
 
   explicit CompileService(ServiceOptions O = {})
       : Opts(sanitize(std::move(O))), Cache(Opts.CacheBudgetBytes),
-        Queue(Opts.QueueCapacity, Opts.DefaultTenant), Paused(Opts.StartPaused) {
+        Queue(Opts.QueueCapacity), Paused(Opts.StartPaused) {
     Workers.reserve(Opts.NumWorkers);
     for (unsigned I = 0; I < Opts.NumWorkers; ++I)
       Workers.push_back(std::make_unique<WorkerState>(I));
@@ -173,14 +172,14 @@ public:
   CompileService &operator=(const CompileService &) = delete;
 
   /// Installs an admission policy for \p Tid (quota, weight, queue cap),
-  /// overriding ServiceOptions::DefaultTenant for that tenant.
+  /// overriding the unmetered weight-1 default for that tenant.
   void setTenantConfig(TenantId Tid, const TenantConfig &Cfg) {
     Queue.setTenantConfig(Tid, Cfg);
   }
 
   /// Submits one module as a job. Never blocks on compilation; blocks at
-  /// most ServiceOptions::AdmitMaxWaitNs when the admission queue is full
-  /// (bounded back-pressure), then fails the job with Overloaded. The
+  /// most AdmitMaxWaitNs when the admission queue is full (bounded
+  /// back-pressure), then fails the job with Overloaded. The
   /// returned handle completes on a cache hit before submit() even
   /// returns. \p Mod is read by reference and copied only when this
   /// submit owns the compile (a miss): a hit, a coalesced waiter and a
@@ -249,7 +248,7 @@ private:
         : PC(Mod, {.NumThreads = 1}),
           BackoffRng(0x7065646eull ^ (u64{Index} << 32)) {}
     ModuleT Mod;
-    core::ParallelModuleCompiler<WorkerT> PC;
+    core::ParallelModuleCompiler<CompilerT> PC;
     std::vector<ResultPtr> Waiters; ///< Publish scratch, reused per job.
     /// Deterministic per-worker jitter source for retry backoff.
     tpde::Rng BackoffRng;
@@ -345,7 +344,7 @@ private:
     Admit A = NonBlocking
                   ? Queue.tryPush(std::move(Job), SO.Tenant, Now)
                   : Queue.pushWait(std::move(Job), SO.Tenant, Now,
-                                   Opts.AdmitMaxWaitNs);
+                                   AdmitMaxWaitNs);
     switch (A) {
     case Admit::Ok:
       break;
@@ -530,13 +529,21 @@ private:
       return; // the worker finished this one after all
     Cache.stats().StuckFailovers.fetch_add(1, std::memory_order_relaxed);
     u64 Now = tpde::nowNs();
-    u64 Completed = 0;
-    if (OwnerRes && OwnerRes->complete(nullptr, St, false, Now))
-      ++Completed;
+    if (OwnerRes)
+      completeFailed(*OwnerRes, St, Now);
     for (ResultPtr &W : Waiters)
-      if (W->complete(nullptr, St, false, Now))
-        ++Completed;
-    Cache.stats().Failed.fetch_add(Completed, std::memory_order_relaxed);
+      completeFailed(*W, St, Now);
+  }
+
+  /// Completes \p R with the failure \p St and counts it in Failed. The
+  /// count comes first: a client that wait()s and then reads stats() must
+  /// see its own failure counted. A handle already completed (timed out)
+  /// is not counted, so the count is taken back.
+  void completeFailed(ServiceResult &R, const support::CompileStatus &St,
+                      u64 Now) {
+    Cache.stats().Failed.fetch_add(1, std::memory_order_relaxed);
+    if (!R.complete(nullptr, St, false, Now))
+      Cache.stats().Failed.fetch_sub(1, std::memory_order_relaxed);
   }
 
   void failJob(const support::Fp128 &Fp, u64 Token, const ResultPtr &Res,
@@ -552,13 +559,9 @@ private:
     std::vector<ResultPtr> Waiters;
     Cache.fail(Fp, Token, Waiters);
     u64 Now = tpde::nowNs();
-    u64 Completed = 0;
-    if (Res->complete(nullptr, St, false, Now))
-      ++Completed;
+    completeFailed(*Res, St, Now);
     for (ResultPtr &W : Waiters)
-      if (W->complete(nullptr, St, false, Now))
-        ++Completed;
-    Cache.stats().Failed.fetch_add(Completed, std::memory_order_relaxed);
+      completeFailed(*W, St, Now);
   }
 
   ServiceOptions Opts;

@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 
 namespace tpde::support {
 
@@ -60,7 +61,7 @@ public:
       Q = 1.0;
     // Rank of the target sample, 1-based, ceil(Q * Total) clamped to
     // [1, Total].
-    u64 Rank = static_cast<u64>(Q * static_cast<double>(Total));
+    u64 Rank = static_cast<u64>(std::ceil(Q * static_cast<double>(Total)));
     if (Rank < 1)
       Rank = 1;
     if (Rank > Total)

@@ -4,9 +4,9 @@
 /// Instantiates the backend-agnostic parallel module compile driver
 /// (core/ParallelCompiler.h) for the TIR back-ends. All driver logic —
 /// worker pool, deterministic weighted sharding, fragment snapshots,
-/// ordered merge — lives in the shared core template; this file only
-/// supplies the per-target worker types (adapter + assembler + compiler
-/// bundles) and the one-shot convenience entry points.
+/// ordered merge — lives in the shared core template, which takes the
+/// compilers as they are; this file only names the instantiations and
+/// the one-shot convenience entry points.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +14,6 @@
 #define TPDE_TPDE_TIR_PARALLELCOMPILER_H
 
 #include "core/ParallelCompiler.h"
-#include "tir/Verifier.h"
 #include "tpde_tir/TirCompilerA64.h"
 #include "tpde_tir/TirCompilerX64.h"
 
@@ -22,60 +21,11 @@ namespace tpde::tpde_tir {
 
 using ParallelCompileOptions = core::ParallelCompileOptions;
 
-/// Per-thread compile state for one TIR worker: private adapter,
-/// assembler, and compiler instance (reset-not-freed, docs/PERF.md).
-/// Satisfies core::ParallelCompileWorker.
-template <typename CompilerT>
-struct TirParallelWorker {
-  using ModuleT = tir::Module;
-
-  explicit TirParallelWorker(tir::Module &M)
-      : Adapter(M), Compiler(Adapter, Asm) {}
-
-  asmx::Assembler &assembler() { return Asm; }
-  bool compileGlobals() { return Compiler.compileGlobals(); }
-  bool compileRange(u32 Begin, u32 End) {
-    return Compiler.compileRange(Begin, End);
-  }
-  const support::CompileStatus &status() const { return Compiler.status(); }
-
-  static u32 funcCount(const tir::Module &M) {
-    return static_cast<u32>(M.Funcs.size());
-  }
-  /// Shard-balancing size proxy: the per-function value count is known up
-  /// front and tracks compile cost closely (single pass over values).
-  static u32 funcWeight(const tir::Module &M, u32 I) {
-    return static_cast<u32>(M.Funcs[I].Values.size());
-  }
-  /// Capacity hint for the driver's fragment buffers (two-pass emission):
-  /// an upper-bound-ish text size for functions [Begin, End). TIR values
-  /// lower to a handful of instructions each (≤ ~16 bytes on either
-  /// target); the per-function constant covers prologue/epilogue and the
-  /// 16-byte function alignment. Only a hint — under-estimates merely
-  /// fall back to geometric buffer growth.
-  static u64 shardTextBound(const tir::Module &M, u32 Begin, u32 End) {
-    u64 Bytes = 0;
-    for (u32 I = Begin; I < End; ++I)
-      Bytes = Bytes + 16 * static_cast<u64>(M.Funcs[I].Values.size()) + 64;
-    return Bytes;
-  }
-  /// Enables the driver's ParallelCompileOptions::Verify pre-pass.
-  static bool verifyModule(const tir::Module &M, std::string &Errors) {
-    return tir::verifyModule(M, Errors);
-  }
-
-  TirAdapter Adapter;
-  asmx::Assembler Asm;
-  CompilerT Compiler;
-};
-
 /// The x86-64 instantiation (the name predates the driver template and is
 /// kept for existing users).
-using ParallelModuleCompiler =
-    core::ParallelModuleCompiler<TirParallelWorker<TirCompilerX64>>;
-/// The AArch64 instantiation — same driver, second worker type.
-using ParallelModuleCompilerA64 =
-    core::ParallelModuleCompiler<TirParallelWorker<TirCompilerA64>>;
+using ParallelModuleCompiler = core::ParallelModuleCompiler<TirCompilerX64>;
+/// The AArch64 instantiation — same driver, second compiler type.
+using ParallelModuleCompilerA64 = core::ParallelModuleCompiler<TirCompilerA64>;
 
 /// One-shot convenience entry points mirroring compileModuleX64() /
 /// compileModuleA64(): compile \p M into \p Out with \p NumThreads
@@ -85,12 +35,20 @@ using ParallelModuleCompilerA64 =
 /// diagnostic on failure. For repeated compiles keep a
 /// ParallelModuleCompiler[A64] around instead — these construct and tear
 /// down the pool per call.
-bool compileModuleX64Parallel(tir::Module &M, asmx::Assembler &Out,
-                              unsigned NumThreads = 0, bool Verify = false,
-                              support::CompileStatus *StatusOut = nullptr);
-bool compileModuleA64Parallel(tir::Module &M, asmx::Assembler &Out,
-                              unsigned NumThreads = 0, bool Verify = false,
-                              support::CompileStatus *StatusOut = nullptr);
+inline bool
+compileModuleX64Parallel(tir::Module &M, asmx::Assembler &Out,
+                         unsigned NumThreads = 0, bool Verify = false,
+                         support::CompileStatus *StatusOut = nullptr) {
+  return core::compileModuleParallel<TirCompilerX64>(M, Out, NumThreads, Verify,
+                                                     StatusOut);
+}
+inline bool
+compileModuleA64Parallel(tir::Module &M, asmx::Assembler &Out,
+                         unsigned NumThreads = 0, bool Verify = false,
+                         support::CompileStatus *StatusOut = nullptr) {
+  return core::compileModuleParallel<TirCompilerA64>(M, Out, NumThreads, Verify,
+                                                     StatusOut);
+}
 
 } // namespace tpde::tpde_tir
 

@@ -31,7 +31,7 @@ support::Fp128 fingerprintModule(const tir::Module &M);
 
 /// Service traits: see service/CompileService.h for the contract.
 struct TirX64ServiceTraits {
-  using WorkerT = TirParallelWorker<TirCompilerX64>;
+  using CompilerT = TirCompilerX64;
 
   static support::Fp128 fingerprint(const tir::Module &M) {
     return fingerprintModule(M);

@@ -22,6 +22,7 @@ namespace tpde::tpde_tir {
 
 class TirAdapter {
 public:
+  using ModuleT = tir::Module;
   using FuncRef = u32;
   using BlockRef = tir::BlockRef;
   using ValRef = tir::ValRef;
@@ -49,6 +50,7 @@ public:
 
   // --- Module-level ---------------------------------------------------
   u32 funcCount() const { return static_cast<u32>(M.Funcs.size()); }
+  u32 funcValueCount(FuncRef F) const { return M.Funcs[F].valueCount(); }
   FuncRef funcRef(u32 I) const { return I; }
   std::string_view funcName(FuncRef F) const { return M.Funcs[F].Name; }
   asmx::Linkage funcLinkage(FuncRef F) const {

@@ -31,7 +31,7 @@ support::Fp128 fingerprintModule(const UModule &M);
 
 /// Service traits: see service/CompileService.h for the contract.
 struct UirServiceTraits {
-  using WorkerT = UirParallelWorker;
+  using CompilerT = UirCompilerX64;
 
   static support::Fp128 fingerprint(const UModule &M) {
     return fingerprintModule(M);

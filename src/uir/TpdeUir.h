@@ -27,6 +27,7 @@ namespace tpde::uir {
 
 class UirAdapter {
 public:
+  using ModuleT = UModule;
   using FuncRef = u32;
   using BlockRef = u32;
   using ValRef = u32;
@@ -47,6 +48,9 @@ public:
   u32 maxBlockCount() const { return MaxBlocks; }
 
   u32 funcCount() const { return static_cast<u32>(M.Funcs.size()); }
+  u32 funcValueCount(FuncRef F) const {
+    return static_cast<u32>(M.Funcs[F].Vals.size());
+  }
   FuncRef funcRef(u32 I) const { return I; }
   std::string_view funcName(FuncRef F) const { return M.Funcs[F].Name; }
   asmx::Linkage funcLinkage(FuncRef) const { return asmx::Linkage::External; }

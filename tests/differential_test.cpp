@@ -39,7 +39,8 @@ class Differential : public ::testing::TestWithParam<DiffParam> {};
 
 enum class Backend { Tpde, TpdeParallel, BaselineO0, BaselineO1, CopyPatch };
 
-bool compileWith(Backend BE, Module &M, asmx::Assembler &Asm) {
+bool compileWith(Backend BE, Module &M, asmx::Assembler &Asm,
+                 unsigned Threads) {
   switch (BE) {
   case Backend::Tpde:
     return tpde_tir::compileModuleX64(M, Asm);
@@ -48,7 +49,7 @@ bool compileWith(Backend BE, Module &M, asmx::Assembler &Asm) {
     // per shard guarantees every call in the module crosses a shard
     // boundary and is linked through Assembler::mergeFrom().
     tpde_tir::ParallelCompileOptions Opts;
-    Opts.NumThreads = 3;
+    Opts.NumThreads = Threads;
     Opts.FuncsPerShard = 1;
     tpde_tir::ParallelModuleCompiler PC(M, Opts);
     return PC.compile(Asm);
@@ -63,14 +64,16 @@ bool compileWith(Backend BE, Module &M, asmx::Assembler &Asm) {
   TPDE_UNREACHABLE("bad backend");
 }
 
-void runDifferential(const Profile &P, Backend BE = Backend::Tpde) {
+/// \p Threads is the parallel driver's worker count (TpdeParallel only).
+void runDifferential(const Profile &P, Backend BE = Backend::Tpde,
+                     unsigned Threads = 1) {
   Module M;
   genModule(M, P);
   std::string Err;
   ASSERT_TRUE(verifyModule(M, Err)) << Err;
 
   asmx::Assembler Asm;
-  ASSERT_TRUE(compileWith(BE, M, Asm))
+  ASSERT_TRUE(compileWith(BE, M, Asm, Threads))
       << "compilation failed, seed " << P.Seed;
   asmx::JITMapper JIT;
   ASSERT_TRUE(JIT.map(Asm));
@@ -133,9 +136,16 @@ TEST_P(Differential, TpdeMatchesInterpreter) {
   runDifferential(fuzzProfile(DP.Seed, DP.SSAForm), Backend::Tpde);
 }
 
+/// One function per shard gives a fuzz module (four functions plus its
+/// driver) five shards: 1 thread compiles them all, 3 split them and
+/// steal, and 8 start some workers with an empty range.
 TEST_P(Differential, TpdeParallelMatchesInterpreter) {
   DiffParam DP = GetParam();
-  runDifferential(fuzzProfile(DP.Seed, DP.SSAForm), Backend::TpdeParallel);
+  for (unsigned Threads : {1u, 3u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(Threads));
+    runDifferential(fuzzProfile(DP.Seed, DP.SSAForm), Backend::TpdeParallel,
+                    Threads);
+  }
 }
 
 TEST_P(Differential, BaselineO0MatchesInterpreter) {

@@ -246,6 +246,7 @@ TEST(GracefulDegradation, PoolStaysReusableAndAllocationFreeAfterFailure) {
 /// VerifyFailed status, and the output assembler stays empty: malformed IR
 /// never reaches the emitter.
 TEST(VerifierGate, MalformedCorpusNeverReachesTheEmitter) {
+  tir::Module Valid = makeModule(5, 3);
   for (u32 K = 0; K < workloads::NumMalformKinds; ++K) {
     auto Kind = static_cast<workloads::MalformKind>(K);
     SCOPED_TRACE(workloads::malformKindName(Kind));
@@ -277,6 +278,15 @@ TEST(VerifierGate, MalformedCorpusNeverReachesTheEmitter) {
       EXPECT_EQ(St.Err, CompileErr::VerifyFailed) << "threads=" << Threads;
       EXPECT_EQ(Out.text().size(), 0u) << "threads=" << Threads;
     }
+    // A reused output that still holds an earlier module's image is
+    // emptied too, not left next to the VerifyFailed status.
+    asmx::Assembler Reused;
+    ASSERT_TRUE(tpde_tir::compileModuleX64(Valid, Reused));
+    ASSERT_GT(Reused.text().size(), 0u);
+    EXPECT_FALSE(tpde_tir::compileModuleX64Parallel(M, Reused, 2,
+                                                    /*Verify=*/true, &St));
+    EXPECT_EQ(St.Err, CompileErr::VerifyFailed);
+    EXPECT_EQ(Reused.text().size(), 0u) << "stale image kept";
     asmx::Assembler OutA64;
     EXPECT_FALSE(tpde_tir::compileModuleA64Parallel(M, OutA64, 2,
                                                     /*Verify=*/true, &St));

@@ -224,6 +224,19 @@ TEST(LatencyHistogram, QuantilesAreConservativeUpperBounds) {
   H.reset();
   EXPECT_EQ(H.count(), 0u);
   EXPECT_EQ(H.quantileNs(0.5), 0u);
+
+  // Fractional ranks round up (nearest rank = ceil(Q * N)); the
+  // 1,000-sample case above only has whole-number ranks.
+  for (u64 Ns : {u64{10}, u64{1'000}, u64{100'000}})
+    H.record(Ns);
+  EXPECT_GE(H.quantileNs(0.50), 1'000u) << "rank ceil(1.5) = 2 is 1us";
+  EXPECT_LE(H.quantileNs(0.50), 1'000u + 1'000u / 8);
+  H.reset();
+  for (int I = 0; I < 148; ++I)
+    H.record(100);
+  H.record(1'000'000);
+  H.record(1'000'000);
+  EXPECT_GE(H.quantileNs(0.99), 1'000'000u) << "rank ceil(148.5) = 149 is 1ms";
 }
 
 // --- fingerprints ----------------------------------------------------------
