@@ -123,13 +123,7 @@ void Assembler::mergeFrom(const Assembler &Src) {
   // driver path cannot drift from this one.
   MergePlan Plan;
   reserveFrom(Src, Plan);
-  if (!placeFrom(Src, Plan)) {
-    // The serial path has no deferred-retry stage: zero the slice so the
-    // (failed) module carries no uninitialized bytes and record the error.
-    zeroSlice(Plan);
-    setError(support::CompileErr::FaultInjected,
-             "fault injected: section-place");
-  }
+  placeFrom(Src, Plan);
   stitchFrom(Src, Plan);
 }
 
@@ -178,9 +172,7 @@ void Assembler::reserveFrom(const Assembler &Src, MergePlan &Plan) {
   }
 }
 
-bool Assembler::placeFrom(const Assembler &Src, const MergePlan &Plan) {
-  if (support::faultPoint(support::FaultSite::SectionPlace))
-    return false;
+void Assembler::placeFrom(const Assembler &Src, const MergePlan &Plan) {
   for (unsigned I = 0; I < NumSections; ++I) {
     SecKind K = static_cast<SecKind>(I);
     if (K == SecKind::BSS || K == SecKind::ROData)
@@ -194,18 +186,6 @@ bool Assembler::placeFrom(const Assembler &Src, const MergePlan &Plan) {
            "placement slice out of bounds");
     std::memcpy(Secs[I].Data.data() + Plan.Base[I], S.Data.data(),
                 S.Data.size());
-  }
-  return true;
-}
-
-void Assembler::zeroSlice(const MergePlan &Plan) {
-  for (unsigned I = 0; I < NumSections; ++I) {
-    SecKind K = static_cast<SecKind>(I);
-    if (K == SecKind::BSS || K == SecKind::ROData || !Plan.Bytes[I])
-      continue;
-    assert(Plan.Base[I] + Plan.Bytes[I] <= Secs[I].size() &&
-           "placement slice out of bounds");
-    std::memset(Secs[I].Data.data() + Plan.Base[I], 0, Plan.Bytes[I]);
   }
 }
 

@@ -362,17 +362,8 @@ public:
   /// Pass 2: copies \p Src's text and data bytes into the slice
   /// reserved by reserveFrom(). Safe to run concurrently for *distinct
   /// plans* of the same destination: it writes only this plan's
-  /// disjoint byte ranges and touches no shared assembler state —
-  /// which is also why it reports failure by return value instead of
-  /// setError(). Returns false iff the section-place fault site fired;
-  /// the call may simply be repeated.
-  bool placeFrom(const Assembler &Src, const MergePlan &Plan);
-
-  /// Zero-fills the byte ranges reserved for \p Plan — the graceful-
-  /// degradation escape hatch when a placement failed terminally: the
-  /// module is already failed, but neighboring slices and the
-  /// no-uninitialized-bytes guarantee stay intact.
-  void zeroSlice(const MergePlan &Plan);
+  /// disjoint byte ranges and touches no shared assembler state.
+  void placeFrom(const Assembler &Src, const MergePlan &Plan);
 
   /// Pass 3 (serial, in fragment order): everything mergeFrom() does
   /// except the text/data/BSS byte copy — read-only data (wholesale

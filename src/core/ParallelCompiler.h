@@ -25,8 +25,8 @@
 ///     are a pure function of the per-function weights and FuncsPerShard,
 ///     never of the thread count.
 ///  2. Each shard's output is snapshotted into its own fragment assembler;
-///     the work-stealing queue decides *who* compiles a shard, never
-///     *where* its bytes land.
+///     the shard queue decides *who* compiles a shard, never *where* its
+///     bytes land.
 ///  3. The final merge walks fragments in shard-index order on the calling
 ///     thread (module-level globals fragment first).
 ///
@@ -157,9 +157,8 @@ public:
   /// (byte-identical to a serial compile of the good subset) and reports
   /// exactly K diagnostics, ordered by shard then function index —
   /// independent of thread count and schedule (first-error-wins keyed by
-  /// shard order, never thread arrival). Merge, stitch, and placement
-  /// failures also land in diagnostics(), attributed to the shard that
-  /// surfaced them.
+  /// shard order, never thread arrival). Merge and stitch failures also
+  /// land in diagnostics(), attributed to the shard that surfaced them.
   bool compile(asmx::Assembler &Out) {
     FirstStatus.clear();
     Diags.clear();
@@ -174,7 +173,10 @@ public:
     // stitch walks them in shard order. The destination's interned-name
     // pool is arena-backed, so a merge can throw bad_alloc — that becomes
     // a diagnostic instead of unwinding out of the compile.
-    preparePlans(Out);
+    PlaceOut = &Out;
+    if (Plans.size() < NumShards)
+      Plans.resize(NumShards);
+    Planned.assign(NumShards, 0);
     u64 T = nowNs();
     Out.reset();
     try {
@@ -190,14 +192,14 @@ public:
               "allocation failed merging the module", ~0u);
     }
     Stats.ReserveNs += nowNs() - T;
-    runPlacementPass();
-    for (u32 S = 0; S < NumShards; ++S) {
-      // Terminal placement failure: runPlacementPass zero-filled the
-      // slice (the only source is the section-place fault site).
-      if (PlaceFailed[S])
-        addDiag(support::CompileErr::FaultInjected,
-                "fault injected: section-place", S);
-    }
+    // Pass 2: the worker pool copies every planned shard's text/data into
+    // its reserved slice. Slices are disjoint byte ranges, so the pass
+    // needs no synchronization beyond the job barrier.
+    T = nowNs();
+    publish(PassKind::Place);
+    drain(0, PassKind::Place);
+    awaitPool();
+    Stats.PlaceNs += nowNs() - T;
     T = nowNs();
     try {
       for (u32 S = 0; S < NumShards; ++S) {
@@ -289,16 +291,6 @@ private:
         retryShard(S);
   }
 
-  /// Points the placement pass at \p Out and sizes/clears the per-shard
-  /// placement scratch (capacity retained across compiles, docs/PERF.md).
-  void preparePlans(asmx::Assembler &Out) {
-    PlaceOut = &Out;
-    if (Plans.size() < NumShards)
-      Plans.resize(NumShards);
-    Planned.assign(NumShards, 0);
-    PlaceFailed.assign(NumShards, 0);
-  }
-
   /// Reserves shard \p S's slice of \p Out and routes the placement pass
   /// to it. Planned is set only on success, so a throwing reservation
   /// leaves the shard unplanned (skipped by placement and stitch).
@@ -308,30 +300,6 @@ private:
     constexpr unsigned DataI = static_cast<unsigned>(asmx::SecKind::Data);
     Stats.PlacedBytes += Plans[S].Bytes[TextI] + Plans[S].Bytes[DataI];
     Planned[S] = 1;
-  }
-
-  /// Pass 2: the worker pool memcpys every planned shard's text/data
-  /// into its pre-reserved slice. Slices are disjoint byte ranges, so
-  /// the pass needs no synchronization beyond the job barrier. A
-  /// placement fault is retried once on the calling thread (the fault
-  /// site fires exactly once per arm); a terminal failure zero-fills
-  /// the slice so neighboring shards' bytes stay intact, and leaves
-  /// PlaceFailed[S] set for the caller to diagnose.
-  void runPlacementPass() {
-    u64 T = nowNs();
-    publish(PassKind::Place);
-    drain(0, PassKind::Place);
-    awaitPool();
-    for (u32 S = 0; S < NumShards; ++S) {
-      if (!PlaceFailed[S])
-        continue;
-      if (PlaceOut->placeFrom(*Frags[S], Plans[S])) {
-        PlaceFailed[S] = 0;
-        continue;
-      }
-      PlaceOut->zeroSlice(Plans[S]);
-    }
-    Stats.PlaceNs += nowNs() - T;
   }
 
   /// Appends a diagnostic attributed to shard \p S and function \p F
@@ -452,7 +420,7 @@ private:
 
   /// Claims shards off the queue until the pass runs dry: worker \p Id's
   /// own contiguous range first (the same shards on every compile of a
-  /// reused pool), then by stealing.
+  /// reused pool), then the other workers' leftovers.
   void drain(unsigned Id, PassKind P) {
     u32 Shard;
     while (Queue.pop(Id, Shard)) {
@@ -467,14 +435,10 @@ private:
   /// queue hands each shard to exactly one worker and the slices are
   /// disjoint, so no two threads ever write the same output byte;
   /// PlaceOut/Planned/Plans were published by the mutex before the job
-  /// woke the pool. placeFrom never touches shared assembler state (not
-  /// even the error slot), so failure is a per-shard flag handled after
-  /// the barrier.
+  /// woke the pool.
   void placeShard(u32 Shard) {
-    if (!Planned[Shard])
-      return; // reservation failed; nothing owns bytes here
-    if (!PlaceOut->placeFrom(*Frags[Shard], Plans[Shard]))
-      PlaceFailed[Shard] = 1;
+    if (Planned[Shard]) // else its reservation failed; it owns no bytes
+      PlaceOut->placeFrom(*Frags[Shard], Plans[Shard]);
   }
 
   void compileShard(unsigned Id, u32 Shard) {
@@ -627,13 +591,11 @@ private:
   std::vector<u8> ShardFailed;
   /// In-place emission scratch: the compile's output assembler, and,
   /// capacity-retained across compiles (docs/PERF.md), shard S's slice
-  /// plan, whether its slice was reserved (0 = unplanned, skip
-  /// placement/stitch), and the pass-2 failure flags (same
-  /// single-writer-then-barrier discipline as ShardFailed).
+  /// plan and whether its slice was reserved (0 = unplanned, skip
+  /// placement/stitch).
   asmx::Assembler *PlaceOut = nullptr;
   std::vector<asmx::MergePlan> Plans;
   std::vector<u8> Planned;
-  std::vector<u8> PlaceFailed;
   /// Per-phase breakdown of the last compile (emitStats()).
   EmitStats Stats;
   /// Diagnostics of the last compile, ordered by (shard, function); built
@@ -643,12 +605,12 @@ private:
 
   /// The one-mutex job handshake. Everything below is GUARDED_BY(Mtx);
   /// the per-shard result slots (ShardFailed, Frags, PlaceOut, Plans,
-  /// Planned, PlaceFailed) deliberately are NOT: they are published to
-  /// workers by the JobSeq bump under Mtx and read back by the caller
-  /// only after the Pending==0 barrier, so each slot is exclusively owned
-  /// by one shard's worker between those two fences. The annotations
-  /// cannot express that transfer-of-ownership protocol; TSan verifies it
-  /// (CI runs the full suite under TSan).
+  /// Planned) deliberately are NOT: they are published to workers by the
+  /// JobSeq bump under Mtx and read back by the caller only after the
+  /// Pending==0 barrier, so each slot is exclusively owned by one shard's
+  /// worker between those two fences. The annotations cannot express that
+  /// transfer-of-ownership protocol; TSan verifies it (CI runs the full
+  /// suite under TSan).
   Mutex Mtx;
   CondVar JobCV, DoneCV;
   /// Bumped per published job; workers wait for it.

@@ -86,11 +86,11 @@
 #include "core/ParallelCompiler.h"
 #include "service/Admission.h"
 #include "service/CodeCache.h"
-#include "support/FaultInjector.h"
 #include "support/Rng.h"
 #include "support/Sync.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -116,8 +116,6 @@ struct ServiceOptions {
   /// Workers stay parked until resume() — lets tests queue a known set
   /// of jobs before any of them is compiled.
   bool StartPaused = false;
-  /// External symbol resolver for mapping (host functions the jobs call).
-  asmx::JITMapper::Resolver Resolver;
 
   // -- Overload control -------------------------------------------------
   /// Max recompiles of a job whose failure is transient
@@ -129,10 +127,9 @@ struct ServiceOptions {
   u64 RetryBackoffCapNs = 50'000'000;  // 50ms
   /// A worker whose heartbeat is older than this while compiling a job is
   /// failed over by the watchdog (its claim completes with a structured
-  /// error; its eventual publish is a no-op). 0 disables the watchdog.
+  /// error; its eventual publish is a no-op). 0 disables the watchdog,
+  /// which otherwise scans every min(StuckBatchTimeoutNs / 10, 100ms).
   u64 StuckBatchTimeoutNs = 30'000'000'000; // 30s
-  /// Watchdog scan period (also its detection latency).
-  u64 WatchdogPeriodNs = 100'000'000; // 100ms
   /// Test-only: runs on the worker thread after it registered its job's
   /// claim, before compiling. Lets tests stall a worker deterministically
   /// to exercise the watchdog.
@@ -276,8 +273,6 @@ private:
       O.RetryBackoffBaseNs = 1;
     if (O.RetryBackoffCapNs < O.RetryBackoffBaseNs)
       O.RetryBackoffCapNs = O.RetryBackoffBaseNs;
-    if (O.StuckBatchTimeoutNs > 0 && O.WatchdogPeriodNs == 0)
-      O.WatchdogPeriodNs = 1'000'000;
     return O;
   }
 
@@ -300,14 +295,6 @@ private:
         Res->complete(nullptr, St, false, tpde::nowNs());
         return Res;
       }
-    }
-    if (support::faultPoint(support::FaultSite::ServiceAdmit)) {
-      Cache.stats().Failed.fetch_add(1, std::memory_order_relaxed);
-      support::CompileStatus St;
-      St.Err = support::CompileErr::FaultInjected;
-      St.Message = "injected admission failure";
-      Res->complete(nullptr, St, false, tpde::nowNs());
-      return Res;
     }
     const support::Fp128 Fp = Traits::fingerprint(Mod);
     std::shared_ptr<CachedCode> HitCode;
@@ -415,7 +402,7 @@ private:
       St = WS.PC.status();
     Job.Mod = std::move(WS.Mod);
     WS.HeartbeatNs.store(tpde::nowNs(), std::memory_order_relaxed);
-    if (St.ok() && !CC->JIT.map(CC->Asm, Opts.Resolver, Traits::Stub))
+    if (St.ok() && !CC->JIT.map(CC->Asm, nullptr, Traits::Stub))
       St = CC->JIT.status();
     if (!St.ok()) {
       if (!maybeRetry(WS, Job, St))
@@ -450,7 +437,8 @@ private:
   /// Re-admits \p Job on the retry lane when its failure is transient,
   /// the retry budget allows, and the backoff still fits the deadline.
   /// The cache claim is kept across the retry — waiters keep waiting on
-  /// the same entry. Returns false when the job must fail instead.
+  /// the same entry. Returns true only when it re-queued the job; false
+  /// when the job must fail instead.
   bool maybeRetry(WorkerState &WS, PendingJob &Job,
                   const support::CompileStatus &St) {
     if (!support::compileErrTransient(St.Err) || Job.Attempt >= Opts.MaxRetries)
@@ -467,13 +455,6 @@ private:
     u64 Now = tpde::nowNs();
     if (Job.DeadlineNs != 0 && Now + Backoff >= Job.DeadlineNs)
       return false; // the retry could not finish in time anyway
-    if (support::faultPoint(support::FaultSite::ServiceRetry)) {
-      support::CompileStatus FS;
-      FS.Err = support::CompileErr::FaultInjected;
-      FS.Message = "injected retry-scheduling failure";
-      failJobStatus(Job.Fp, Job.Token, Job.Res, FS);
-      return true; // handled (failed), caller must not double-fail
-    }
     Job.Attempt += 1;
     Job.PrevBackoffNs = Backoff;
     Job.EnqueueNs = Now;
@@ -483,9 +464,13 @@ private:
   }
 
   void watchdogMain() TPDE_EXCLUDES(WatchdogMtx) {
+    // The scan period bounds the detection latency: a stuck worker is
+    // failed over at most 1.1x the timeout after its last heartbeat.
+    const u64 PeriodNs =
+        std::min<u64>(Opts.StuckBatchTimeoutNs / 10, 100'000'000); // 100ms
     UniqueLock L(WatchdogMtx);
     while (!WatchdogStop) {
-      WatchdogCV.waitFor(WatchdogMtx, Opts.WatchdogPeriodNs);
+      WatchdogCV.waitFor(WatchdogMtx, PeriodNs);
       if (WatchdogStop)
         break;
       L.unlock();

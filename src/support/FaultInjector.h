@@ -13,16 +13,18 @@
 /// and the registry never allocates, keeping armed-but-idle sweeps
 /// compatible with the zero-steady-state-allocation policy (docs/PERF.md).
 ///
-/// The sites are deliberately shared across drivers: the compile service
-/// reuses ShardCompile (and the rest) through the parallel driver it
-/// compiles each job with, so the robustness sweep in
-/// tests/robustness_test.cpp and the service-path recovery test
-/// (tests/service_test.cpp, ShardFaultInServiceCompileRecoversAllJobs)
-/// exercise the same registry — add a new site only when a failure
-/// domain is reachable from neither. The ServiceAdmit/ServiceRetry sites
-/// are such a case: they live in the serving layer's admission and
-/// retry-scheduling paths, above the parallel driver, and are swept by
-/// tests/service_test.cpp (ServiceFaultSweep.*).
+/// Each site stands in for a failure the code can really meet, and its
+/// caller handles that failure the way the real one would be handled (an
+/// arena that cannot grow, an assembler error such as a duplicate strong
+/// definition, a refused mapping). Add a site only where such a real
+/// failure exists for it to stand in for: a site nothing else can trigger
+/// tests only the path that handles it.
+///
+/// The sites are shared across drivers: the compile service reaches
+/// ShardCompile (and the rest) through the parallel driver it compiles
+/// each job with, so the robustness sweep in tests/robustness_test.cpp
+/// and the service tests (tests/service_test.cpp) exercise the same
+/// registry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,16 +46,10 @@ enum class FaultSite : u8 {
   ShardCompile, ///< core::ParallelModuleCompiler::compileShard — shard fails.
   SymbolCreate, ///< asmx::Assembler::createSymbol — assembler error.
   SectionMerge, ///< asmx::Assembler::mergeFrom — merge refused.
-  SectionPlace, ///< asmx::Assembler::placeFrom — in-place byte placement
-                ///< fails (pass 2 of the two-pass emission; docs/PERF.md).
   JitMap,       ///< asmx::JITMapper::map — mapping fails.
-  ServiceAdmit, ///< service::CompileService admission — the submit path
-                ///< fails before the job reaches the queue.
-  ServiceRetry, ///< service::CompileService retry scheduling — a
-                ///< transient-failure retry cannot be enqueued.
 };
 
-inline constexpr u32 NumFaultSites = 8;
+inline constexpr u32 NumFaultSites = 5;
 
 inline const char *faultSiteName(FaultSite S) {
   switch (S) {
@@ -61,10 +57,7 @@ inline const char *faultSiteName(FaultSite S) {
   case FaultSite::ShardCompile: return "shard-compile";
   case FaultSite::SymbolCreate: return "symbol-create";
   case FaultSite::SectionMerge: return "section-merge";
-  case FaultSite::SectionPlace: return "section-place";
   case FaultSite::JitMap: return "jit-map";
-  case FaultSite::ServiceAdmit: return "service-admit";
-  case FaultSite::ServiceRetry: return "service-retry";
   }
   return "unknown";
 }

@@ -1,17 +1,22 @@
-//===- support/WorkQueue.h - Work-stealing range queue ----------*- C++ -*-===//
+//===- support/WorkQueue.h - Per-worker claim cursors -----------*- C++ -*-===//
 ///
 /// \file
-/// A small work-stealing queue over a dense index range [0, Count), used by
-/// the parallel module compiler to distribute shards across worker threads.
+/// A small work-distribution queue over a dense index range [0, Count),
+/// used by the parallel module compiler to hand shards to worker threads.
 ///
-/// Each worker owns one contiguous sub-range packed into a single atomic
-/// u64 (Begin in the high half, End in the low half). The owner pops from
-/// the *front* of its range with a CAS; a worker whose range ran dry steals
-/// from the *back* of the largest remaining victim range. Every transition
-/// is a single CAS on one word, so the queue is lock-free, every unclaimed
-/// index is visible in exactly one slot at all times (pop() returning false
-/// really means the range is exhausted), and the queue is allocation-free
-/// after reset() has grown the slot array once (docs/PERF.md).
+/// Each worker owns one contiguous sub-range [Next, End), one per cache
+/// line. A worker claims from its own cursor with one relaxed fetch_add;
+/// once its range is dry it claims from the other workers' cursors, in
+/// order from W+1. Each index is claimed exactly once: it goes to the one
+/// fetch_add that returns it below End, and a cursor only grows, so a dry
+/// range stays dry (pop() returning false really means every index of the
+/// current reset() is claimed). The queue is allocation-free after reset()
+/// has grown the slot array once (docs/PERF.md).
+///
+/// Relaxed ordering is enough: the claim orders nothing but the index
+/// itself. The caller publishes the work behind the indices before the
+/// pool starts (the parallel driver's mutex handshake) and reads the
+/// results only after the pool is done (its Pending barrier).
 ///
 /// The queue distributes *indices*, not work items: callers map the index
 /// to whatever unit they shard by. Which worker ends up claiming an index
@@ -39,8 +44,9 @@ public:
   WorkStealingRangeQueue() = default;
 
   /// Prepares the queue to hand out [0, Count) across \p NumWorkers
-  /// workers. The initial partition is contiguous and even; imbalance is
-  /// corrected by stealing. Must not race with pop(). Only grows the slot
+  /// workers. The initial partition is contiguous and even, so a reused
+  /// pool claims the same indices on the same worker every time; pop()
+  /// evens out the rest. Must not race with pop(). Only grows the slot
   /// array (never shrinks), so repeated reset() with the same worker count
   /// does not allocate.
   void reset(u32 Count, unsigned NumWorkers) {
@@ -53,80 +59,40 @@ public:
     u32 Chunk = Count / NumWorkers, Rem = Count % NumWorkers;
     u32 Next = 0;
     for (unsigned W = 0; W < NumWorkers; ++W) {
-      u32 Take = Chunk + (W < Rem ? 1 : 0);
-      Slots[W].Range.store(pack(Next, Next + Take), std::memory_order_relaxed);
-      Next += Take;
+      Slots[W].Next.store(Next, std::memory_order_relaxed);
+      Next += Chunk + (W < Rem ? 1 : 0);
+      Slots[W].End = Next;
     }
     assert(Next == Count && "partition must cover the range");
   }
 
-  /// Claims the next index for \p Worker: first from the front of its own
-  /// range, then by stealing from the back of the largest victim range.
-  /// Returns false only once every index of the current reset() has been
-  /// claimed.
+  /// Claims the next index for \p Worker: first from its own range, then
+  /// from the other workers' ranges, starting at Worker + 1. Returns false
+  /// only once every index of the current reset() has been claimed.
   bool pop(unsigned Worker, u32 &Out) {
     assert(Worker < Workers && "worker id out of range");
-    if (popOwn(Worker, Out))
-      return true;
-    return steal(Worker, Out);
+    for (unsigned N = 0, W = Worker; N < Workers; ++N) {
+      Slot &S = Slots[W];
+      if (S.Next.load(std::memory_order_relaxed) < S.End) {
+        u32 I = S.Next.fetch_add(1, std::memory_order_relaxed);
+        if (I < S.End) {
+          Out = I;
+          return true;
+        }
+      }
+      if (++W == Workers)
+        W = 0;
+    }
+    return false;
   }
 
   unsigned workerCount() const { return Workers; }
 
 private:
   struct alignas(64) Slot {
-    std::atomic<u64> Range{0};
+    std::atomic<u32> Next{0};
+    u32 End = 0;
   };
-
-  static u64 pack(u32 Begin, u32 End) {
-    return (static_cast<u64>(Begin) << 32) | End;
-  }
-  static u32 begin(u64 R) { return static_cast<u32>(R >> 32); }
-  static u32 end(u64 R) { return static_cast<u32>(R); }
-
-  bool popOwn(unsigned Worker, u32 &Out) {
-    std::atomic<u64> &R = Slots[Worker].Range;
-    u64 Cur = R.load(std::memory_order_acquire);
-    while (begin(Cur) < end(Cur)) {
-      if (R.compare_exchange_weak(Cur, pack(begin(Cur) + 1, end(Cur)),
-                                  std::memory_order_acq_rel)) {
-        Out = begin(Cur);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool steal(unsigned Thief, u32 &Out) {
-    for (;;) {
-      // Pick the victim with the most remaining work; retry from scratch
-      // whenever the CAS loses a race, since the best victim may change.
-      unsigned Victim = Workers;
-      u64 VictimRange = 0;
-      u32 Best = 0;
-      for (unsigned W = 0; W < Workers; ++W) {
-        if (W == Thief)
-          continue;
-        u64 Cur = Slots[W].Range.load(std::memory_order_acquire);
-        u32 Size = end(Cur) - begin(Cur);
-        if (begin(Cur) < end(Cur) && Size > Best) {
-          Best = Size;
-          Victim = W;
-          VictimRange = Cur;
-        }
-      }
-      if (Victim == Workers)
-        return false; // everything claimed
-      u32 B = begin(VictimRange), E = end(VictimRange);
-      // Take one index off the back; owner pops stay at the front, so the
-      // contention window between owner and thief is a single element.
-      if (Slots[Victim].Range.compare_exchange_weak(
-              VictimRange, pack(B, E - 1), std::memory_order_acq_rel)) {
-        Out = E - 1;
-        return true;
-      }
-    }
-  }
 
   std::unique_ptr<Slot[]> Slots;
   unsigned Cap = 0;

@@ -90,6 +90,33 @@ TEST(WorkQueue, ConcurrentClaimsAreExactlyOnce) {
   EXPECT_EQ(Sum.load(), static_cast<u64>(Count) * (Count - 1) / 2);
 }
 
+/// The static first split: each worker starts at the front of its own
+/// contiguous range and keeps claiming from it, so a reused pool compiles
+/// the same shards on the same thread every time. A single shared cursor
+/// would hand worker 0 index 3 on its second pop.
+TEST(WorkQueue, EachWorkerStartsAtItsOwnRangeEveryReset) {
+  support::WorkStealingRangeQueue Q;
+  u32 First[3] = {};
+  for (int Round = 0; Round < 2; ++Round) {
+    Q.reset(10, 3);
+    u32 Out;
+    for (unsigned W = 0; W < 3; ++W) {
+      ASSERT_TRUE(Q.pop(W, Out));
+      if (Round == 0)
+        First[W] = Out;
+      else
+        EXPECT_EQ(Out, First[W]) << "worker " << W << " moved on reset";
+    }
+    EXPECT_EQ(First[0], 0u);
+    EXPECT_LT(First[0], First[1]);
+    EXPECT_LT(First[1], First[2]);
+    for (unsigned W = 0; W < 3; ++W) {
+      ASSERT_TRUE(Q.pop(W, Out));
+      EXPECT_EQ(Out, First[W] + 1) << "worker " << W << " left its range";
+    }
+  }
+}
+
 TEST(WorkQueue, ResetReusesSlotStorage) {
   support::WorkStealingRangeQueue Q;
   Q.reset(100, 4);

@@ -435,8 +435,7 @@ TEST(FaultSweep, EverySiteEveryThreadCountRecoversOrFailsCleanly) {
   const FaultSite CompileSites[] = {FaultSite::ArenaGrow,
                                     FaultSite::ShardCompile,
                                     FaultSite::SymbolCreate,
-                                    FaultSite::SectionMerge,
-                                    FaultSite::SectionPlace};
+                                    FaultSite::SectionMerge};
   for (FaultSite Site : CompileSites) {
     for (unsigned Threads : {1u, 2u, 4u, 8u}) {
       for (u64 Nth : {u64(1), u64(5)}) {
@@ -492,52 +491,6 @@ TEST(FaultSweep, ShardCompileFaultFullyRecovers) {
     FaultInjector::disarmAll();
     EXPECT_TRUE(PC.diagnostics().empty());
     EXPECT_EQ(textOf(Out), textOf(SerialAsm)) << "threads=" << Threads;
-  }
-}
-
-/// Pass-2 surgical strike on the in-place emission path. With N shards
-/// the section-place site fires exactly N+2 times before the placement
-/// pass regardless of thread count (the globals snapshot merge, N shard
-/// snapshot merges, the globals merge into the output), so arming hit
-/// N+3 lands on the first in-place placement of pass 2. The driver
-/// retries the faulted slice once on the calling thread and the fault
-/// site fires only once per arm, so the compile must SUCCEED with
-/// byte-identical output: the re-placed slice is refilled and the
-/// neighboring shards' already-placed bytes stay untouched.
-TEST(FaultSweep, SectionPlaceFaultInPassTwoRecoversInPlace) {
-  DisarmOnExit Guard;
-  tir::Module M = makeModule(53, 24);
-  asmx::Assembler SerialAsm;
-  ASSERT_TRUE(tpde_tir::compileModuleX64(M, SerialAsm));
-  std::vector<u8> RefText = textOf(SerialAsm);
-
-  for (unsigned Threads : {1u, 4u}) {
-    tpde_tir::ParallelCompileOptions Opts;
-    Opts.NumThreads = Threads;
-    tpde_tir::ParallelModuleCompiler PC(M, Opts);
-    asmx::Assembler Out;
-    ASSERT_TRUE(PC.compile(Out)); // clean warm-up fixes the shard count
-    ASSERT_GE(PC.shardCount(), 2u)
-        << "need at least two shards for the neighbor-corruption check";
-    FaultInjector::arm(FaultSite::SectionPlace,
-                       static_cast<u64>(PC.shardCount()) + 3);
-    ASSERT_TRUE(PC.compile(Out)) << "threads=" << Threads;
-    // The site's hit count pins the emission sequence (and proves the
-    // armed hit actually fired in pass 2, not past the end): N+2 hits
-    // before placement, N placements, one post-barrier retry of the
-    // faulted slice — independent of thread count and schedule.
-    EXPECT_EQ(FaultInjector::hits(FaultSite::SectionPlace),
-              2 * static_cast<u64>(PC.shardCount()) + 3)
-        << "threads=" << Threads
-        << ": the section-place hit count no longer matches the two-pass "
-           "sequence; the armed Nth may not land in pass 2 anymore";
-    FaultInjector::disarmAll();
-    EXPECT_TRUE(PC.status().ok());
-    EXPECT_TRUE(PC.diagnostics().empty());
-    EXPECT_EQ(textOf(Out), RefText)
-        << "threads=" << Threads
-        << ": re-placed slice or its neighbors diverged after the pass-2 "
-           "placement fault";
   }
 }
 
