@@ -284,9 +284,8 @@ int main(int argc, char **argv) {
       LastDeadline = Deadline;
       // Pool offset past phase 1's modules: every job is a distinct
       // fingerprint, so nothing hides behind the cache.
-      OverResults.push_back(OverSvc.trySubmit(
-          makePoolModule(1'000'000 + I),
-          {.Tenant = 1 + I % 4, .DeadlineNs = Deadline}));
+      OverResults.push_back(OverSvc.trySubmit(makePoolModule(1'000'000 + I),
+                                              {.DeadlineNs = Deadline}));
     }
     // Hang detection: after the last deadline plus generous slack, every
     // job must have been completed by the service itself (shed, failed,

@@ -94,7 +94,6 @@ ServiceStatsSnapshot CodeCache::snapshot() const {
   S.Overloaded = St.Overloaded.load(std::memory_order_relaxed);
   S.Shed = St.Shed.load(std::memory_order_relaxed);
   S.DeadlineTimedOut = St.DeadlineTimedOut.load(std::memory_order_relaxed);
-  S.Retried = St.Retried.load(std::memory_order_relaxed);
   S.StuckFailovers = St.StuckFailovers.load(std::memory_order_relaxed);
   S.CachedBytes = St.CachedBytes.load(std::memory_order_relaxed);
   S.CachedEntries = St.CachedEntries.load(std::memory_order_relaxed);

@@ -77,12 +77,11 @@ struct ServiceStats {
   std::atomic<u64> Failed{0};     ///< Jobs completed with a diagnostic.
   std::atomic<u64> VerifyRejected{0}; ///< Rejected by the admission verifier.
   std::atomic<u64> Overloaded{0}; ///< Admission rejections: queue full past
-                                  ///< the bounded wait, or quota exhausted.
+                                  ///< the bounded wait.
   std::atomic<u64> Shed{0};       ///< Jobs whose deadline expired in the
                                   ///< queue; shed at dequeue, never compiled.
   std::atomic<u64> DeadlineTimedOut{0}; ///< Waiters that timed out on an
                                         ///< in-flight fingerprint.
-  std::atomic<u64> Retried{0};    ///< Transient-failure recompiles scheduled.
   std::atomic<u64> StuckFailovers{0}; ///< Claims failed over by the worker
                                       ///< watchdog (hung-job detector).
   std::atomic<u64> CachedBytes{0};
@@ -94,7 +93,9 @@ struct ServiceStats {
                                          ///< dequeue (enqueue -> worker pop).
 };
 
-/// Plain-value snapshot of ServiceStats for reporting.
+/// Plain-value snapshot of ServiceStats for reporting. Retried is always
+/// 0: the service compiles each job once. It stays because reports still
+/// read it (perfbench's query_service prints it as service.retried).
 struct ServiceStatsSnapshot {
   u64 Hits = 0, Misses = 0, Coalesced = 0, Evictions = 0, Failed = 0,
       VerifyRejected = 0, Overloaded = 0, Shed = 0, DeadlineTimedOut = 0,

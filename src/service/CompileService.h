@@ -1,9 +1,9 @@
-//===- service/CompileService.h - Multi-tenant compile service --*- C++ -*-===//
+//===- service/CompileService.h - In-process compile service ----*- C++ -*-===//
 ///
 /// \file
-/// A multi-tenant JIT compile service: clients submit() IR modules from
+/// An in-process JIT compile service: clients submit() IR modules from
 /// any thread and get back a waitable ServiceResult; service workers pop
-/// jobs one at a time from a tenant-fair admission queue
+/// jobs one at a time, in arrival order, from a bounded admission queue
 /// (service/Admission.h), compile each through the parallel driver's
 /// compile() — the path a solo compileModule*Parallel takes — map the
 /// output executable, and memoize it in the content-addressed CodeCache.
@@ -26,23 +26,15 @@
 /// On top of that sits the overload-control layer (docs/SERVICE.md,
 /// "Overload control"):
 ///
-///  * **Admission control.** Every submit names a tenant; per-tenant
-///    token buckets and weighted-fair dequeue (AdmissionQueue) keep a
-///    flooding tenant from starving the others. submit() waits at most
-///    AdmitMaxWaitNs (200 ms) for ring space before failing with
-///    Overloaded; trySubmit() never waits. A closed service reports
-///    ServiceShutdown, never an ad-hoc assembler error.
+///  * **Bounded admission.** submit() waits at most AdmitMaxWaitNs
+///    (200 ms) for queue space before failing with Overloaded;
+///    trySubmit() never waits. A closed service reports ServiceShutdown,
+///    never an ad-hoc assembler error.
 ///
 ///  * **Deadlines.** A job may carry an absolute deadline: expired jobs
 ///    are shed at dequeue (never compiled), and a waiter attached to an
 ///    in-flight fingerprint times out on its own deadline independently
 ///    of the owner (ServiceResult::wait self-completes, first-wins).
-///
-///  * **Transient-failure retry.** Jobs failing with a transient code
-///    (support::compileErrTransient) are recompiled up to MaxRetries
-///    times with decorrelated-jitter backoff on the queue's retry lane
-///    before their waiters are failed. The single-flight claim is held
-///    across retries, so waiters keep waiting instead of re-compiling.
 ///
 ///  * **Worker watchdog.** Each worker heartbeats per job stage; a
 ///    watchdog thread fails over the ownership claim of a worker stuck
@@ -50,13 +42,14 @@
 ///    with a structured error. Ownership tokens (CodeCache) make the
 ///    hung worker's eventual publish a harmless no-op.
 ///
-/// Admission reuses the PR 6 robustness plumbing: the verifier gate runs
-/// on the *client* thread before the job can touch the queue or cache,
-/// so a malformed module costs its submitter a structured VerifyFailed
-/// diagnostic and nobody else anything. A job that fails to compile
-/// completes with the driver's first diagnostic — the status a solo
-/// compile of its module reports — and the failed fingerprint is
-/// removed, never cached.
+/// Admission reuses the robustness plumbing (docs/ROBUSTNESS.md): the
+/// verifier gate runs on the *client* thread before the job can touch the
+/// queue or cache, so a malformed module costs its submitter a structured
+/// VerifyFailed diagnostic and nobody else anything. Each job is compiled
+/// once: a job that fails to compile or map completes, with its waiters,
+/// on that first failure — the driver's first diagnostic, the status a
+/// solo compile of its module reports. The failed fingerprint is removed,
+/// never cached, so a resubmit compiles again.
 ///
 /// The service is a template over a Traits type binding it to an IR:
 ///
@@ -86,20 +79,20 @@
 #include "core/ParallelCompiler.h"
 #include "service/Admission.h"
 #include "service/CodeCache.h"
-#include "support/Rng.h"
 #include "support/Sync.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace tpde::service {
 
-/// Longest a blocking submit() waits for admission-ring space before
+/// Longest a blocking submit() waits for admission-queue space before
 /// failing the job with Overloaded.
 inline constexpr u64 AdmitMaxWaitNs = 200'000'000; // 200ms
 
@@ -116,15 +109,6 @@ struct ServiceOptions {
   /// Workers stay parked until resume() — lets tests queue a known set
   /// of jobs before any of them is compiled.
   bool StartPaused = false;
-
-  // -- Overload control -------------------------------------------------
-  /// Max recompiles of a job whose failure is transient
-  /// (support::compileErrTransient) before its waiters are failed.
-  u32 MaxRetries = 2;
-  /// Decorrelated-jitter backoff between retries:
-  /// next = clamp(uniform(Base, 3 * prev), Base, Cap).
-  u64 RetryBackoffBaseNs = 200'000;    // 200us
-  u64 RetryBackoffCapNs = 50'000'000;  // 50ms
   /// A worker whose heartbeat is older than this while compiling a job is
   /// failed over by the watchdog (its claim completes with a structured
   /// error; its eventual publish is a no-op). 0 disables the watchdog,
@@ -136,11 +120,8 @@ struct ServiceOptions {
   std::function<void()> TestHookPreBatch;
 };
 
-/// Per-submit parameters. Defaults preserve the pre-overload behavior:
-/// the anonymous tenant, no deadline.
+/// Per-submit parameters. The default is no deadline.
 struct SubmitOptions {
-  /// Tenant charged for this job's admission (quota + fair share).
-  TenantId Tenant = 0;
   /// Absolute tpde::nowNs() deadline; 0 = none. Expired queued jobs are
   /// shed un-compiled; expired waiters self-complete in wait().
   u64 DeadlineNs = 0;
@@ -156,7 +137,7 @@ public:
         Queue(Opts.QueueCapacity), Paused(Opts.StartPaused) {
     Workers.reserve(Opts.NumWorkers);
     for (unsigned I = 0; I < Opts.NumWorkers; ++I)
-      Workers.push_back(std::make_unique<WorkerState>(I));
+      Workers.push_back(std::make_unique<WorkerState>());
     for (auto &WS : Workers)
       WS->Thread = tpde::Thread([this, W = WS.get()] { workerMain(*W); });
     if (Opts.StuckBatchTimeoutNs > 0)
@@ -167,12 +148,6 @@ public:
 
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
-
-  /// Installs an admission policy for \p Tid (quota, weight, queue cap),
-  /// overriding the unmetered weight-1 default for that tenant.
-  void setTenantConfig(TenantId Tid, const TenantConfig &Cfg) {
-    Queue.setTenantConfig(Tid, Cfg);
-  }
 
   /// Submits one module as a job. Never blocks on compilation; blocks at
   /// most AdmitMaxWaitNs when the admission queue is full (bounded
@@ -186,8 +161,8 @@ public:
     return admit(Mod, SO, /*NonBlocking=*/false);
   }
 
-  /// Non-blocking submit: a full queue (or exhausted quota) fails the
-  /// job with Overloaded immediately instead of waiting for space.
+  /// Non-blocking submit: a full queue fails the job with Overloaded
+  /// immediately instead of waiting for space.
   ResultPtr trySubmit(const ModuleT &Mod, SubmitOptions SO = {}) {
     return admit(Mod, SO, /*NonBlocking=*/true);
   }
@@ -227,28 +202,20 @@ private:
     support::Fp128 Fp;
     ResultPtr Res;
     u64 Token = 0;     ///< Ownership token from the cache claim.
-    TenantId Tenant = 0;
     u64 DeadlineNs = 0;
-    u64 EnqueueNs = 0; ///< Last enqueue time (reset per retry); the
-                       ///< queue-wait histogram records pop - enqueue.
-    u32 Attempt = 0;   ///< Completed compile attempts (retry counter).
-    u64 PrevBackoffNs = 0; ///< Last backoff (decorrelated-jitter state).
+    u64 EnqueueNs = 0; ///< The queue-wait histogram records pop - enqueue.
   };
 
   /// Per-worker compile state: a module slot with a one-thread parallel
   /// driver bound to it (worker construction is the expensive part —
   /// adapters/assemblers/compilers are reused across jobs, so the
   /// steady-state compile hits the reuse fast paths). Each job's module
-  /// is moved into the slot for its compile and moved back out after.
+  /// is moved into the slot for its compile.
   struct WorkerState {
-    explicit WorkerState(unsigned Index)
-        : PC(Mod, {.NumThreads = 1}),
-          BackoffRng(0x7065646eull ^ (u64{Index} << 32)) {}
+    WorkerState() : PC(Mod, {.NumThreads = 1}) {}
     ModuleT Mod;
     core::ParallelModuleCompiler<CompilerT> PC;
     std::vector<ResultPtr> Waiters; ///< Publish scratch, reused per job.
-    /// Deterministic per-worker jitter source for retry backoff.
-    tpde::Rng BackoffRng;
     tpde::Thread Thread;
 
     // -- Watchdog interface (see watchdogMain) --------------------------
@@ -269,10 +236,6 @@ private:
   static ServiceOptions sanitize(ServiceOptions O) {
     if (O.NumWorkers == 0)
       O.NumWorkers = 1;
-    if (O.RetryBackoffBaseNs == 0)
-      O.RetryBackoffBaseNs = 1;
-    if (O.RetryBackoffCapNs < O.RetryBackoffBaseNs)
-      O.RetryBackoffCapNs = O.RetryBackoffBaseNs;
     return O;
   }
 
@@ -320,18 +283,25 @@ private:
               "deadline expired before admission");
       return Res;
     }
-    PendingJob Job;
-    Job.Mod = Mod; // the one copy: only the owner's job outlives submit()
-    Job.Fp = Fp;
-    Job.Res = Res;
-    Job.Token = Token;
-    Job.Tenant = SO.Tenant;
-    Job.DeadlineNs = SO.DeadlineNs;
-    Job.EnqueueNs = Now;
-    Admit A = NonBlocking
-                  ? Queue.tryPush(std::move(Job), SO.Tenant, Now)
-                  : Queue.pushWait(std::move(Job), SO.Tenant, Now,
-                                   AdmitMaxWaitNs);
+    // This submit owns the claim now: a bad_alloc from the copy or the
+    // enqueue must release it, or every later submit of this module would
+    // coalesce onto a compile that never runs.
+    Admit A = Admit::Ok;
+    try {
+      PendingJob Job;
+      Job.Mod = Mod; // the one copy: only the owner's job outlives submit()
+      Job.Fp = Fp;
+      Job.Res = Res;
+      Job.Token = Token;
+      Job.DeadlineNs = SO.DeadlineNs;
+      Job.EnqueueNs = Now;
+      A = NonBlocking ? Queue.tryPush(std::move(Job))
+                      : Queue.pushWait(std::move(Job), AdmitMaxWaitNs);
+    } catch (const std::bad_alloc &) {
+      failJob(Fp, Token, Res, support::CompileErr::OutOfMemory,
+              "out of memory admitting the job");
+      return Res;
+    }
     switch (A) {
     case Admit::Ok:
       break;
@@ -343,11 +313,6 @@ private:
       Cache.stats().Overloaded.fetch_add(1, std::memory_order_relaxed);
       failJob(Fp, Token, Res, support::CompileErr::Overloaded,
               "admission queue full");
-      break;
-    case Admit::QuotaExceeded:
-      Cache.stats().Overloaded.fetch_add(1, std::memory_order_relaxed);
-      failJob(Fp, Token, Res, support::CompileErr::Overloaded,
-              "tenant quota exhausted");
       break;
     }
     return Res;
@@ -393,23 +358,18 @@ private:
 
     auto CC = std::make_shared<CachedCode>();
     CC->Fp = Job.Fp;
-    // The driver compiles its module slot. The module goes back into the
-    // job before anything can re-queue it: a transient-failure retry
-    // recompiles the job from its own module.
+    // The driver is bound to the worker's module slot.
     WS.Mod = std::move(Job.Mod);
     support::CompileStatus St;
     if (!WS.PC.compile(CC->Asm))
       St = WS.PC.status();
-    Job.Mod = std::move(WS.Mod);
     WS.HeartbeatNs.store(tpde::nowNs(), std::memory_order_relaxed);
     if (St.ok() && !CC->JIT.map(CC->Asm, nullptr, Traits::Stub))
       St = CC->JIT.status();
-    if (!St.ok()) {
-      if (!maybeRetry(WS, Job, St))
-        failJobStatus(Job.Fp, Job.Token, Job.Res, St);
-    } else {
+    if (St.ok())
       publish(WS, Job, CC);
-    }
+    else
+      failJobStatus(Job.Fp, Job.Token, Job.Res, St);
 
     {
       LockGuard L(WS.ClaimsMtx);
@@ -432,35 +392,6 @@ private:
     for (ResultPtr &W : WS.Waiters)
       if (W->complete(CC, Ok, /*WasHit=*/false, Now))
         Cache.stats().MissNs.record(W->latencyNs());
-  }
-
-  /// Re-admits \p Job on the retry lane when its failure is transient,
-  /// the retry budget allows, and the backoff still fits the deadline.
-  /// The cache claim is kept across the retry — waiters keep waiting on
-  /// the same entry. Returns true only when it re-queued the job; false
-  /// when the job must fail instead.
-  bool maybeRetry(WorkerState &WS, PendingJob &Job,
-                  const support::CompileStatus &St) {
-    if (!support::compileErrTransient(St.Err) || Job.Attempt >= Opts.MaxRetries)
-      return false;
-    // Decorrelated jitter: next in [Base, 3 * prev], clamped to Cap.
-    u64 Prev = Job.PrevBackoffNs ? Job.PrevBackoffNs : Opts.RetryBackoffBaseNs;
-    u64 Lo = Opts.RetryBackoffBaseNs;
-    u64 Hi = Prev * 3;
-    if (Hi <= Lo)
-      Hi = Lo + 1;
-    u64 Backoff = Lo + WS.BackoffRng.below(Hi - Lo);
-    if (Backoff > Opts.RetryBackoffCapNs)
-      Backoff = Opts.RetryBackoffCapNs;
-    u64 Now = tpde::nowNs();
-    if (Job.DeadlineNs != 0 && Now + Backoff >= Job.DeadlineNs)
-      return false; // the retry could not finish in time anyway
-    Job.Attempt += 1;
-    Job.PrevBackoffNs = Backoff;
-    Job.EnqueueNs = Now;
-    Cache.stats().Retried.fetch_add(1, std::memory_order_relaxed);
-    Queue.pushRetry(std::move(Job), Now + Backoff);
-    return true;
   }
 
   void watchdogMain() TPDE_EXCLUDES(WatchdogMtx) {

@@ -12,6 +12,10 @@
 /// expand TPDE_INSTALL_ALLOC_COUNTER there (benchmark/test main files
 /// only — never in the library).
 ///
+/// The same replacement lets a test make large allocations throw on demand
+/// (AllocCounter::FailFromBytes), to drive out-of-memory recovery paths
+/// without exhausting the process's real memory.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TPDE_SUPPORT_ALLOCCOUNTER_H
@@ -30,6 +34,9 @@ namespace tpde::support {
 struct AllocCounter {
   static inline std::atomic<u64> Count{0};
   static inline std::atomic<u64> Bytes{0};
+  /// Test-only: when nonzero, operator new throws std::bad_alloc for every
+  /// allocation of at least this many bytes. 0, the default, is off.
+  static inline std::atomic<u64> FailFromBytes{0};
 
   static u64 count() { return Count.load(std::memory_order_relaxed); }
   static u64 bytes() { return Bytes.load(std::memory_order_relaxed); }
@@ -61,6 +68,11 @@ private:
 #define TPDE_ALLOC_COUNTER_FN __attribute__((noinline))
 #define TPDE_INSTALL_ALLOC_COUNTER                                             \
   TPDE_ALLOC_COUNTER_FN void *operator new(std::size_t Sz) {                   \
+    if (const ::tpde::u64 From =                                               \
+            ::tpde::support::AllocCounter::FailFromBytes.load(                 \
+                std::memory_order_relaxed);                                    \
+        From != 0 && Sz >= From)                                               \
+      throw std::bad_alloc();                                                  \
     ::tpde::support::AllocCounter::Count.fetch_add(                            \
         1, std::memory_order_relaxed);                                         \
     ::tpde::support::AllocCounter::Bytes.fetch_add(                            \

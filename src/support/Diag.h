@@ -45,8 +45,7 @@ enum class CompileErr : u8 {
   JitMapFailed,
   /// An allocation failed (or a fault-injected arena growth threw).
   OutOfMemory,
-  /// The compile service refused admission: queue full past the bounded
-  /// wait, or the tenant's token-bucket quota is exhausted.
+  /// The compile service refused admission: its queue was full.
   Overloaded,
   /// The job's deadline expired: shed at dequeue before compilation, or
   /// the waiter timed out on an in-flight fingerprint.
@@ -70,18 +69,6 @@ inline const char *compileErrName(CompileErr E) {
   case CompileErr::ServiceShutdown: return "service-shutdown";
   }
   return "unknown";
-}
-
-/// True for failures a retry can plausibly clear: injected faults,
-/// allocation pressure, and mapping syscalls. The compile service
-/// recompiles such jobs up to ServiceOptions::MaxRetries times with
-/// decorrelated backoff before failing their waiters (docs/SERVICE.md,
-/// "Overload control"). Semantic failures (VerifyFailed,
-/// UnsupportedInst, AssemblerError, ...) are deterministic properties of
-/// the module and never retried.
-inline bool compileErrTransient(CompileErr E) {
-  return E == CompileErr::FaultInjected || E == CompileErr::OutOfMemory ||
-         E == CompileErr::JitMapFailed;
 }
 
 /// One diagnostic. Shard/Func are ~0u when not applicable (serial compile,

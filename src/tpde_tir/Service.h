@@ -1,14 +1,15 @@
 //===- tpde_tir/Service.h - TIR compile-service binding ---------*- C++ -*-===//
 ///
 /// \file
-/// Binds the LLVM-IR stand-in (TIR) x86-64 back-end to the multi-tenant
-/// compile service (service/CompileService.h): canonical module
-/// fingerprinting for the content-addressed code cache.
+/// Binds the LLVM-IR stand-in (TIR) x86-64 back-end to the compile
+/// service (service/CompileService.h): canonical module fingerprinting
+/// for the content-addressed code cache.
 ///
-/// The overload-control layer (tenant quotas, deadlines, transient-fault
-/// retry — docs/SERVICE.md "Overload control") is IR-agnostic and needs
-/// nothing from this binding: SubmitOptions{Tenant, DeadlineNs} applies
-/// to TIR submissions unchanged.
+/// The overload-control layer (bounded admission, deadlines, the
+/// watchdog — docs/SERVICE.md "Overload control") is IR-agnostic and
+/// needs nothing from this binding: SubmitOptions{DeadlineNs} applies to
+/// TIR submissions unchanged. The service maps without a symbol resolver,
+/// so a module that calls a declared function fails with JitMapFailed.
 ///
 //===----------------------------------------------------------------------===//
 

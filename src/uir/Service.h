@@ -1,16 +1,14 @@
 //===- uir/Service.h - UIR compile-service binding --------------*- C++ -*-===//
 ///
 /// \file
-/// Binds the database IR to the multi-tenant compile service
+/// Binds the database IR to the compile service
 /// (service/CompileService.h): canonical fingerprinting of UModules for
 /// the content-addressed code cache. This is the serving shape of the
-/// paper's §7 scenario — many sessions submitting query
-/// plans concurrently instead of one client compiling one plan at a
-/// time. Sessions map naturally onto service tenants: give each session
-/// (or session class) a TenantId and a quota/weight via
-/// setTenantConfig(), and pass per-query deadlines in SubmitOptions so
-/// an abandoned query is shed instead of compiled (docs/SERVICE.md,
-/// "Overload control").
+/// paper's §7 scenario — many sessions submitting query plans
+/// concurrently instead of one client compiling one plan at a time. The
+/// sessions share one FIFO admission queue; pass per-query deadlines in
+/// SubmitOptions so an abandoned query is shed instead of compiled
+/// (docs/SERVICE.md, "Overload control").
 ///
 //===----------------------------------------------------------------------===//
 
