@@ -4,6 +4,9 @@
 /// front-end (here: TIR construction, standing in for Clang) vs back-end,
 /// and within the back-end the preparation pass (adapter tables), the
 /// analysis pass (loops + liveness), and the code generation pass.
+/// The analysis pass cannot run without preparing each function first, so
+/// it is timed together with preparation, and analysis is that time minus
+/// the preparation pass alone; codegen is the rest of the back-end.
 /// Expected shape (paper Fig. 6): the back-end is a tiny fraction of the
 /// end-to-end pipeline (2% in the paper); within TPDE, codegen dominates,
 /// followed by preparation and analysis.
@@ -39,6 +42,7 @@ int main() {
       BackendMs += TB.ms();
     }
     // Preparation pass alone (adapter table construction).
+    double ModulePrepareMs;
     {
       tpde_tir::TirAdapter A(M);
       Timer TP;
@@ -47,9 +51,10 @@ int main() {
         if (A.funcIsDefinition(F))
           A.switchFunc(F);
       TP.stop();
-      PrepareMs += TP.ms();
+      ModulePrepareMs = TP.ms();
+      PrepareMs += ModulePrepareMs;
     }
-    // Analysis pass alone.
+    // Preparation plus analysis; analysis is the difference.
     {
       tpde_tir::TirAdapter A(M);
       core::Analyzer<tpde_tir::TirAdapter> An(A);
@@ -62,7 +67,7 @@ int main() {
         An.analyze();
       }
       TA.stop();
-      AnalysisMs += TA.ms();
+      AnalysisMs += TA.ms() - ModulePrepareMs;
     }
   }
   double CodegenMs = BackendMs - PrepareMs - AnalysisMs;

@@ -126,6 +126,7 @@ public:
     Workers.reserve(N);
     for (unsigned I = 0; I < N; ++I)
       Workers.push_back(std::make_unique<Worker>(M));
+    Queue.reset(0, N); // sizes the per-worker cursors once, here
     // Worker 0 is the calling thread; only 1..N-1 get their own thread.
     for (unsigned I = 1; I < N; ++I)
       Workers[I]->Thread = tpde::Thread([this, I] { workerMain(I); });
@@ -159,11 +160,23 @@ public:
   /// independent of thread count and schedule (first-error-wins keyed by
   /// shard order, never thread arrival). Merge and stitch failures also
   /// land in diagnostics(), attributed to the shard that surfaced them.
+  ///
+  /// Out of memory, compile() still returns: a bad_alloc anywhere in it
+  /// becomes an OutOfMemory diagnostic, and a diagnostic that cannot be
+  /// stored degrades as addDiag() describes, never throwing again.
   bool compile(asmx::Assembler &Out) {
-    FirstStatus.clear();
+    Unstored.clear();
     Diags.clear();
     Stats = EmitStats{};
-    computeShardBounds();
+    Out.reset();
+    try {
+      computeShardBounds();
+      sizeShardScratch();
+    } catch (...) {
+      addDiag(support::CompileErr::OutOfMemory,
+              "allocation failed sizing the compile", ~0u);
+      return false;
+    }
     u64 T0 = nowNs();
     runParallelPass();
     Stats.CompileNs += nowNs() - T0;
@@ -174,11 +187,7 @@ public:
     // pool is arena-backed, so a merge can throw bad_alloc — that becomes
     // a diagnostic instead of unwinding out of the compile.
     PlaceOut = &Out;
-    if (Plans.size() < NumShards)
-      Plans.resize(NumShards);
-    Planned.assign(NumShards, 0);
     u64 T = nowNs();
-    Out.reset();
     try {
       Out.mergeFrom(GlobalsFrag);
       if (Out.hasError())
@@ -217,20 +226,21 @@ public:
     }
     Stats.StitchNs += nowNs() - T;
 
-    // Every failure above also produced a diagnostic, so a clean
-    // diagnostics list means the module compiled cleanly.
-    if (Diags.empty())
-      return true;
-    FirstStatus = Diags.front();
-    return false;
+    // Every failure above also produced a diagnostic, so a compile without
+    // one compiled cleanly.
+    return !anyDiag();
   }
 
   /// First diagnostic of the last compile() — deterministically the one
   /// with the lowest shard index, then lowest function index (Ok after a
-  /// fully clean compile).
-  const support::CompileStatus &status() const { return FirstStatus; }
+  /// fully clean compile). A message-less OutOfMemory when memory ran out
+  /// before that diagnostic could be stored.
+  const support::CompileStatus &status() const {
+    return Unstored.ok() && !Diags.empty() ? Diags.front() : Unstored;
+  }
   /// All diagnostics of the last compile(), ordered by shard then
-  /// function index. One entry per quarantined function.
+  /// function index. One entry per quarantined function, short of any
+  /// that could not be stored out of memory.
   std::span<const support::CompileStatus> diagnostics() const {
     return Diags;
   }
@@ -268,9 +278,6 @@ private:
   /// final and Diags holds the recovery diagnostics, ordered by shard
   /// then function.
   void runParallelPass() {
-    while (Frags.size() < NumShards)
-      Frags.push_back(std::make_unique<asmx::Assembler>());
-    ShardFailed.assign(NumShards, 0);
     publish(PassKind::Compile);
     // The calling thread produces the module-level fragment (global data)
     // and then joins shard compilation as worker 0.
@@ -291,6 +298,18 @@ private:
         retryShard(S);
   }
 
+  /// Sizes the per-shard scratch for the current decomposition. Capacity
+  /// is retained, so a warm pool recompiling a module no larger than the
+  /// last allocates nothing here.
+  void sizeShardScratch() {
+    while (Frags.size() < NumShards)
+      Frags.push_back(std::make_unique<asmx::Assembler>());
+    ShardFailed.assign(NumShards, 0);
+    if (Plans.size() < NumShards)
+      Plans.resize(NumShards);
+    Planned.assign(NumShards, 0);
+  }
+
   /// Reserves shard \p S's slice of \p Out and routes the placement pass
   /// to it. Planned is set only on success, so a throwing reservation
   /// leaves the shard unplanned (skipped by placement and stitch).
@@ -303,16 +322,34 @@ private:
   }
 
   /// Appends a diagnostic attributed to shard \p S and function \p F
-  /// (~0u when no single shard or function caused it).
-  support::CompileStatus &addDiag(support::CompileErr E, std::string_view Msg,
-                                  u32 S, u32 F = ~0u) {
-    support::CompileStatus &D = Diags.emplace_back();
+  /// (~0u when no single shard or function caused it). Never throws: the
+  /// handlers that turn a caught bad_alloc into a diagnostic call it, and
+  /// storing the diagnostic allocates too. An entry whose text cannot be
+  /// copied keeps its code without the text; a diagnostic that cannot
+  /// get an entry is dropped, and if it was the first, status() reports
+  /// a message-less OutOfMemory in its place.
+  void addDiag(support::CompileErr E, std::string_view Msg, u32 S,
+               u32 F = ~0u, std::string_view Symbol = {}) noexcept {
+    try {
+      Diags.emplace_back();
+    } catch (...) {
+      if (Diags.empty())
+        Unstored.Err = support::CompileErr::OutOfMemory;
+      return;
+    }
+    support::CompileStatus &D = Diags.back();
     D.Err = E;
     D.Shard = S;
     D.Func = F;
-    D.Message.assign(Msg);
-    return D;
+    try {
+      D.Symbol.assign(Symbol);
+      D.Message.assign(Msg);
+    } catch (...) {
+    }
   }
+
+  /// Whether the last compile() produced a diagnostic, stored or not.
+  bool anyDiag() const { return !Diags.empty() || !Unstored.ok(); }
 
   /// The code of a merge-stage error \p A recorded: an injected fault stays
   /// FaultInjected, anything else is a MergeError.
@@ -327,7 +364,7 @@ private:
   /// diagnostic only when nothing earlier did, so each quarantined
   /// function still owns exactly one diagnostic.
   void noteMergeError(const asmx::Assembler &Out, u32 S) {
-    if (Diags.empty())
+    if (!anyDiag())
       addDiag(mergeErr(Out), Out.errorMessage(), S);
   }
 
@@ -473,17 +510,19 @@ private:
 
   /// (Re)builds the module-level fragment on the calling thread. Returns
   /// false when the compile or the snapshot merge failed; the fragment is
-  /// left reset in that case.
+  /// left reset in that case, and GlobalsThrew says whether it threw.
   bool compileGlobalsFrag() {
     Worker &W0 = *Workers[0];
     GlobalsFrag.reset();
     bool OK = false;
+    GlobalsThrew = false;
     try {
       if (W0.Compiler.compileGlobals()) {
         GlobalsFrag.mergeFrom(W0.Asm);
         OK = !GlobalsFrag.hasError();
       }
-    } catch (...) {
+    } catch (...) { // an allocation failed
+      GlobalsThrew = true;
     }
     if (!OK)
       GlobalsFrag.reset();
@@ -495,7 +534,10 @@ private:
   /// attributable to a function.
   void recordGlobalsFailure() {
     const support::CompileStatus &WS = Workers[0]->Compiler.status();
-    if (!WS.ok())
+    if (GlobalsThrew)
+      addDiag(support::CompileErr::OutOfMemory,
+              "allocation failed compiling module-level data", ~0u);
+    else if (!WS.ok())
       addDiag(WS.Err, WS.Message, ~0u);
     else
       addDiag(support::CompileErr::AssemblerError,
@@ -545,7 +587,7 @@ private:
                 "allocation failed compiling function", S, F);
       } else {
         const support::CompileStatus &WS = W0.Compiler.status();
-        addDiag(WS.Err, WS.Message, S, F).Symbol = WS.Symbol;
+        addDiag(WS.Err, WS.Message, S, F, WS.Symbol);
       }
     }
   }
@@ -578,6 +620,8 @@ private:
   /// staging area between parallel compilation and the ordered merge.
   std::vector<std::unique_ptr<asmx::Assembler>> Frags;
   asmx::Assembler GlobalsFrag;
+  /// Whether the last compileGlobalsFrag() threw.
+  bool GlobalsThrew = false;
   support::WorkStealingRangeQueue Queue;
   /// Shard S = functions [ShardBounds[S], ShardBounds[S+1]); capacity is
   /// retained across compiles (docs/PERF.md).
@@ -599,9 +643,12 @@ private:
   /// Per-phase breakdown of the last compile (emitStats()).
   EmitStats Stats;
   /// Diagnostics of the last compile, ordered by (shard, function); built
-  /// single-threaded in the recovery pass. FirstStatus mirrors the front.
+  /// single-threaded in the recovery pass. status() returns the front.
   std::vector<support::CompileStatus> Diags;
-  support::CompileStatus FirstStatus;
+  /// What status() returns in place of Diags' front: Ok, or a
+  /// message-less OutOfMemory when the first diagnostic could not be
+  /// stored. Only its code is ever set, so setting it cannot allocate.
+  support::CompileStatus Unstored;
 
   /// The one-mutex job handshake. Everything below is GUARDED_BY(Mtx);
   /// the per-shard result slots (ShardFailed, Frags, PlaceOut, Plans,

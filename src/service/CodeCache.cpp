@@ -2,20 +2,19 @@
 
 #include "service/CodeCache.h"
 
+#include <cassert>
+
 namespace tpde::service {
 
 CodeCache::Claim CodeCache::claim(const support::Fp128 &Fp,
                                   const ResultPtr &Res,
-                                  std::shared_ptr<CachedCode> &HitCode,
-                                  u64 &OwnerToken) {
+                                  std::shared_ptr<CachedCode> &HitCode) {
   LockGuard L(Mtx);
   auto [It, Inserted] = Map.try_emplace(Fp);
   Entry &E = It->second;
   E.LastUse = ++Clock;
   if (Inserted) {
     stats().Misses.fetch_add(1, std::memory_order_relaxed);
-    E.Token = OwnerToken = ++NextToken;
-    E.OwnerRes = Res;
     return Claim::Owner;
   }
   if (E.St == State::Ready) {
@@ -28,39 +27,32 @@ CodeCache::Claim CodeCache::claim(const support::Fp128 &Fp,
   return Claim::Waiter;
 }
 
-bool CodeCache::publish(const support::Fp128 &Fp, u64 OwnerToken,
+void CodeCache::publish(const support::Fp128 &Fp,
                         std::shared_ptr<CachedCode> Code,
                         std::vector<ResultPtr> &Waiters) {
   LockGuard L(Mtx);
   auto It = Map.find(Fp);
-  if (It == Map.end() || It->second.St != State::Building ||
-      It->second.Token != OwnerToken)
-    return false; // claim was failed over; a newer owner may hold it now
+  assert(It != Map.end() && It->second.St == State::Building &&
+         "only the owner publishes its own claim");
   Entry &E = It->second;
   E.St = State::Ready;
   E.Code = std::move(Code);
   E.LastUse = ++Clock;
-  E.OwnerRes = nullptr;
   Waiters = std::move(E.Waiters);
   E.Waiters.clear();
   stats().CachedBytes.fetch_add(E.Code->bytes(), std::memory_order_relaxed);
   stats().CachedEntries.fetch_add(1, std::memory_order_relaxed);
   evictLocked(Fp);
-  return true;
 }
 
-bool CodeCache::fail(const support::Fp128 &Fp, u64 OwnerToken,
-                     std::vector<ResultPtr> &Waiters, ResultPtr *OwnerRes) {
+void CodeCache::fail(const support::Fp128 &Fp,
+                     std::vector<ResultPtr> &Waiters) {
   LockGuard L(Mtx);
   auto It = Map.find(Fp);
-  if (It == Map.end() || It->second.St != State::Building ||
-      It->second.Token != OwnerToken)
-    return false;
+  assert(It != Map.end() && It->second.St == State::Building &&
+         "only the owner fails its own claim");
   Waiters = std::move(It->second.Waiters);
-  if (OwnerRes)
-    *OwnerRes = std::move(It->second.OwnerRes);
   Map.erase(It);
-  return true;
 }
 
 void CodeCache::evictLocked(const support::Fp128 &Keep) {
@@ -94,7 +86,6 @@ ServiceStatsSnapshot CodeCache::snapshot() const {
   S.Overloaded = St.Overloaded.load(std::memory_order_relaxed);
   S.Shed = St.Shed.load(std::memory_order_relaxed);
   S.DeadlineTimedOut = St.DeadlineTimedOut.load(std::memory_order_relaxed);
-  S.StuckFailovers = St.StuckFailovers.load(std::memory_order_relaxed);
   S.CachedBytes = St.CachedBytes.load(std::memory_order_relaxed);
   S.CachedEntries = St.CachedEntries.load(std::memory_order_relaxed);
   S.HitP50Ns = St.HitNs.quantileNs(0.50);

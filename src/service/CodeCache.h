@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <memory>
+#include <new>
 #include <span>
 #include <string_view>
 #include <unordered_map>
@@ -82,8 +83,6 @@ struct ServiceStats {
                                   ///< queue; shed at dequeue, never compiled.
   std::atomic<u64> DeadlineTimedOut{0}; ///< Waiters that timed out on an
                                         ///< in-flight fingerprint.
-  std::atomic<u64> StuckFailovers{0}; ///< Claims failed over by the worker
-                                      ///< watchdog (hung-job detector).
   std::atomic<u64> CachedBytes{0};
   std::atomic<u64> CachedEntries{0};
   support::LatencyHistogram HitNs;  ///< End-to-end latency of cache hits.
@@ -99,7 +98,7 @@ struct ServiceStats {
 struct ServiceStatsSnapshot {
   u64 Hits = 0, Misses = 0, Coalesced = 0, Evictions = 0, Failed = 0,
       VerifyRejected = 0, Overloaded = 0, Shed = 0, DeadlineTimedOut = 0,
-      Retried = 0, StuckFailovers = 0, CachedBytes = 0, CachedEntries = 0;
+      Retried = 0, CachedBytes = 0, CachedEntries = 0;
   u64 HitP50Ns = 0, HitP99Ns = 0, MissP50Ns = 0, MissP99Ns = 0;
   u64 QueueWaitP50Ns = 0, QueueWaitP99Ns = 0;
 };
@@ -163,7 +162,9 @@ public:
   /// clock reading; latency is derived from the recorded submit time.
   /// First-wins: returns false — and changes nothing — when the handle
   /// already completed (e.g. the waiter timed out on its deadline), so
-  /// callers must not record latency for a false return.
+  /// callers must not record latency for a false return. Never throws:
+  /// when copying the diagnostic's text runs out of memory, the handle
+  /// keeps the code alone.
   bool complete(std::shared_ptr<CachedCode> C, const support::CompileStatus &S,
                 bool WasHit, u64 NowNs) TPDE_EXCLUDES(Mtx) {
     {
@@ -171,7 +172,12 @@ public:
       if (Done)
         return false;
       Code = std::move(C);
-      St = S;
+      try {
+        St = S;
+      } catch (const std::bad_alloc &) {
+        St.clear();
+        St.Err = S.Err;
+      }
       Hit = WasHit;
       LatNs = NowNs >= SubmitNs ? NowNs - SubmitNs : 0;
       Done = true;
@@ -235,32 +241,21 @@ public:
   };
 
   /// Single-flight admission for \p Fp on behalf of result handle \p Res.
-  /// An Owner claim hands back an ownership token in \p OwnerToken; the
-  /// matching publish()/fail() must present it. The token lets the
-  /// watchdog fail over a hung owner's claim: the stale owner's eventual
-  /// publish/fail then misses (returns false) instead of clobbering a
-  /// re-claimed entry.
+  /// The Owner is the only caller that may end the entry's Building
+  /// state, with exactly one publish() or fail().
   Claim claim(const support::Fp128 &Fp, const ResultPtr &Res,
-              std::shared_ptr<CachedCode> &HitCode, u64 &OwnerToken)
-      TPDE_EXCLUDES(Mtx);
+              std::shared_ptr<CachedCode> &HitCode) TPDE_EXCLUDES(Mtx);
 
   /// Publishes the owner's compiled code for \p Fp, evicts down to the
   /// byte budget, and moves the entry's waiters into \p Waiters for the
-  /// caller to complete outside the lock. Returns false — with nothing
-  /// changed — when the claim was failed over (token mismatch or entry
-  /// gone); the caller's result handle was already completed then.
-  bool publish(const support::Fp128 &Fp, u64 OwnerToken,
-               std::shared_ptr<CachedCode> Code,
+  /// caller to complete outside the lock.
+  void publish(const support::Fp128 &Fp, std::shared_ptr<CachedCode> Code,
                std::vector<ResultPtr> &Waiters) TPDE_EXCLUDES(Mtx);
 
   /// Removes the in-flight entry for \p Fp after a failed compile — the
   /// cache is never poisoned by failures; a later submit of the same
   /// fingerprint compiles again. Waiters are handed back as in publish().
-  /// Token-guarded like publish(). When \p OwnerRes is non-null the
-  /// entry's owner handle is moved out too (the watchdog fail-over path
-  /// completes the hung owner's submitter as well as the waiters).
-  bool fail(const support::Fp128 &Fp, u64 OwnerToken,
-            std::vector<ResultPtr> &Waiters, ResultPtr *OwnerRes = nullptr)
+  void fail(const support::Fp128 &Fp, std::vector<ResultPtr> &Waiters)
       TPDE_EXCLUDES(Mtx);
 
   ServiceStats &stats() { return *StatsP; }
@@ -270,10 +265,6 @@ public:
   ServiceStatsSnapshot snapshot() const;
 
   u64 budgetBytes() const { return Budget; }
-  size_t entryCount() const TPDE_EXCLUDES(Mtx) {
-    LockGuard L(Mtx);
-    return Map.size();
-  }
 
 private:
   enum class State : u8 { Building, Ready };
@@ -281,8 +272,6 @@ private:
     State St = State::Building;
     std::shared_ptr<CachedCode> Code;
     u64 LastUse = 0;
-    u64 Token = 0;      ///< Owner token while Building.
-    ResultPtr OwnerRes; ///< The owner's handle while Building (fail-over).
     std::vector<ResultPtr> Waiters;
   };
 
@@ -293,17 +282,11 @@ private:
   void evictLocked(const support::Fp128 &Keep) TPDE_REQUIRES(Mtx);
 
   const u64 Budget;
-  /// Innermost service-layer lock. The documented acquisition order is
-  /// CompileService's per-worker ClaimsMtx strictly before this; the rank
-  /// makes Debug builds assert that order dynamically (the static side
-  /// lives in CompileService's ClaimsMtx declaration).
-  mutable Mutex Mtx{LockRank::ServiceCache};
+  mutable Mutex Mtx;
   std::unordered_map<support::Fp128, Entry, support::Fp128Hash>
       Map TPDE_GUARDED_BY(Mtx);
   /// Epoch counter: bumped per touch, stamps LastUse.
   u64 Clock TPDE_GUARDED_BY(Mtx) = 0;
-  /// Owner-token source; bumped per Owner claim.
-  u64 NextToken TPDE_GUARDED_BY(Mtx) = 0;
   std::shared_ptr<ServiceStats> StatsP;
 };
 

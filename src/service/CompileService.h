@@ -36,11 +36,9 @@
 ///    in-flight fingerprint times out on its own deadline independently
 ///    of the owner (ServiceResult::wait self-completes, first-wins).
 ///
-///  * **Worker watchdog.** Each worker heartbeats per job stage; a
-///    watchdog thread fails over the ownership claim of a worker stuck
-///    past StuckBatchTimeoutNs, completing its submitter and waiters
-///    with a structured error. Ownership tokens (CodeCache) make the
-///    hung worker's eventual publish a harmless no-op.
+/// A job ends when its one compile and map return: a verified module
+/// compiles in one bounded pass on the worker's one-thread driver, and a
+/// client bounds its own wait with a deadline.
 ///
 /// Admission reuses the robustness plumbing (docs/ROBUSTNESS.md): the
 /// verifier gate runs on the *client* thread before the job can touch the
@@ -82,7 +80,6 @@
 #include "support/Sync.h"
 #include "support/Timer.h"
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <new>
@@ -109,15 +106,9 @@ struct ServiceOptions {
   /// Workers stay parked until resume() — lets tests queue a known set
   /// of jobs before any of them is compiled.
   bool StartPaused = false;
-  /// A worker whose heartbeat is older than this while compiling a job is
-  /// failed over by the watchdog (its claim completes with a structured
-  /// error; its eventual publish is a no-op). 0 disables the watchdog,
-  /// which otherwise scans every min(StuckBatchTimeoutNs / 10, 100ms).
-  u64 StuckBatchTimeoutNs = 30'000'000'000; // 30s
-  /// Test-only: runs on the worker thread after it registered its job's
-  /// claim, before compiling. Lets tests stall a worker deterministically
-  /// to exercise the watchdog.
-  std::function<void()> TestHookPreBatch;
+  /// Test-only: runs on the worker thread before each compile. Tests use
+  /// it to count compiles or to stall a worker for a moment.
+  std::function<void()> TestHookPreCompile;
 };
 
 /// Per-submit parameters. The default is no deadline.
@@ -140,8 +131,6 @@ public:
       Workers.push_back(std::make_unique<WorkerState>());
     for (auto &WS : Workers)
       WS->Thread = tpde::Thread([this, W = WS.get()] { workerMain(*W); });
-    if (Opts.StuckBatchTimeoutNs > 0)
-      Watchdog = tpde::Thread([this] { watchdogMain(); });
   }
 
   ~CompileService() { shutdown(); }
@@ -178,14 +167,7 @@ public:
 
   /// Stops admission, drains queued jobs, joins workers. Idempotent;
   /// called by the destructor.
-  void shutdown() TPDE_EXCLUDES(WatchdogMtx) {
-    {
-      LockGuard L(WatchdogMtx);
-      WatchdogStop = true;
-    }
-    WatchdogCV.notify_all();
-    if (Watchdog.joinable())
-      Watchdog.join();
+  void shutdown() {
     Queue.close();
     resume();
     for (auto &WS : Workers)
@@ -201,7 +183,6 @@ private:
     ModuleT Mod;
     support::Fp128 Fp;
     ResultPtr Res;
-    u64 Token = 0;     ///< Ownership token from the cache claim.
     u64 DeadlineNs = 0;
     u64 EnqueueNs = 0; ///< The queue-wait histogram records pop - enqueue.
   };
@@ -217,20 +198,6 @@ private:
     core::ParallelModuleCompiler<CompilerT> PC;
     std::vector<ResultPtr> Waiters; ///< Publish scratch, reused per job.
     tpde::Thread Thread;
-
-    // -- Watchdog interface (see watchdogMain) --------------------------
-    std::atomic<u64> HeartbeatNs{0}; ///< Last sign of life (nowNs).
-    std::atomic<bool> InJob{false};
-    /// Protects the claim. Lock order: ClaimsMtx strictly before
-    /// Cache.Mtx — the rank (LockRank::ServiceClaims < ServiceCache) makes
-    /// Debug builds assert that order on every acquisition; the static
-    /// annotations prove each individual guard, and the order itself is
-    /// re-proven by the compile-fail suite (tests/static_analysis/).
-    Mutex ClaimsMtx{LockRank::ServiceClaims};
-    /// The in-flight job's cache claim; ClaimToken 0 = none (the cache
-    /// hands out tokens from 1).
-    support::Fp128 ClaimFp TPDE_GUARDED_BY(ClaimsMtx);
-    u64 ClaimToken TPDE_GUARDED_BY(ClaimsMtx) = 0;
   };
 
   static ServiceOptions sanitize(ServiceOptions O) {
@@ -261,8 +228,7 @@ private:
     }
     const support::Fp128 Fp = Traits::fingerprint(Mod);
     std::shared_ptr<CachedCode> HitCode;
-    u64 Token = 0;
-    switch (Cache.claim(Fp, Res, HitCode, Token)) {
+    switch (Cache.claim(Fp, Res, HitCode)) {
     case CodeCache::Claim::Hit: {
       // A hit beats an expired deadline: the code is already here.
       support::CompileStatus Ok;
@@ -279,7 +245,7 @@ private:
     u64 Now = tpde::nowNs();
     if (SO.DeadlineNs != 0 && Now >= SO.DeadlineNs) {
       Cache.stats().Shed.fetch_add(1, std::memory_order_relaxed);
-      failJob(Fp, Token, Res, support::CompileErr::DeadlineExceeded,
+      failJob(Fp, Res, support::CompileErr::DeadlineExceeded,
               "deadline expired before admission");
       return Res;
     }
@@ -292,13 +258,12 @@ private:
       Job.Mod = Mod; // the one copy: only the owner's job outlives submit()
       Job.Fp = Fp;
       Job.Res = Res;
-      Job.Token = Token;
       Job.DeadlineNs = SO.DeadlineNs;
       Job.EnqueueNs = Now;
       A = NonBlocking ? Queue.tryPush(std::move(Job))
                       : Queue.pushWait(std::move(Job), AdmitMaxWaitNs);
     } catch (const std::bad_alloc &) {
-      failJob(Fp, Token, Res, support::CompileErr::OutOfMemory,
+      failJob(Fp, Res, support::CompileErr::OutOfMemory,
               "out of memory admitting the job");
       return Res;
     }
@@ -306,12 +271,12 @@ private:
     case Admit::Ok:
       break;
     case Admit::Closed:
-      failJob(Fp, Token, Res, support::CompileErr::ServiceShutdown,
+      failJob(Fp, Res, support::CompileErr::ServiceShutdown,
               "compile service is shut down");
       break;
     case Admit::Overloaded:
       Cache.stats().Overloaded.fetch_add(1, std::memory_order_relaxed);
-      failJob(Fp, Token, Res, support::CompileErr::Overloaded,
+      failJob(Fp, Res, support::CompileErr::Overloaded,
               "admission queue full");
       break;
     }
@@ -325,7 +290,6 @@ private:
         PauseCV.wait(PauseMtx);
     }
     for (;;) {
-      WS.HeartbeatNs.store(tpde::nowNs(), std::memory_order_relaxed);
       PendingJob Job;
       if (!Queue.pop(Job))
         return; // closed and drained
@@ -338,44 +302,34 @@ private:
     // An expired job is shed here — at dequeue, before any compilation.
     if (Job.DeadlineNs != 0 && tpde::nowNs() >= Job.DeadlineNs) {
       Cache.stats().Shed.fetch_add(1, std::memory_order_relaxed);
-      failJob(Job.Fp, Job.Token, Job.Res, support::CompileErr::DeadlineExceeded,
+      failJob(Job.Fp, Job.Res, support::CompileErr::DeadlineExceeded,
               "deadline expired before compile");
       return;
     }
+    if (Opts.TestHookPreCompile)
+      Opts.TestHookPreCompile();
 
-    // Heartbeat, then register the job's claim for the watchdog before
-    // the (possibly hanging) compile. The fresh heartbeat is published
-    // with InJob, so an idle worker's stale one is never judged.
-    WS.HeartbeatNs.store(tpde::nowNs(), std::memory_order_relaxed);
-    WS.InJob.store(true, std::memory_order_release);
-    {
-      LockGuard L(WS.ClaimsMtx);
-      WS.ClaimFp = Job.Fp;
-      WS.ClaimToken = Job.Token;
-    }
-    if (Opts.TestHookPreBatch)
-      Opts.TestHookPreBatch();
-
-    auto CC = std::make_shared<CachedCode>();
-    CC->Fp = Job.Fp;
-    // The driver is bound to the worker's module slot.
-    WS.Mod = std::move(Job.Mod);
+    // Nothing above the worker catches, so running out of memory here
+    // must fail the job, not end the process.
+    std::shared_ptr<CachedCode> CC;
     support::CompileStatus St;
-    if (!WS.PC.compile(CC->Asm))
-      St = WS.PC.status();
-    WS.HeartbeatNs.store(tpde::nowNs(), std::memory_order_relaxed);
-    if (St.ok() && !CC->JIT.map(CC->Asm, nullptr, Traits::Stub))
-      St = CC->JIT.status();
+    try {
+      CC = std::make_shared<CachedCode>();
+      CC->Fp = Job.Fp;
+      // The driver is bound to the worker's module slot.
+      WS.Mod = std::move(Job.Mod);
+      if (!WS.PC.compile(CC->Asm))
+        St = WS.PC.status();
+      if (St.ok() && !CC->JIT.map(CC->Asm, nullptr, Traits::Stub))
+        St = CC->JIT.status();
+    } catch (const std::bad_alloc &) {
+      St.clear(); // no message: storing one could throw again
+      St.Err = support::CompileErr::OutOfMemory;
+    }
     if (St.ok())
       publish(WS, Job, CC);
     else
-      failJobStatus(Job.Fp, Job.Token, Job.Res, St);
-
-    {
-      LockGuard L(WS.ClaimsMtx);
-      WS.ClaimToken = 0;
-    }
-    WS.InJob.store(false, std::memory_order_release);
+      failJobStatus(Job.Fp, Job.Res, St);
   }
 
   /// Publishes a compiled job's code and completes its submitter and
@@ -383,8 +337,7 @@ private:
   void publish(WorkerState &WS, PendingJob &Job,
                const std::shared_ptr<CachedCode> &CC) {
     WS.Waiters.clear();
-    if (!Cache.publish(Job.Fp, Job.Token, CC, WS.Waiters))
-      return; // failed over by the watchdog; everyone was completed
+    Cache.publish(Job.Fp, CC, WS.Waiters);
     u64 Now = tpde::nowNs();
     support::CompileStatus Ok;
     if (Job.Res->complete(CC, Ok, /*WasHit=*/false, Now))
@@ -392,63 +345,6 @@ private:
     for (ResultPtr &W : WS.Waiters)
       if (W->complete(CC, Ok, /*WasHit=*/false, Now))
         Cache.stats().MissNs.record(W->latencyNs());
-  }
-
-  void watchdogMain() TPDE_EXCLUDES(WatchdogMtx) {
-    // The scan period bounds the detection latency: a stuck worker is
-    // failed over at most 1.1x the timeout after its last heartbeat.
-    const u64 PeriodNs =
-        std::min<u64>(Opts.StuckBatchTimeoutNs / 10, 100'000'000); // 100ms
-    UniqueLock L(WatchdogMtx);
-    while (!WatchdogStop) {
-      WatchdogCV.waitFor(WatchdogMtx, PeriodNs);
-      if (WatchdogStop)
-        break;
-      L.unlock();
-      const u64 Now = tpde::nowNs();
-      for (auto &WSP : Workers) {
-        WorkerState &WS = *WSP;
-        if (!WS.InJob.load(std::memory_order_acquire))
-          continue;
-        u64 Hb = WS.HeartbeatNs.load(std::memory_order_relaxed);
-        if (Hb == 0 || Now <= Hb || Now - Hb < Opts.StuckBatchTimeoutNs)
-          continue;
-        failOverWorker(WS);
-      }
-      L.lock();
-    }
-  }
-
-  /// Fails over the claim a hung worker registered for its current job:
-  /// the claim is removed from the cache (token-guarded, so the worker's
-  /// eventual publish/fail is a no-op) and the owner handle plus all
-  /// waiters complete with a structured error. The worker thread itself
-  /// is left alone — if it ever returns it finds its claim gone.
-  void failOverWorker(WorkerState &WS) {
-    support::Fp128 Fp;
-    u64 Token;
-    {
-      // ClaimsMtx is released before Cache.fail below; if the two ever
-      // nest, the rank tracker holds them to ClaimsMtx-first.
-      LockGuard L(WS.ClaimsMtx);
-      Fp = WS.ClaimFp;
-      Token = std::exchange(WS.ClaimToken, 0);
-    }
-    if (Token == 0)
-      return;
-    support::CompileStatus St;
-    St.Err = support::CompileErr::DeadlineExceeded;
-    St.Message = "stuck-job watchdog failed over a hung worker";
-    std::vector<ResultPtr> Waiters;
-    ResultPtr OwnerRes;
-    if (!Cache.fail(Fp, Token, Waiters, &OwnerRes))
-      return; // the worker finished this one after all
-    Cache.stats().StuckFailovers.fetch_add(1, std::memory_order_relaxed);
-    u64 Now = tpde::nowNs();
-    if (OwnerRes)
-      completeFailed(*OwnerRes, St, Now);
-    for (ResultPtr &W : Waiters)
-      completeFailed(*W, St, Now);
   }
 
   /// Completes \p R with the failure \p St and counts it in Failed. The
@@ -462,18 +358,22 @@ private:
       Cache.stats().Failed.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  void failJob(const support::Fp128 &Fp, u64 Token, const ResultPtr &Res,
+  void failJob(const support::Fp128 &Fp, const ResultPtr &Res,
                support::CompileErr E, std::string_view Msg) {
     support::CompileStatus St;
     St.Err = E;
-    St.Message.assign(Msg);
-    failJobStatus(Fp, Token, Res, St);
+    try {
+      St.Message.assign(Msg);
+    } catch (const std::bad_alloc &) {
+      // Out of memory the job still fails, with its code alone.
+    }
+    failJobStatus(Fp, Res, St);
   }
 
-  void failJobStatus(const support::Fp128 &Fp, u64 Token, const ResultPtr &Res,
+  void failJobStatus(const support::Fp128 &Fp, const ResultPtr &Res,
                      const support::CompileStatus &St) {
     std::vector<ResultPtr> Waiters;
-    Cache.fail(Fp, Token, Waiters);
+    Cache.fail(Fp, Waiters);
     u64 Now = tpde::nowNs();
     completeFailed(*Res, St, Now);
     for (ResultPtr &W : Waiters)
@@ -487,10 +387,6 @@ private:
   Mutex PauseMtx;
   CondVar PauseCV;
   bool Paused TPDE_GUARDED_BY(PauseMtx) = false;
-  tpde::Thread Watchdog;
-  Mutex WatchdogMtx;
-  CondVar WatchdogCV;
-  bool WatchdogStop TPDE_GUARDED_BY(WatchdogMtx) = false;
 };
 
 } // namespace tpde::service

@@ -15,13 +15,6 @@
 /// `TPDE_GUARDED_BY` / `TPDE_REQUIRES` contracts below into compile errors
 /// when violated. docs/STATIC_ANALYSIS.md documents the conventions.
 ///
-/// Lock ranking: mutexes that participate in a documented acquisition
-/// order are constructed with a `LockRank`. Debug builds maintain a
-/// per-thread stack of held ranks and assert strict ascending order on
-/// every acquisition, so GCC builds (no `-Wthread-safety`) keep a dynamic
-/// backstop for the same invariant the annotations prove statically.
-/// `NDEBUG` builds compile the tracker out entirely.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef TPDE_SUPPORT_SYNC_H
@@ -75,91 +68,6 @@
 namespace tpde {
 
 //===----------------------------------------------------------------------===//
-// Lock ranks — the project-wide acquisition-order table.
-//
-// A thread may only acquire a ranked mutex whose rank is strictly greater
-// than every ranked mutex it already holds. Unranked (None) mutexes are
-// leaves: they never participate in nesting with other locks, so they are
-// exempt from the ordering check in either direction.
-//
-// This is the single source of truth for documented lock orders; the
-// matching static encoding lives in the TPDE_ACQUIRED_BEFORE annotations
-// at the mutex declarations. When adding a lock that nests with existing
-// ones, add a rank here (leave numeric gaps for future insertions) and
-// cite it from the declaration — see docs/STATIC_ANALYSIS.md.
-//===----------------------------------------------------------------------===//
-
-enum class LockRank : u8 {
-  /// Leaf lock, never held while taking another ranked lock.
-  None = 0,
-  /// CompileService per-worker `ClaimsMtx` — acquired strictly before the
-  /// code cache lock during claim bookkeeping and watchdog fail-over.
-  ServiceClaims = 10,
-  /// CodeCache `Mtx` — the innermost service-layer lock.
-  ServiceCache = 20,
-};
-
-namespace detail {
-
-#ifndef NDEBUG
-/// Per-thread stack of currently held locks (debug builds only). Bounded:
-/// no code path in the project holds more than a handful of locks at once;
-/// overflow entries are silently untracked rather than aborting.
-struct HeldLockStack {
-  static constexpr unsigned MaxHeld = 16;
-  const void *Mtx[MaxHeld];
-  LockRank Rank[MaxHeld];
-  unsigned Size = 0;
-};
-
-inline thread_local HeldLockStack TlHeldLocks;
-
-/// Asserts the rank order and records the acquisition. Called with the
-/// lock already held (std::mutex::lock has no failure path, so ordering
-/// relative to the actual acquisition does not matter for correctness).
-inline void debugOnAcquire(const void *M, LockRank R) {
-  HeldLockStack &S = TlHeldLocks;
-  if (R != LockRank::None) {
-    for (unsigned I = 0; I < S.Size; ++I) {
-      if (S.Rank[I] != LockRank::None && S.Rank[I] >= R) {
-        std::fprintf(stderr,
-                     "tpde: lock-order violation: acquiring rank %u while "
-                     "holding rank %u (see LockRank in support/Sync.h)\n",
-                     static_cast<unsigned>(R),
-                     static_cast<unsigned>(S.Rank[I]));
-        std::abort();
-      }
-    }
-  }
-  if (S.Size < HeldLockStack::MaxHeld) {
-    S.Mtx[S.Size] = M;
-    S.Rank[S.Size] = R;
-    ++S.Size;
-  }
-}
-
-/// Removes the most recent record for M (locks are released in any order).
-inline void debugOnRelease(const void *M) {
-  HeldLockStack &S = TlHeldLocks;
-  for (unsigned I = S.Size; I-- > 0;) {
-    if (S.Mtx[I] == M) {
-      for (unsigned J = I + 1; J < S.Size; ++J) {
-        S.Mtx[J - 1] = S.Mtx[J];
-        S.Rank[J - 1] = S.Rank[J];
-      }
-      --S.Size;
-      return;
-    }
-  }
-}
-#else
-inline void debugOnAcquire(const void *, LockRank) {}
-inline void debugOnRelease(const void *) {}
-#endif
-
-} // namespace detail
-
-//===----------------------------------------------------------------------===//
 // Mutex
 //===----------------------------------------------------------------------===//
 
@@ -169,38 +77,23 @@ inline void debugOnRelease(const void *) {}
 class TPDE_CAPABILITY("mutex") Mutex {
 public:
   Mutex() = default;
-  explicit Mutex(LockRank R) : Rank(R) { (void)Rank; }
 
   Mutex(const Mutex &) = delete;
   Mutex &operator=(const Mutex &) = delete;
 
-  void lock() TPDE_ACQUIRE() {
-    M.lock();
-    detail::debugOnAcquire(this, Rank);
-  }
-
-  void unlock() TPDE_RELEASE() {
-    detail::debugOnRelease(this);
-    M.unlock();
-  }
-
-  bool tryLock() TPDE_TRY_ACQUIRE(true) {
-    if (!M.try_lock())
-      return false;
-    detail::debugOnAcquire(this, Rank);
-    return true;
-  }
+  void lock() TPDE_ACQUIRE() { M.lock(); }
+  void unlock() TPDE_RELEASE() { M.unlock(); }
+  bool tryLock() TPDE_TRY_ACQUIRE(true) { return M.try_lock(); }
 
   /// The underlying handle, for CondVar's adopt/release dance only.
   std::mutex &native() { return M; }
 
 private:
   std::mutex M;
-  LockRank Rank = LockRank::None;
 };
 
 //===----------------------------------------------------------------------===//
-// LockGuard / UniqueLock
+// LockGuard
 //===----------------------------------------------------------------------===//
 
 /// Scoped lock-and-unlock, the default way to hold a Mutex.
@@ -214,39 +107,6 @@ public:
 
 private:
   Mutex &Mtx;
-};
-
-/// Scoped lock supporting temporary release (watchdog-style loops that
-/// drop the lock around slow work and re-take it). Clang models the
-/// relock correctly via the annotated lock()/unlock() methods.
-class TPDE_SCOPED_CAPABILITY UniqueLock {
-public:
-  explicit UniqueLock(Mutex &M) TPDE_ACQUIRE(M) : Mtx(M), Held(true) {
-    Mtx.lock();
-  }
-  ~UniqueLock() TPDE_RELEASE() {
-    if (Held)
-      Mtx.unlock();
-  }
-
-  UniqueLock(const UniqueLock &) = delete;
-  UniqueLock &operator=(const UniqueLock &) = delete;
-
-  void lock() TPDE_ACQUIRE() {
-    Mtx.lock();
-    Held = true;
-  }
-  void unlock() TPDE_RELEASE() {
-    Held = false;
-    Mtx.unlock();
-  }
-  bool held() const { return Held; }
-
-  Mutex &mutex() TPDE_RETURN_CAPABILITY(Mtx) { return Mtx; }
-
-private:
-  Mutex &Mtx;
-  bool Held;
 };
 
 //===----------------------------------------------------------------------===//
@@ -270,8 +130,7 @@ public:
   void wait(Mutex &M) TPDE_REQUIRES(M) {
     // Borrow the already-held native mutex for the duration of the wait.
     // adopt_lock hands ownership to L without locking; release() hands it
-    // back without unlocking, so the wrapper's held/rank bookkeeping never
-    // observes the temporary release inside the std wait.
+    // back without unlocking, so the caller still holds M on return.
     std::unique_lock<std::mutex> L(M.native(), std::adopt_lock);
     CV.wait(L);
     L.release();

@@ -5,11 +5,11 @@
 /// service (service/CompileService.h): canonical module fingerprinting
 /// for the content-addressed code cache.
 ///
-/// The overload-control layer (bounded admission, deadlines, the
-/// watchdog — docs/SERVICE.md "Overload control") is IR-agnostic and
-/// needs nothing from this binding: SubmitOptions{DeadlineNs} applies to
-/// TIR submissions unchanged. The service maps without a symbol resolver,
-/// so a module that calls a declared function fails with JitMapFailed.
+/// The overload-control layer (bounded admission and deadlines —
+/// docs/SERVICE.md "Overload control") is IR-agnostic and needs nothing
+/// from this binding: SubmitOptions{DeadlineNs} applies to TIR
+/// submissions unchanged. The service maps without a symbol resolver, so
+/// a module that calls a declared function fails with JitMapFailed.
 ///
 //===----------------------------------------------------------------------===//
 

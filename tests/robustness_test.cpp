@@ -8,7 +8,9 @@
 ///  * Graceful degradation: a module with K bad functions still compiles
 ///    every good function (byte-identical to a serial compile of the good
 ///    subset), with exactly K precise diagnostics, and the pipeline stays
-///    reusable and allocation-free afterwards.
+///    reusable and allocation-free afterwards. Out of memory at any
+///    allocation size, a recompile still returns with a diagnostic instead
+///    of throwing.
 ///  * Verifier gate: the adversarial genMalformed corpus is rejected by
 ///    the tir/uir verifier pre-pass on every entry point (serial and
 ///    parallel, x64 and a64) and never reaches the emitter.
@@ -237,6 +239,75 @@ TEST(GracefulDegradation, PoolStaysReusableAndAllocationFreeAfterFailure) {
   EXPECT_EQ(W.newCalls(), 0u)
       << "pool did not return to the allocation-free steady state after a "
          "failed compile (" << W.newBytes() << " bytes)";
+}
+
+/// Out of memory, compile() still returns. A warm one-thread pool
+/// recompiles a module with one bad function while every allocation of at
+/// least FailFromBytes bytes throws, for every threshold from 1 to 4096
+/// bytes and each power of two up to 1 MiB: no exception may escape, and
+/// the compile reports either the bad function or the lack of memory.
+/// The same pool then compiles the healed module to the serial bytes. A
+/// fresh pool's first compile, which also sizes its scratch and builds
+/// its module-level fragment for the first time, reports the lack of
+/// memory as OutOfMemory too.
+TEST(GracefulDegradation, OutOfMemoryNeverEscapesCompile) {
+  tir::Module M = makeModule(59, 10);
+  tpde_tir::ParallelModuleCompiler PC(M, {.NumThreads = 1});
+  asmx::Assembler Out;
+  for (int I = 0; I < 2; ++I)
+    ASSERT_TRUE(PC.compile(Out)) << PC.status().Message;
+  u32 Sabotaged = sabotage(M, 6);
+  ASSERT_NE(Sabotaged, ~0u);
+
+  std::vector<u64> Thresholds;
+  for (u64 B = 1; B <= 4096; ++B)
+    Thresholds.push_back(B);
+  for (u64 B = 8192; B <= (u64{1} << 20); B *= 2)
+    Thresholds.push_back(B);
+  for (u64 From : Thresholds) {
+    bool OK = true, Threw = false;
+    support::AllocCounter::FailFromBytes.store(From);
+    try {
+      OK = PC.compile(Out);
+    } catch (...) {
+      Threw = true;
+    }
+    support::AllocCounter::FailFromBytes.store(0);
+    ASSERT_FALSE(Threw) << "an exception escaped compile() at FailFromBytes="
+                        << From;
+    ASSERT_FALSE(OK) << "FailFromBytes=" << From;
+    const CompileErr E = PC.status().Err;
+    ASSERT_TRUE(E == CompileErr::UnsupportedInst ||
+                E == CompileErr::OutOfMemory)
+        << "FailFromBytes=" << From << ": " << support::compileErrName(E);
+  }
+
+  M.Funcs[6].Values[Sabotaged].Opcode = tir::Op::Add;
+  asmx::Assembler SerialAsm;
+  ASSERT_TRUE(tpde_tir::compileModuleX64(M, SerialAsm));
+  ASSERT_TRUE(PC.compile(Out)) << PC.status().Message;
+  EXPECT_EQ(textOf(Out), textOf(SerialAsm));
+  EXPECT_EQ(roOf(Out), roOf(SerialAsm));
+
+  for (u64 From = 1; From <= (u64{1} << 20); From *= 2) {
+    tpde_tir::ParallelModuleCompiler Fresh(M, {.NumThreads = 1});
+    asmx::Assembler FreshOut;
+    bool OK = true, Threw = false;
+    support::AllocCounter::FailFromBytes.store(From);
+    try {
+      OK = Fresh.compile(FreshOut);
+    } catch (...) {
+      Threw = true;
+    }
+    support::AllocCounter::FailFromBytes.store(0);
+    ASSERT_FALSE(Threw) << "fresh pool, FailFromBytes=" << From;
+    if (!OK) {
+      EXPECT_EQ(Fresh.status().Err, CompileErr::OutOfMemory)
+          << "fresh pool, FailFromBytes=" << From << ": "
+          << support::compileErrName(Fresh.status().Err) << " ("
+          << Fresh.status().Message << ")";
+    }
+  }
 }
 
 // --- Verifier gate + adversarial corpus (satellite 3) ----------------------

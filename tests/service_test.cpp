@@ -23,7 +23,9 @@
 ///    inside the service path recovers (fault builds); a failed job is
 ///    compiled once (an unresolved symbol, or an injected map fault in
 ///    fault builds); an owner that runs out of memory admitting its job
-///    releases its claim.
+///    releases its claim, a job that runs out of memory on the worker
+///    fails alone with OutOfMemory while the worker goes on serving, and a
+///    completion that cannot copy its diagnostic's text keeps the code.
 ///  * Support primitives: latency histogram quantiles; hasher length
 ///    and boundary cases.
 ///  * Allocation: a cache hit allocates only its result handle and the
@@ -32,9 +34,10 @@
 ///    queue unit tests (capacity, arrival order, close and drain,
 ///    bounded-wait admission), structured Overloaded / ServiceShutdown /
 ///    DeadlineExceeded errors, deadline shed for queued jobs and
-///    independent waiter timeout, the stuck-job watchdog, and liveness
-///    of a flooded service with a fault site armed across worker
-///    counts.
+///    independent waiter timeout, and a flooded service across worker
+///    counts, with a fault site armed in fault builds: every submission
+///    completes with one label, the counters conserve jobs, and served
+///    code matches its module's solo compile.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +45,7 @@
 #include "support/AllocCounter.h"
 #include "support/FaultInjector.h"
 #include "support/Histogram.h"
+#include "support/Rng.h"
 #include "tir/Builder.h"
 #include "tpde_tir/Service.h"
 #include "uir/Service.h"
@@ -504,9 +508,8 @@ TEST(ServiceCache, HitAllocatesOnlyItsHandleAndVerifierScratch) {
   // docs/PERF.md lists what a hit allocates: the ServiceResult handle, and
   // the verifier's name set (buckets and one node) and its Listed array.
   // The module is read in place, and the fingerprint, the cache claim and
-  // the latency histogram allocate nothing. No watchdog: only this thread
-  // may allocate inside the watched window.
-  uir::UirCompileService Svc({.NumWorkers = 1, .StuckBatchTimeoutNs = 0});
+  // the latency histogram allocate nothing.
+  uir::UirCompileService Svc({.NumWorkers = 1});
   const uir::UModule M = makeQueryModule("alloc_hit", 4);
   auto Miss = Svc.submit(M);
   Miss->wait();
@@ -785,7 +788,7 @@ TEST(ServiceRobustness, MapFaultFailsTheJobOnce) {
     GTEST_SKIP() << "needs -DTPDE_FAULT_INJECTION=ON";
   std::atomic<int> Compiles{0};
   tpde_tir::TirCompileServiceX64 Svc(
-      {.NumWorkers = 1, .TestHookPreBatch = [&] { Compiles.fetch_add(1); }});
+      {.NumWorkers = 1, .TestHookPreCompile = [&] { Compiles.fetch_add(1); }});
   support::FaultInjector::arm(support::FaultSite::JitMap, 1);
   auto R = Svc.submit(makeTirJob(72, 5, "rz"));
   R->wait();
@@ -817,7 +820,7 @@ TEST(ServiceRobustness, UnresolvedSymbolFailsAfterOneCompile) {
   }
   std::atomic<int> Compiles{0};
   tpde_tir::TirCompileServiceX64 Svc(
-      {.NumWorkers = 1, .TestHookPreBatch = [&] { Compiles.fetch_add(1); }});
+      {.NumWorkers = 1, .TestHookPreCompile = [&] { Compiles.fetch_add(1); }});
   auto R = Svc.submit(M);
   R->wait();
   EXPECT_FALSE(R->ok());
@@ -878,6 +881,75 @@ TEST(ServiceRobustness, OutOfMemoryAdmittingAMissReleasesTheClaim) {
   auto R3 = Svc.submit(M);
   R3->wait();
   EXPECT_TRUE(R3->ok()) << R3->status().Message;
+}
+
+TEST(ServiceRobustness, OutOfMemoryOnTheWorkerFailsOnlyThatJob) {
+  // From the moment the worker starts a job until the job completes,
+  // every allocation of at least From bytes fails, for every From from 1
+  // to 4096 bytes and each power of two up to 1 MiB. Nothing above the
+  // worker catches, so an exception there would end the process: each
+  // job must end with its code or OutOfMemory, and the worker must go on
+  // to the next.
+  std::atomic<u64> From{0};
+  uir::UirCompileService Svc(
+      {.NumWorkers = 1, .TestHookPreCompile = [&] {
+         support::AllocCounter::FailFromBytes.store(From.load());
+       }});
+  std::vector<u64> Thresholds;
+  for (u64 B = 1; B <= 4096; ++B)
+    Thresholds.push_back(B);
+  for (u64 B = 8192; B <= (u64{1} << 20); B *= 2)
+    Thresholds.push_back(B);
+  unsigned Served = 0;
+  for (u64 T : Thresholds) {
+    // A distinct module per threshold: every job is a miss.
+    uir::UModule M = makeQueryModule("oom_" + std::to_string(T),
+                                     static_cast<u32>(T));
+    From.store(T);
+    service::ResultPtr R = Svc.submit(M);
+    R->wait();
+    support::AllocCounter::FailFromBytes.store(0);
+    if (R->ok()) {
+      ++Served;
+      continue;
+    }
+    ASSERT_EQ(R->status().Err, CompileErr::OutOfMemory)
+        << "FailFromBytes=" << T << ": "
+        << support::compileErrName(R->status().Err) << " ("
+        << R->status().Message << ")";
+  }
+  EXPECT_GT(Served, 0u) << "a large enough threshold fails nothing";
+  From.store(0);
+  auto S = Svc.stats();
+  EXPECT_GT(S.Failed, 0u) << "a small threshold fails the job";
+  EXPECT_EQ(S.Misses, Thresholds.size());
+  EXPECT_EQ(S.Failed + Served, Thresholds.size());
+  auto After = Svc.submit(makeQueryModule("oom_after", 0));
+  After->wait();
+  EXPECT_TRUE(After->ok()) << After->status().Message;
+}
+
+TEST(ServiceRobustness, CompletingOutOfMemoryKeepsTheErrorCode) {
+  // Completing a handle copies the diagnostic's text. Out of memory the
+  // handle still completes, with the code and without the text, so no
+  // waiter is left behind by a completion that threw.
+  service::ServiceResult R;
+  support::CompileStatus St;
+  St.Err = CompileErr::UnsupportedInst;
+  St.Message = "a diagnostic longer than the short-string buffer";
+  bool Completed = false, Threw = false;
+  support::AllocCounter::FailFromBytes.store(1);
+  try {
+    Completed = R.complete(nullptr, St, /*WasHit=*/false, tpde::nowNs());
+  } catch (...) {
+    Threw = true;
+  }
+  support::AllocCounter::FailFromBytes.store(0);
+  ASSERT_FALSE(Threw);
+  EXPECT_TRUE(Completed);
+  EXPECT_TRUE(R.done());
+  EXPECT_EQ(R.status().Err, CompileErr::UnsupportedInst);
+  EXPECT_TRUE(R.status().Message.empty());
 }
 
 // --- admission queue -------------------------------------------------------
@@ -1043,78 +1115,64 @@ TEST(ServiceDeadline, WaiterTimesOutIndependentlyOfOwner) {
   EXPECT_TRUE(Hit->hit());
 }
 
-// --- stuck-job watchdog ----------------------------------------------------
-
-TEST(ServiceWatchdog, StuckWorkerFailedOverAndServiceRecovers) {
-  std::atomic<int> Calls{0};
-  std::atomic<bool> Release{false};
-  service::ServiceOptions O;
-  O.NumWorkers = 1;
-  O.StartPaused = true;
-  O.StuckBatchTimeoutNs = 50'000'000; // 50ms
-  O.TestHookPreBatch = [&] {
-    // Hang the first batch after its claims are registered.
-    if (Calls.fetch_add(1) == 0)
-      while (!Release.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  };
-  uir::UirCompileService Svc(std::move(O));
-  auto Stuck = Svc.submit(makeQueryModule("wd0", 0));
-  auto Waiting = Svc.submit(makeQueryModule("wd0", 0)); // coalesced waiter
-  Svc.resume();
-  // The watchdog fails over the hung worker's claim: the submitter AND
-  // its waiter complete with a structured error while the worker thread
-  // is still stuck.
-  Stuck->wait();
-  Waiting->wait();
-  EXPECT_FALSE(Stuck->ok());
-  EXPECT_EQ(Stuck->status().Err, CompileErr::DeadlineExceeded);
-  EXPECT_NE(Stuck->status().Message.find("watchdog"), std::string::npos);
-  EXPECT_EQ(Waiting->status().Err, CompileErr::DeadlineExceeded);
-  EXPECT_EQ(Svc.stats().StuckFailovers, 1u);
-  // Release the worker: its late publish must be a harmless no-op, and
-  // the service keeps serving (the fingerprint recompiles cleanly).
-  Release.store(true);
-  auto R2 = Svc.submit(makeQueryModule("wd0", 0));
-  R2->wait();
-  ASSERT_TRUE(R2->ok()) << R2->status().Message;
-  EXPECT_EQ(Svc.stats().Failed, 2u) << "only the failed-over pair counted";
-}
-
 // --- liveness under overload + faults --------------------------------------
 
 TEST(ServiceFaultSweep, FloodedServiceStaysLiveAcrossWorkerCounts) {
   // 2x-overload flood: far more arrivals than a small queue can hold,
   // with deadlines — under an armed jit-map fault where fault builds
-  // allow. Every job must complete with code or a
-  // *labelled* structured error; nothing may hang. This is the
-  // acceptance drill for the overload layer, run at 1, 2, and 4 workers.
+  // allow. Each module is submitted twice in a row, so the second submit
+  // coalesces onto a queued or compiling first one, hits its published
+  // code, or (when the first was refused) owns a compile of its own, and
+  // every compile is delayed by a random 0-200 us to shuffle the
+  // schedule. Every job must complete with code or a *labelled*
+  // structured error; nothing may hang. Once all have completed, each
+  // module with a served handle is submitted once more and must be a
+  // cache hit. The counters must conserve jobs, and every served handle,
+  // hits included, must carry its module's solo-compiled bytes. Run at 1,
+  // 2, and 4 workers.
+  constexpr u32 NumModules = 80;
   std::vector<int> Sites = {-1}; // -1 = no fault armed
   if (support::faultInjectionEnabled())
     Sites.push_back(static_cast<int>(support::FaultSite::JitMap));
   for (unsigned Workers : {1u, 2u, 4u}) {
     for (int Site : Sites) {
-      uir::UirCompileService Svc({.NumWorkers = Workers, .QueueCapacity = 8});
+      std::vector<uir::UModule> Mods;
+      std::vector<std::vector<u8>> Solo;
+      for (u32 I = 0; I < NumModules; ++I) {
+        Mods.push_back(makeQueryModule("fl" + std::to_string(Workers) + "_" +
+                                           std::to_string(Site) + "_" +
+                                           std::to_string(I),
+                                       I));
+        Solo.push_back(soloUirMappedText(Mods.back()));
+      }
+      std::atomic<u64> Compiles{0};
+      uir::UirCompileService Svc(
+          {.NumWorkers = Workers,
+           .QueueCapacity = 8,
+           .TestHookPreCompile = [&] {
+             tpde::Rng R(Compiles.fetch_add(1));
+             std::this_thread::sleep_for(
+                 std::chrono::microseconds(R.below(201)));
+           }});
       if (Site >= 0)
         support::FaultInjector::arm(static_cast<support::FaultSite>(Site), 3);
       const u64 Deadline = tpde::nowNs() + 2'000'000'000; // generous 2s
       std::vector<service::ResultPtr> Rs;
-      for (u32 I = 0; I < 80; ++I)
-        Rs.push_back(Svc.trySubmit(
-            makeQueryModule("fl" + std::to_string(Workers) + "_" +
-                                std::to_string(Site) + "_" +
-                                std::to_string(I),
-                            I),
-            {.DeadlineNs = Deadline}));
-      unsigned Served = 0;
-      for (auto &R : Rs) {
+      for (u32 I = 0; I < 2 * NumModules; ++I)
+        Rs.push_back(Svc.trySubmit(Mods[I / 2], {.DeadlineNs = Deadline}));
+      unsigned Served = 0, Overloaded = 0;
+      for (u32 I = 0; I < Rs.size(); ++I) {
+        service::ResultPtr &R = Rs[I];
         R->wait(); // deadline-bounded: liveness even if something wedged
         ASSERT_TRUE(R->done());
         if (R->ok()) {
           ++Served;
+          EXPECT_EQ(mappedText(*R->code()), Solo[I / 2])
+              << "submission " << I << (R->hit() ? " (hit)" : "");
           continue;
         }
         CompileErr E = R->status().Err;
+        Overloaded += E == CompileErr::Overloaded;
         EXPECT_TRUE(E == CompileErr::Overloaded ||
                     E == CompileErr::DeadlineExceeded ||
                     E == CompileErr::FaultInjected ||
@@ -1128,6 +1186,23 @@ TEST(ServiceFaultSweep, FloodedServiceStaysLiveAcrossWorkerCounts) {
       EXPECT_GT(Served, 0u)
           << "workers=" << Workers << " site=" << Site
           << ": overload must shed, not starve";
+      for (u32 I = 0; I < NumModules; ++I) {
+        if (!Rs[2 * I]->ok() && !Rs[2 * I + 1]->ok())
+          continue;
+        Rs.push_back(Svc.trySubmit(Mods[I]));
+        ASSERT_TRUE(Rs.back()->hit()) << "module " << I << " was served";
+        EXPECT_EQ(mappedText(*Rs.back()->code()), Solo[I])
+            << "module " << I << " (hit)";
+      }
+      // One producer: a refused owner has completed before the next
+      // submit, so nothing coalesces onto it and each Overloaded handle
+      // is one refused owner.
+      auto S = Svc.stats();
+      EXPECT_EQ(S.Hits + S.Misses + S.Coalesced + S.VerifyRejected, Rs.size())
+          << "workers=" << Workers << " site=" << Site
+          << ": every submission is exactly one hit, miss or waiter";
+      EXPECT_EQ(S.Overloaded, Overloaded)
+          << "workers=" << Workers << " site=" << Site;
     }
   }
 }

@@ -1,6 +1,6 @@
 // Control for guarded_by_bad.cpp: the same shapes, correctly locked,
-// must compile cleanly — including the patterns the wrappers exist for:
-// the explicit while-loop CV wait and the UniqueLock release/relock.
+// must compile cleanly — including the pattern the wrappers exist for:
+// the explicit while-loop CV wait.
 #include "support/Sync.h"
 
 struct Counter {
@@ -17,17 +17,9 @@ struct Counter {
     while (X == 0)
       CV.wait(M);
   }
-  void relock() TPDE_EXCLUDES(M) {
-    tpde::UniqueLock L(M);
-    ++X;
-    L.unlock();
-    L.lock();
-    ++X;
-  }
 };
 
 int main() {
   Counter C;
-  C.relock();
   return C.readLocked();
 }

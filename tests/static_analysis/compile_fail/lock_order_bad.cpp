@@ -1,23 +1,22 @@
-// Seeded lock-order inversion, mirroring the service's documented order
-// (service/CompileService.h: ClaimsMtx strictly before Cache.Mtx). Must
-// NOT compile when the toolchain enforces acquired_before — clang's
-// -Wthread-safety-beta; run_compile_fail.py probes for support first.
-// Debug builds assert the same order at runtime via LockRank
-// (support/Sync.h), so GCC keeps a dynamic backstop for this invariant.
+// Seeded lock-order inversion on two local mutexes. Must NOT compile when
+// the toolchain enforces acquired_before — clang's -Wthread-safety-beta;
+// run_compile_fail.py probes for support first. No service path holds two
+// locks at once today; this TU keeps the order check itself proven for
+// the day one does.
 #include "support/Sync.h"
 
-struct ServiceShape {
-  tpde::Mutex CacheMtx;
-  tpde::Mutex ClaimsMtx TPDE_ACQUIRED_BEFORE(CacheMtx);
+struct NestedPair {
+  tpde::Mutex InnerMtx;
+  tpde::Mutex OuterMtx TPDE_ACQUIRED_BEFORE(InnerMtx);
 
   void inverted() {
-    tpde::LockGuard A(CacheMtx);
-    tpde::LockGuard B(ClaimsMtx); // BAD: cache lock taken first
+    tpde::LockGuard A(InnerMtx);
+    tpde::LockGuard B(OuterMtx); // BAD: inner lock taken first
   }
 };
 
 int main() {
-  ServiceShape S;
-  S.inverted();
+  NestedPair P;
+  P.inverted();
   return 0;
 }

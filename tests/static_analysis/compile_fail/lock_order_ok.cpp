@@ -1,19 +1,19 @@
-// Control for lock_order_bad.cpp: the documented ClaimsMtx-before-Cache
-// order must compile cleanly even under -Wthread-safety-beta.
+// Control for lock_order_bad.cpp: the declared outer-before-inner order
+// must compile cleanly even under -Wthread-safety-beta.
 #include "support/Sync.h"
 
-struct ServiceShape {
-  tpde::Mutex CacheMtx;
-  tpde::Mutex ClaimsMtx TPDE_ACQUIRED_BEFORE(CacheMtx);
+struct NestedPair {
+  tpde::Mutex InnerMtx;
+  tpde::Mutex OuterMtx TPDE_ACQUIRED_BEFORE(InnerMtx);
 
   void ordered() {
-    tpde::LockGuard A(ClaimsMtx);
-    tpde::LockGuard B(CacheMtx);
+    tpde::LockGuard A(OuterMtx);
+    tpde::LockGuard B(InnerMtx);
   }
 };
 
 int main() {
-  ServiceShape S;
-  S.ordered();
+  NestedPair P;
+  P.ordered();
   return 0;
 }

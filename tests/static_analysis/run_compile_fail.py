@@ -11,14 +11,13 @@ Two flag tiers:
                            every clang this project builds with; the
                            guarded_by_bad.cpp canary is REQUIRED to fail,
                            otherwise this harness exits 1.
-  -Wthread-safety-beta     acquired_before/after lock-order checks. Probed
-                           first (order_probe written in-memory); when the
+  -Wthread-safety-beta     acquired_before/after lock-order checks on the
+                           lock_order TUs' own local mutexes (no service
+                           path holds two locks at once). Probed first
+                           (order_probe written in-memory); when the
                            toolchain does not enforce ordering the two
                            lock_order TUs are reported SKIPPED instead of
-                           failing CI on an older clang. Debug builds
-                           assert the same order at runtime via LockRank
-                           (support/Sync.h), so the invariant is never
-                           entirely un-checked.
+                           failing CI on an older clang.
 
 Also re-proves the unwrapped-mutex gate end to end: scripts/tpde_lint.py
 must reject the raw_sync_bad fixture (exit 1) and pass the real tree.
@@ -92,7 +91,7 @@ def main():
         tu = case_dir / name
         if flags is BETA and must_fail and not order_checked:
             print(f"SKIP {name}: this clang does not enforce "
-                  "acquired_before (runtime LockRank assert still covers it)")
+                  "acquired_before, so the order check is unproven here")
             continue
         proc = compile_tu(args.cxx, flags, src_dir, tu)
         failed = proc.returncode != 0

@@ -393,18 +393,6 @@ TEST(Sync, MutexLockGuardBasics) {
   EXPECT_EQ(Guarded, 1);
 }
 
-TEST(Sync, UniqueLockRelocks) {
-  tpde::Mutex M;
-  tpde::UniqueLock L(M);
-  EXPECT_TRUE(L.held());
-  L.unlock();
-  EXPECT_FALSE(L.held());
-  EXPECT_TRUE(M.tryLock()) << "unlock really released the mutex";
-  M.unlock();
-  L.lock();
-  EXPECT_TRUE(L.held());
-}
-
 TEST(Sync, CondVarWaitAndWaitFor) {
   tpde::Mutex M;
   tpde::CondVar CV;
@@ -433,36 +421,3 @@ TEST(Sync, CondVarWaitAndWaitFor) {
 TEST(Sync, HardwareConcurrencyIsPositive) {
   EXPECT_GE(tpde::hardwareConcurrency(), 1u);
 }
-
-#ifndef NDEBUG
-// The dynamic lock-order backstop (LockRank in support/Sync.h) mirrors the
-// statically annotated ClaimsMtx-before-Cache.Mtx order for compilers that
-// cannot check the annotations (GCC). Debug-only: compiled out with NDEBUG.
-TEST(SyncDeathTest, RankInversionAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        tpde::Mutex Claims{tpde::LockRank::ServiceClaims};
-        tpde::Mutex Cache{tpde::LockRank::ServiceCache};
-        tpde::LockGuard A(Cache);
-        tpde::LockGuard B(Claims); // inversion: rank 10 after rank 20
-      },
-      "lock-order violation");
-}
-
-TEST(SyncDeathTest, CorrectRankOrderDoesNotAbort) {
-  tpde::Mutex Claims{tpde::LockRank::ServiceClaims};
-  tpde::Mutex Cache{tpde::LockRank::ServiceCache};
-  tpde::LockGuard A(Claims);
-  tpde::LockGuard B(Cache);
-  SUCCEED();
-}
-
-TEST(SyncDeathTest, UnrankedLocksAreExemptFromOrdering) {
-  tpde::Mutex Ranked{tpde::LockRank::ServiceCache};
-  tpde::Mutex Leaf; // LockRank::None
-  tpde::LockGuard A(Ranked);
-  tpde::LockGuard B(Leaf); // leaf under a ranked lock: allowed
-  SUCCEED();
-}
-#endif // !NDEBUG
