@@ -15,8 +15,9 @@
 ///              parallel row also records the driver's per-phase
 ///              merge-cost breakdown (compile / reserve / place / stitch
 ///              mean ns per compile, stitch reloc count, bytes placed in
-///              parallel) so the O(relocs)-stitch claim of docs/PERF.md
-///              "Two-pass emission" is visible in the trajectory.
+///              parallel, fragments stitched) so the O(relocs)-stitch
+///              claim of docs/PERF.md "Two-pass emission" is visible in
+///              the trajectory.
 ///
 /// The TPDE scenarios run for BOTH targets: "TPDE" rows are x86-64,
 /// "TPDE-A64" rows are AArch64 through the same driver template. The a64
@@ -105,7 +106,7 @@ struct Result {
   /// "Two-pass emission" made visible in the committed baseline.
   bool HasEmit = false;
   double CompileNs = 0, ReserveNs = 0, PlaceNs = 0, StitchNs = 0;
-  double StitchRelocs = 0, PlacedBytes = 0;
+  double StitchRelocs = 0, PlacedBytes = 0, Fragments = 0;
 };
 
 /// Runs \p Measure (returning funcs/sec for one sample) Repeat times and
@@ -281,6 +282,7 @@ Result measureParallel(const char *Name, const char *Scenario, ModuleT &M,
       Acc.StitchNs += ES.StitchNs;
       Acc.StitchRelocs += ES.StitchRelocs;
       Acc.PlacedBytes += ES.PlacedBytes;
+      Acc.Fragments += ES.Fragments;
     }
     T.stop();
     Funcs += static_cast<u64>(NumFuncs) * NIters;
@@ -302,6 +304,7 @@ Result measureParallel(const char *Name, const char *Scenario, ModuleT &M,
   R.StitchNs = static_cast<double>(Acc.StitchNs) / N;
   R.StitchRelocs = static_cast<double>(Acc.StitchRelocs) / N;
   R.PlacedBytes = static_cast<double>(Acc.PlacedBytes) / N;
+  R.Fragments = static_cast<double>(Acc.Fragments) / N;
   return R;
 }
 
@@ -573,17 +576,20 @@ int main(int argc, char **argv) {
   // Merge-cost breakdown per compile: with in-place emission the serial
   // part of producing the output is reserve + stitch, and the stitch
   // scales with the relocation count, never the section bytes (the bytes
-  // move in the parallel place phase).
-  std::printf("\n%-12s %-15s %3s %10s %10s %10s %10s %12s %12s\n",
+  // move in the parallel place phase). One fragment per run: a single
+  // worker stitches one.
+  std::printf("\n%-12s %-15s %3s %10s %10s %10s %10s %12s %12s %9s\n",
               "backend", "mode", "thr", "compile_us", "reserve_us",
-              "place_us", "stitch_us", "stitch_reloc", "placed_bytes");
+              "place_us", "stitch_us", "stitch_reloc", "placed_bytes",
+              "fragments");
   for (const Result &R : Results)
     if (R.HasEmit)
       std::printf("%-12s %-15s %3u %10.1f %10.1f %10.1f %10.1f %12.0f "
-                  "%12.0f\n",
+                  "%12.0f %9.1f\n",
                   R.Backend.c_str(), R.Scenario.c_str(), R.Threads,
                   R.CompileNs / 1e3, R.ReserveNs / 1e3, R.PlaceNs / 1e3,
-                  R.StitchNs / 1e3, R.StitchRelocs, R.PlacedBytes);
+                  R.StitchNs / 1e3, R.StitchRelocs, R.PlacedBytes,
+                  R.Fragments);
 
   FILE *F = std::fopen("BENCH_compile_throughput.json", "w");
   if (!F) {

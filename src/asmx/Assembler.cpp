@@ -4,7 +4,6 @@
 
 #include "support/FaultInjector.h"
 
-#include <algorithm>
 #include <cstring>
 
 using namespace tpde;
@@ -80,34 +79,24 @@ bool Assembler::roDedupEligible(const Assembler &Src) {
   for (const Reloc &R : Src.Relocs)
     if (R.Sec == SecKind::ROData)
       return false; // offset remapping of rodata relocs is not supported
-  MergeRoOrder.clear();
-  for (u32 I = 0; I < Src.Syms.size(); ++I) {
-    const Symbol &S = Src.Syms[I];
+  // The entries, taken in symbol-table (creation) order, must tile the
+  // section exactly, counting the alignment padding alignToBoundary(entry
+  // size) would have inserted — that is the layout fpPoolConstSym()
+  // produces and the only one the piecewise re-append, which runs in
+  // creation order, reproduces byte for byte.
+  u64 End = 0;
+  for (const Symbol &S : Src.Syms) {
     if (!S.Defined || S.Sec != SecKind::ROData)
       continue;
     if (S.NameId != ~0u)
       return false; // named rodata (global data): identity matters
     if (S.Size == 0 || S.Size > 16 || (S.Size & (S.Size - 1)))
       return false; // alignment is reconstructed as the pow2 entry size
-    MergeRoOrder.push_back(I);
-  }
-  if (MergeRoOrder.empty())
-    return false; // rodata bytes with no covering symbol
-  std::sort(MergeRoOrder.begin(), MergeRoOrder.end(), [&](u32 A, u32 B) {
-    return Src.Syms[A].Off < Src.Syms[B].Off;
-  });
-  // The entries must tile the section exactly, counting the alignment
-  // padding alignToBoundary(entry size) would have inserted — that is
-  // the layout fpPoolConstSym() produces and the only one the piecewise
-  // re-append reproduces byte for byte.
-  u64 End = 0;
-  for (u32 I : MergeRoOrder) {
-    const Symbol &S = Src.Syms[I];
     if (S.Off != alignTo(End, S.Size))
       return false;
     End = S.Off + S.Size;
   }
-  return End == RO.Data.size();
+  return End == RO.Data.size(); // else bytes no pool entry covers
 }
 
 void Assembler::mergeFrom(const Assembler &Src) {
@@ -198,59 +187,30 @@ void Assembler::stitchFrom(const Assembler &Src, const MergePlan &Plan) {
   // eligible section is merged symbol-by-symbol below instead
   // (constant-pool dedup).
   const bool RoPiecewise = roDedupEligible(Src);
-  {
-    const unsigned RoI = static_cast<unsigned>(SecKind::ROData);
-    Section &D = Secs[RoI];
-    const Section &S = Src.Secs[RoI];
-    Base[RoI] = D.size();
-    if (!S.Data.empty() && !RoPiecewise) {
-      D.alignToBoundary(S.Align);
-      Base[RoI] = D.size();
-      D.append(S.Data.data(), S.Data.size());
-    }
+  const unsigned RoI = static_cast<unsigned>(SecKind::ROData);
+  Section &RO = Secs[RoI];
+  const Section &SrcRO = Src.Secs[RoI];
+  Base[RoI] = RO.size();
+  if (!SrcRO.Data.empty() && !RoPiecewise) {
+    RO.alignToBoundary(SrcRO.Align);
+    Base[RoI] = RO.size();
+    RO.append(SrcRO.Data.data(), SrcRO.Data.size());
   }
 
-  // Constant-pool dedup: append each anonymous rodata entry individually
-  // (in source offset order, with its own alignment), unless this module
-  // already holds an entry with identical bytes — then bind the source
-  // symbol to the existing one. RoDedupSyms accumulates across the merges
-  // of one module, so shards contribute each distinct constant once and
-  // the merged pool matches a serial compile's.
-  MergeRoSym.assign(Src.Syms.size(), ~0u);
-  if (RoPiecewise) {
-    Section &D = Secs[static_cast<unsigned>(SecKind::ROData)];
-    const Section &SRO = Src.Secs[static_cast<unsigned>(SecKind::ROData)];
-    for (u32 I : MergeRoOrder) {
-      const Symbol &S = Src.Syms[I];
-      const u8 *Bytes = SRO.Data.data() + S.Off;
-      u64 H = roContentHash(Bytes, S.Size);
-      if (u32 *Known = RoDedupSyms.find(H)) {
-        const Symbol &K = Syms[*Known];
-        if (K.Size == S.Size &&
-            std::memcmp(D.Data.data() + K.Off, Bytes, S.Size) == 0) {
-          MergeRoSym[I] = *Known;
-          continue;
-        }
-        // Hash collision with different bytes: append without dedup.
-      }
-      D.alignToBoundary(S.Size);
-      u64 Off = D.size();
-      D.append(Bytes, S.Size);
-      SymRef R = createSymbol({}, S.Link, S.IsFunc);
-      defineSymbol(R, SecKind::ROData, Off, S.Size);
-      RoDedupSyms.insert(H, R.Idx);
-      MergeRoSym[I] = R.Idx;
-    }
-  }
-
-  // Symbols: resolve named ones against the destination table, append
-  // anonymous ones. createSymbol() upgrades an undefined external
-  // placeholder to the stronger registration; defineSymbol() diagnoses
-  // duplicate strong definitions and keeps the first weak one.
-  // Undefined symbols nothing in the source references are dropped, like
-  // a linker would: a source that declares the whole module's symbol
-  // table would otherwise copy every declaration into the output, making
-  // a K-fragment merge quadratic in module size for no information gain.
+  // Symbols, in the source's creation order: resolve named ones against
+  // the destination table, append anonymous ones. createSymbol() upgrades
+  // an undefined external placeholder to the stronger registration;
+  // defineSymbol() diagnoses duplicate strong definitions and keeps the
+  // first weak one. Undefined symbols nothing in the source references
+  // are dropped, like a linker would: a source that declares the whole
+  // module's symbol table would otherwise copy every declaration into the
+  // output, making a K-fragment merge quadratic in module size for no
+  // information gain.
+  //
+  // Taking the pool entries in that same order, where the loop meets
+  // them, keeps the merged table independent of where fragments were
+  // cut: any contiguous cut of a serial compile stitches back to the
+  // serial table and relocation symbol indices.
   MergeRefd.assign(Src.Syms.size(), 0);
   for (const Reloc &R : Src.Relocs)
     MergeRefd[R.Sym.Idx] = 1;
@@ -258,9 +218,8 @@ void Assembler::stitchFrom(const Assembler &Src, const MergePlan &Plan) {
   MergeSymMap.reserve(Src.Syms.size());
   for (size_t I = 0; I < Src.Syms.size(); ++I) {
     const Symbol &S = Src.Syms[I];
-    if (MergeRoSym[I] != ~0u) {
-      // Rodata pool entry: already appended (or deduplicated) above.
-      MergeSymMap.push_back(MergeRoSym[I]);
+    if (RoPiecewise && S.Defined && S.Sec == SecKind::ROData) {
+      MergeSymMap.push_back(stitchPoolEntry(S, SrcRO));
       continue;
     }
     if (!S.Defined && !MergeRefd[I]) {
@@ -282,6 +241,31 @@ void Assembler::stitchFrom(const Assembler &Src, const MergePlan &Plan) {
 
   if (Src.hasError())
     setError(Src.ErrCode, std::string(Src.Err));
+}
+
+u32 Assembler::stitchPoolEntry(const Symbol &S, const Section &SrcRO) {
+  // Constant-pool dedup: append the entry with its own alignment, unless
+  // this module already holds an entry with identical bytes — then bind
+  // to the existing one. RoDedupSyms accumulates across the merges of one
+  // module, so fragments contribute each distinct constant once and the
+  // merged pool matches a serial compile's.
+  Section &RO = section(SecKind::ROData);
+  const u8 *Bytes = SrcRO.Data.data() + S.Off;
+  u64 H = roContentHash(Bytes, S.Size);
+  if (u32 *Known = RoDedupSyms.find(H)) {
+    const Symbol &K = Syms[*Known];
+    if (K.Size == S.Size &&
+        std::memcmp(RO.Data.data() + K.Off, Bytes, S.Size) == 0)
+      return *Known;
+    // Hash collision with different bytes: append without dedup.
+  }
+  RO.alignToBoundary(S.Size);
+  u64 Off = RO.size();
+  RO.append(Bytes, S.Size);
+  SymRef R = createSymbol({}, S.Link, S.IsFunc);
+  defineSymbol(R, SecKind::ROData, Off, S.Size);
+  RoDedupSyms.insert(H, R.Idx);
+  return R.Idx;
 }
 
 SymRef Assembler::getOrCreateSymbol(std::string_view Name) {

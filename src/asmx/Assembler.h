@@ -317,27 +317,30 @@ public:
   /// strong definitions surface through hasError(); weak symbols keep the
   /// first definition, so merge order decides. Anonymous symbols are
   /// appended as fresh entries. Undefined source symbols that no source
-  /// relocation references are dropped (linker semantics), so a snapshot
-  /// merge carries only defined + actually-referenced records — with the
+  /// relocation references are dropped (linker semantics), so a merge
+  /// carries only defined + actually-referenced records — with the
   /// code generators materializing symbols on demand the source table is
-  /// already sparse, and merging K shard fragments stays O(defined +
+  /// already sparse, and merging K fragments stays O(defined +
   /// referenced) instead of O(K * module). Both assemblers must be
   /// label-finalized (no pending fixups). Steady-state merging into a
   /// reset() assembler does not allocate once all buffers reached their
   /// high-water mark.
   ///
   /// Cross-fragment constant-pool dedup: when the source's read-only data
-  /// consists purely of anonymous defined symbols tiling the section (the
-  /// shape of the FP constant pool a shard compile emits), the section is
-  /// merged symbol-by-symbol and entries whose bytes already exist in this
-  /// module (appended by an earlier merge) are bound to the existing
-  /// symbol instead of being copied — so K shards that each materialized
-  /// the same constant contribute it once, and the merged pool matches a
-  /// serial whole-module compile. The decision depends only on fragment
-  /// content and merge order, preserving the thread-count determinism
-  /// contract. Sources with named rodata symbols, rodata relocations, or
-  /// uncovered rodata bytes (e.g. the globals fragment) fall back to the
-  /// wholesale section copy above.
+  /// consists purely of anonymous defined symbols tiling the section in
+  /// creation order (the shape of the FP constant pool a range compile
+  /// emits), the section is merged symbol-by-symbol and entries whose
+  /// bytes already exist in this module (appended by an earlier merge)
+  /// are bound to the existing symbol instead of being copied — so K
+  /// fragments that each materialized the same constant contribute it
+  /// once, and the merged pool matches a serial whole-module compile.
+  /// Each entry is stitched where the symbol loop meets it, in creation
+  /// order, so the merged symbol table too is that of a serial compile
+  /// however the module was cut into fragments. The decision depends only
+  /// on fragment content and merge order, preserving the thread-count
+  /// determinism contract. Sources with named rodata symbols, rodata
+  /// relocations, or uncovered rodata bytes (e.g. the globals fragment)
+  /// fall back to the wholesale section copy above.
   void mergeFrom(const Assembler &Src);
 
   // --- Two-pass (in-place) merge --------------------------------------
@@ -348,9 +351,9 @@ public:
   // section bytes), place all fragments' text/data bytes concurrently,
   // and keep only the O(symbols + relocs) stitch on the serial path —
   // the zero-merge emission scheme of docs/PERF.md ("Two-pass
-  // emission"). mergeFrom() above is the one-fragment form (the driver's
-  // snapshot merges) built from these primitives, so the two cannot
-  // drift.
+  // emission"). mergeFrom() above is the one-fragment form (the driver
+  // merges its globals fragment and function-by-function recovery this
+  // way) built from these primitives, so the two cannot drift.
 
   /// Pass 1: extends this module's text, data, and BSS exactly as
   /// mergeFrom(\p Src) would — alignment padding zero-filled, the
@@ -410,22 +413,22 @@ private:
   std::string Err;
   support::CompileErr ErrCode = support::CompileErr::Ok;
   /// True if \p Src's rodata is eligible for the symbol-by-symbol dedup
-  /// merge (see mergeFrom); fills MergeRoOrder with the defined rodata
-  /// symbol indices in offset order.
+  /// merge (see mergeFrom): anonymous pool entries that, in creation
+  /// order, tile the section.
   bool roDedupEligible(const Assembler &Src);
+  /// Stitches one pool entry \p S of a source whose read-only data is
+  /// \p SrcRO: appends it, or binds it to an equal entry already here.
+  /// Returns its symbol index in this module.
+  u32 stitchPoolEntry(const Symbol &S, const Section &SrcRO);
 
   /// Scratch for mergeFrom(): source symbol index -> merged index (~0 for
   /// dropped unreferenced declarations), and the reloc-referenced flags.
   /// Members so steady-state merges reuse their capacity (docs/PERF.md).
   std::vector<u32> MergeSymMap;
   std::vector<u8> MergeRefd;
-  /// Rodata-dedup scratch: source rodata symbols in offset order, and the
-  /// per-source-symbol destination symbol index (~0 = not a rodata pool
-  /// entry). Content-hash -> destination symbol index of every anonymous
-  /// rodata entry this module accumulated across merges; cleared with the
+  /// Content-hash -> destination symbol index of every anonymous rodata
+  /// entry this module accumulated across merges; cleared with the
   /// emission state.
-  std::vector<u32> MergeRoOrder;
-  std::vector<u32> MergeRoSym;
   support::DenseMap<u64, u32> RoDedupSyms;
 };
 

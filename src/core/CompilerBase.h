@@ -3,8 +3,9 @@
 /// \file
 /// The code generation pass of the TPDE framework (paper §3.4). It drives
 /// compilation of whole modules, or of function ranges for the parallel
-/// driver's shards: each compile resets its assembler and creates symbols
-/// at first use, then for every function runs the analysis pass and
+/// driver's shards: each compile resets its assembler (appendRange()
+/// continues the previous one instead) and creates symbols at first
+/// use, then for every function runs the analysis pass and
 /// compiles block by block in layout order, calling back into the
 /// derived compiler for instruction semantics. The framework owns
 /// register allocation (greedy, round-robin eviction, fixed-register loop
@@ -815,15 +816,15 @@ public:
   // Module driver
   // =====================================================================
   //
-  // Every entry point resets the assembler itself (at a cost
-  // proportional to the previous compile's symbol table) and creates
-  // function and global symbols on first use — funcSym() and the derived
-  // compiler's global-symbol accessor. A compile's symbol table, and with
-  // it the parallel driver's fragment snapshot and merge cost, therefore
-  // holds exactly what the compile defines or references: O(defined +
-  // referenced), never O(module). Cross-shard references still relocate
-  // by name: Assembler::mergeFrom() binds a shard's declarations to the
-  // defining shard's symbols.
+  // Every entry point but appendRange() resets the assembler itself (at
+  // a cost proportional to the previous compile's symbol table) and
+  // creates function and global symbols on first use — funcSym() and
+  // the derived compiler's global-symbol accessor. A compile's symbol
+  // table, and with it the parallel driver's merge cost, therefore holds
+  // exactly what the compile defines or references: O(defined +
+  // referenced), never O(module). References across fragments still
+  // relocate by name: Assembler::mergeFrom() binds a fragment's
+  // declarations to the defining fragment's symbols.
 
   /// Compiles all functions of the adapter's module, plus its global
   /// data, into the assembler. Returns false if any instruction could
@@ -837,6 +838,16 @@ public:
   /// emitted — the driver merges it from a compileGlobals() fragment.
   bool compileRange(u32 Begin, u32 End) {
     return compileModuleImpl</*EmitData=*/false>(Begin, End);
+  }
+
+  /// Continues the last successful compileRange()/appendRange() with
+  /// functions [Begin, End): no reset, no new symbol epoch, no globals
+  /// hook, so the symbol caches and the FP constant pool carry over
+  /// exactly as they do between two functions of one serial compile. The
+  /// parallel driver appends each next shard a worker claims this way.
+  bool appendRange(u32 Begin, u32 End) {
+    Status.clear();
+    return compileFuncs(Begin, End);
   }
 
   /// Emits the module-level fragment only: the global data/BSS
@@ -876,6 +887,13 @@ public:
       derived()->defineGlobals();
     else
       derived()->declareGlobals();
+    return compileFuncs(Begin, End);
+  }
+
+  /// The function loop shared by every entry point: compiles functions
+  /// [Begin, End) into the assembler as it stands.
+  bool compileFuncs(u32 Begin, u32 End) {
+    const u32 N = A.funcCount();
     if (End > N)
       End = N;
     for (u32 I = Begin; I < End; ++I) {

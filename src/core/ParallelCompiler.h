@@ -4,7 +4,7 @@
 /// The backend-agnostic parallel module compile driver: compiles a
 /// module's functions across N worker threads, each owning a private
 /// asmx::Assembler + compiler instance (reset-not-freed, per docs/
-/// PERF.md), then deterministically merges the per-shard text/rodata,
+/// PERF.md), then deterministically merges the per-run text/rodata,
 /// relocations, and symbol tables into one linkable/JIT-mappable module.
 ///
 /// The driver is a template over the *compiler* type — parallel
@@ -18,25 +18,38 @@
 /// cross-shard symbol resolution. Nothing in this file knows about the
 /// target or the IR.
 ///
+/// Shards and runs: the shard is the unit of claiming, stealing and
+/// failure; the *run* is the unit of output. A worker that claims the
+/// shard right after the one it just compiled appends it to the same
+/// assembler (CompilerBase::appendRange), so a run — a stretch of
+/// consecutive shards one worker compiled back to back — becomes one
+/// fragment, compiled exactly like that stretch of a serial compile.
+/// With one worker the whole module is one run: a serial compile plus
+/// one stitch. A run compiles in the storage of its first shard's
+/// fragment, swapped into the worker's assembler (O(1)) and back.
+///
 /// Determinism contract: the merged output is **byte-identical regardless
 /// of thread count and schedule**. This falls out of three rules:
 ///
 ///  1. The shard decomposition depends only on the module — boundaries
 ///     are a pure function of the per-function weights and FuncsPerShard,
 ///     never of the thread count.
-///  2. Each shard's output is snapshotted into its own fragment assembler;
-///     the shard queue decides *who* compiles a shard, never *where* its
-///     bytes land.
-///  3. The final merge walks fragments in shard-index order on the calling
-///     thread (module-level globals fragment first).
+///  2. Each run's output lands in the fragment of its first shard; the
+///     shard queue decides *who* compiles a shard and where runs are cut,
+///     never the order in which bytes land.
+///  3. The final merge walks runs in shard-index order on the calling
+///     thread (module-level globals fragment first), and the stitch is
+///     cut-independent: it appends a fragment's symbols, constant-pool
+///     entries included, in their creation order, so any contiguous cut
+///     yields the serial compile's symbol table and relocations.
 ///
 /// Two-pass (zero-merge) emission: the driver never serially *copies* a
-/// shard fragment's text/data bytes into the output. The compile pass
-/// doubles as an exact pre-measure — every fragment's final section
-/// sizes are known once the shard pass (plus recovery) finishes — so the
-/// driver reserves each fragment's slice of the output sections in shard
-/// order (Assembler::reserveFrom, O(1) per shard in section bytes), lets
-/// the worker pool memcpy all fragments into their disjoint slices
+/// fragment's text/data bytes into the output. The compile pass doubles
+/// as an exact pre-measure — every fragment's final section sizes are
+/// known once the shard pass (plus recovery) finishes — so the driver
+/// reserves each run's slice of the output sections in shard order
+/// (Assembler::reserveFrom, O(1) per run in section bytes), lets the
+/// worker pool memcpy all fragments into their disjoint slices
 /// concurrently (Assembler::placeFrom), and keeps only the
 /// O(symbols + relocs) stitch (Assembler::stitchFrom) on the serial
 /// path. Output is byte-identical to a serial compile — the three
@@ -44,20 +57,20 @@
 /// per-phase cost breakdown the bench rows record (docs/PERF.md
 /// "Two-pass emission").
 ///
-/// Cross-shard references (calls, global addresses) work because the code
-/// generators only ever reference symbols through relocations: a shard
+/// Cross-run references (calls, global addresses) work because the code
+/// generators only ever reference symbols through relocations: a run
 /// materializes a symbol on demand at its first reference (an undefined
 /// declaration when the definition lives elsewhere), and
 /// Assembler::mergeFrom() binds those declarations to the defining
-/// shard's symbols by interned name. No shard ever registers the whole
-/// module symbol table — per-shard symbol cost is O(defined +
+/// run's symbols by interned name. No run ever registers the whole
+/// module symbol table — per-run symbol cost is O(defined +
 /// referenced), so a module compile carries an O(Funcs) total symbol
-/// term instead of O(Funcs^2 / FuncsPerShard). The .text bytes of the
-/// merged module are identical to a single-assembler serial compile; the
-/// read-only data matches the serial pool as well because mergeFrom()
-/// content-deduplicates the anonymous FP-pool entries across shards; and
-/// the ELF writer emits the symbol table in a canonical content order,
-/// so the serial and merged objects are byte-identical end to end.
+/// term. The .text bytes of the merged module are identical to a
+/// single-assembler serial compile; the read-only data matches the
+/// serial pool as well because mergeFrom() content-deduplicates the
+/// anonymous FP-pool entries across fragments; and so do the in-memory
+/// symbol table and relocations, so the serial and merged objects are
+/// byte-identical end to end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,7 +103,9 @@ struct ParallelCompileOptions {
   /// with a few giant functions balance across workers. Part of the
   /// determinism contract: the same module always decomposes into the
   /// same shards, whatever the thread count. Smaller shards balance
-  /// better; larger shards amortize the per-shard snapshot/merge cost.
+  /// better and keep a failure's recompile small; consecutive shards one
+  /// worker claims share a fragment, so shard size barely moves the
+  /// merge cost.
   u32 FuncsPerShard = 4;
 };
 
@@ -98,12 +113,13 @@ struct ParallelCompileOptions {
 /// (bench/compile_throughput.cpp) and the O(relocs)-stitch claim in
 /// docs/PERF.md. Wall-clock nanoseconds via tpde::nowNs().
 struct EmitStats {
-  u64 CompileNs = 0; ///< Parallel shard pass incl. snapshots + recovery.
+  u64 CompileNs = 0; ///< Parallel shard pass + recovery.
   u64 ReserveNs = 0; ///< Serial slice reservation.
   u64 PlaceNs = 0;   ///< Parallel in-place byte placement (pass 2).
   u64 StitchNs = 0;  ///< Serial merge tail: rodata dedup, symbols, relocs.
   u64 StitchRelocs = 0; ///< Relocations rebased by the serial stitch.
   u64 PlacedBytes = 0;  ///< Text+data bytes written by parallel placement.
+  u64 Fragments = 0; ///< Run fragments stitched (globals fragment excluded).
 };
 
 /// Reusable parallel compilation pipeline for one module. Construction
@@ -150,16 +166,20 @@ public:
   /// false if any function failed to compile or the merged module is
   /// inconsistent; status()/diagnostics() carry the structured errors.
   ///
-  /// Failure semantics (graceful degradation): a failed shard's fragment
-  /// is discarded and the shard is recompiled function-by-function on the
-  /// calling thread with fresh worker state — good functions land in the
-  /// output, each bad function is quarantined with one precise diagnostic.
-  /// A module with K bad functions therefore compiles everything else
-  /// (byte-identical to a serial compile of the good subset) and reports
-  /// exactly K diagnostics, ordered by shard then function index —
-  /// independent of thread count and schedule (first-error-wins keyed by
-  /// shard order, never thread arrival). Merge and stitch failures also
-  /// land in diagnostics(), attributed to the shard that surfaced them.
+  /// Failure semantics (graceful degradation): a shard that fails
+  /// discards its whole run (half-emitted code cannot be cut back out).
+  /// The calling thread then recompiles each shard of that run, in shard
+  /// order, whole into its own fragment, and only a shard that fails
+  /// again function-by-function with fresh worker state — good functions
+  /// land in the output, each bad function is quarantined with one
+  /// precise diagnostic. A module with K bad functions therefore compiles
+  /// everything else (byte-identical to a serial compile of the good
+  /// subset) and reports exactly K diagnostics, ordered by shard then
+  /// function index — independent of thread count and schedule
+  /// (first-error-wins keyed by shard order, never thread arrival). Merge
+  /// and stitch failures also land in diagnostics(), attributed to the
+  /// first shard of the run that surfaced them; with several workers,
+  /// where that run starts depends on the schedule.
   ///
   /// Out of memory, compile() still returns: a bad_alloc anywhere in it
   /// becomes an OutOfMemory diagnostic, and a diagnostic that cannot be
@@ -181,8 +201,8 @@ public:
     runParallelPass();
     Stats.CompileNs += nowNs() - T0;
 
-    // Ordered rebuild: every shard's slice of Out is reserved first, then
-    // the worker pool places all shards concurrently, then the serial
+    // Ordered rebuild: every run's slice of Out is reserved first, then
+    // the worker pool places all runs concurrently, then the serial
     // stitch walks them in shard order. The destination's interned-name
     // pool is arena-backed, so a merge can throw bad_alloc — that becomes
     // a diagnostic instead of unwinding out of the compile.
@@ -192,16 +212,16 @@ public:
       Out.mergeFrom(GlobalsFrag);
       if (Out.hasError())
         noteMergeError(Out, ~0u);
-      for (u32 S = 0; S < NumShards; ++S)
-        reserveShard(Out, S);
+      for (u32 S = 0; S < NumShards; S = RunEnd[S])
+        reserveRun(Out, S);
     } catch (...) {
-      // Shards not yet reserved stay unplanned: the placement and stitch
+      // Runs not yet reserved stay unplanned: the placement and stitch
       // passes skip them.
       addDiag(support::CompileErr::OutOfMemory,
               "allocation failed merging the module", ~0u);
     }
     Stats.ReserveNs += nowNs() - T;
-    // Pass 2: the worker pool copies every planned shard's text/data into
+    // Pass 2: the worker pool copies every planned run's text/data into
     // its reserved slice. Slices are disjoint byte ranges, so the pass
     // needs no synchronization beyond the job barrier.
     T = nowNs();
@@ -211,12 +231,13 @@ public:
     Stats.PlaceNs += nowNs() - T;
     T = nowNs();
     try {
-      for (u32 S = 0; S < NumShards; ++S) {
+      for (u32 S = 0; S < NumShards; S = RunEnd[S]) {
         if (!Planned[S])
           continue;
         bool PrevErr = Out.hasError();
         Stats.StitchRelocs += Frags[S]->relocs().size();
         Out.stitchFrom(*Frags[S], Plans[S]);
+        ++Stats.Fragments;
         if (!PrevErr && Out.hasError())
           noteMergeError(Out, S);
       }
@@ -258,25 +279,29 @@ public:
 
 private:
   /// Per-thread compile state: a private adapter, assembler and compiler
-  /// (reset-not-freed, docs/PERF.md).
+  /// (reset-not-freed, docs/PERF.md), and the worker's open run.
   struct Worker {
     explicit Worker(ModuleT &M) : Adapter(M), Compiler(Adapter, Asm) {}
     AdapterT Adapter;
     asmx::Assembler Asm;
     CompilerT Compiler;
+    /// The open run, shards [RunFirst, RunNext), compiled into Asm while
+    /// Asm holds Frags[RunFirst]'s storage; ~0u when no run is open.
+    u32 RunFirst = ~0u;
+    u32 RunNext = 0;
     tpde::Thread Thread; ///< Unjoinable for worker 0 (the calling thread).
   };
 
   /// What a published job asks the pool to do with each claimed shard
-  /// index: compile it into its fragment, or place its fragment's bytes
-  /// into the pre-reserved output slice.
+  /// index: compile it into its worker's run, or place the bytes of the
+  /// run it starts into the pre-reserved output slice.
   enum class PassKind : u8 { Compile, Place };
 
-  /// The compile half of compile(): fragment setup, the parallel
-  /// shard pass over the current ShardBounds/NumShards, and the
-  /// single-threaded recovery pass. On return every shard fragment is
-  /// final and Diags holds the recovery diagnostics, ordered by shard
-  /// then function.
+  /// The compile half of compile(): the parallel shard pass over the
+  /// current ShardBounds/NumShards and the single-threaded recovery
+  /// pass. On return every run fragment is final, RunEnd links the runs
+  /// in shard order, and Diags holds the recovery diagnostics, ordered
+  /// by shard then function.
   void runParallelPass() {
     publish(PassKind::Compile);
     // The calling thread produces the module-level fragment (global data)
@@ -295,7 +320,7 @@ private:
       recordGlobalsFailure();
     for (u32 S = 0; S < NumShards; ++S)
       if (ShardFailed[S])
-        retryShard(S);
+        recoverShard(S);
   }
 
   /// Sizes the per-shard scratch for the current decomposition. Capacity
@@ -305,15 +330,18 @@ private:
     while (Frags.size() < NumShards)
       Frags.push_back(std::make_unique<asmx::Assembler>());
     ShardFailed.assign(NumShards, 0);
+    if (RunEnd.size() < NumShards)
+      RunEnd.resize(NumShards);
     if (Plans.size() < NumShards)
       Plans.resize(NumShards);
     Planned.assign(NumShards, 0);
   }
 
-  /// Reserves shard \p S's slice of \p Out and routes the placement pass
-  /// to it. Planned is set only on success, so a throwing reservation
-  /// leaves the shard unplanned (skipped by placement and stitch).
-  void reserveShard(asmx::Assembler &Out, u32 S) {
+  /// Reserves the slice of \p Out for the run starting at shard \p S and
+  /// routes the placement pass to it. Planned is set only on success, so
+  /// a throwing reservation leaves the run unplanned (skipped by
+  /// placement and stitch).
+  void reserveRun(asmx::Assembler &Out, u32 S) {
     Out.reserveFrom(*Frags[S], Plans[S]);
     constexpr unsigned TextI = static_cast<unsigned>(asmx::SecKind::Text);
     constexpr unsigned DataI = static_cast<unsigned>(asmx::SecKind::Data);
@@ -462,50 +490,84 @@ private:
     u32 Shard;
     while (Queue.pop(Id, Shard)) {
       if (P == PassKind::Compile)
-        compileShard(Id, Shard);
+        compileShard(*Workers[Id], Shard);
       else
-        placeShard(Shard);
+        placeRun(Shard);
     }
+    if (P == PassKind::Compile)
+      closeRun(*Workers[Id]);
   }
 
-  /// Pass-2 unit of work: memcpy one planned shard into its slice. The
-  /// queue hands each shard to exactly one worker and the slices are
-  /// disjoint, so no two threads ever write the same output byte;
-  /// PlaceOut/Planned/Plans were published by the mutex before the job
-  /// woke the pool.
-  void placeShard(u32 Shard) {
-    if (Planned[Shard]) // else its reservation failed; it owns no bytes
+  /// Pass-2 unit of work: memcpy the planned run starting at \p Shard into
+  /// its slice (other shard indices own no bytes). The queue hands each
+  /// shard to exactly one worker and the slices are disjoint, so no two
+  /// threads ever write the same output byte; PlaceOut/Planned/Plans were
+  /// published by the mutex before the job woke the pool.
+  void placeRun(u32 Shard) {
+    if (Planned[Shard]) // else no run starts here, or its reservation failed
       PlaceOut->placeFrom(*Frags[Shard], Plans[Shard]);
   }
 
-  void compileShard(unsigned Id, u32 Shard) {
-    Worker &W = *Workers[Id];
-    asmx::Assembler &Frag = *Frags[Shard];
-    // The queue hands each shard to exactly one worker, so this thread is
-    // the only writer of the shard's flag/fragment; the Pending barrier
-    // publishes the writes to the calling thread. compileRange resets the
-    // worker's assembler itself, at a cost proportional to the previous
-    // shard's symbol table; once warm the whole shard compile is
-    // allocation-free. A throwing compile or snapshot merge (e.g. an
-    // injected arena-growth failure) poisons only this shard: the worker's
-    // state is reset wholesale at its next compileRange.
-    Frag.reset();
+  /// Compiles shard \p Shard on worker \p W: appended to the worker's open
+  /// run when it is the shard right after it, else as the first shard of
+  /// a new run. Returns false when the shard failed, which discarded the
+  /// run. The queue hands each shard to exactly one worker, so this
+  /// thread is the only writer of the flags and fragments of the shards
+  /// its runs hold; the Pending barrier publishes them to the calling
+  /// thread. Once warm the whole compile is allocation-free.
+  bool compileShard(Worker &W, u32 Shard) {
+    const bool Append = W.RunFirst != ~0u && Shard == W.RunNext;
+    if (!Append) {
+      closeRun(W);
+      // The run compiles in its fragment's own storage, swapped in whole
+      // (O(1), no copy); the compiler keeps its reference to W.Asm.
+      std::swap(W.Asm, *Frags[Shard]);
+      W.RunFirst = Shard;
+    }
+    const u32 Begin = ShardBounds[Shard], End = ShardBounds[Shard + 1];
     bool OK = false;
     try {
-      if (!support::faultPoint(support::FaultSite::ShardCompile) &&
-          W.Compiler.compileRange(ShardBounds[Shard], ShardBounds[Shard + 1])) {
-        Frag.mergeFrom(W.Asm);
-        OK = !Frag.hasError();
-      }
-    } catch (...) {
+      OK = !support::faultPoint(support::FaultSite::ShardCompile) &&
+           (Append ? W.Compiler.appendRange(Begin, End)
+                   : W.Compiler.compileRange(Begin, End));
+    } catch (...) { // e.g. an injected arena-growth failure
     }
-    if (!OK) {
-      // A failed shard may hold half-emitted code with unbound labels: drop
-      // it. Its status is not kept — the recovery pass recompiles the
-      // shard function by function and diagnoses each failure.
-      Frag.reset();
-      ShardFailed[Shard] = 1;
+    if (OK) {
+      W.RunNext = Shard + 1;
+      return true;
     }
+    // The run may hold half-emitted code with unbound labels, which cannot
+    // be cut back out: drop the whole run. No status is kept — the
+    // recovery pass recompiles each of its shards and diagnoses each
+    // failure.
+    for (u32 S = W.RunFirst; S <= Shard; ++S)
+      ShardFailed[S] = 1;
+    std::swap(W.Asm, *Frags[W.RunFirst]);
+    W.RunFirst = ~0u;
+    return false;
+  }
+
+  /// Ends worker \p W's open run, if any: the storage goes back to the
+  /// fragment of the run's first shard, and RunEnd records the run.
+  void closeRun(Worker &W) {
+    if (W.RunFirst == ~0u)
+      return;
+    std::swap(W.Asm, *Frags[W.RunFirst]);
+    RunEnd[W.RunFirst] = W.RunNext;
+    W.RunFirst = ~0u;
+  }
+
+  /// Recovery for one shard of a discarded run, on the calling thread: the
+  /// shard is recompiled whole as a run of its own, and only if that fails
+  /// too function by function (retryShard), so recovery costs what the
+  /// shards that really fail cost.
+  void recoverShard(u32 S) {
+    Worker &W0 = *Workers[0];
+    RunEnd[S] = S + 1;
+    if (compileShard(W0, S))
+      closeRun(W0);
+    else
+      retryShard(S);
   }
 
   /// (Re)builds the module-level fragment on the calling thread. Returns
@@ -544,13 +606,14 @@ private:
               "module-level fragment compile failed", ~0u);
   }
 
-  /// Recovery for one failed shard: recompiles its functions one at a time
-  /// on the calling thread with fresh worker state, merging each success
-  /// into the shard fragment and quarantining each failure with a precise
-  /// diagnostic. Per-function fragments merged in function order reproduce
-  /// the range compile byte for byte (16-byte function alignment, by-name
-  /// relocations, content-deduped constant pool), so the good subset stays
-  /// identical to a serial compile of that subset.
+  /// Last-resort recovery for a shard that failed whole: recompiles its
+  /// functions one at a time on the calling thread with fresh worker
+  /// state, merging each success into the shard fragment and quarantining
+  /// each failure with a precise diagnostic. Per-function fragments
+  /// merged in function order reproduce the range compile byte for byte
+  /// (16-byte function alignment, by-name relocations, content-deduped
+  /// constant pool), so the good subset stays identical to a serial
+  /// compile of that subset.
   void retryShard(u32 S) {
     Worker &W0 = *Workers[0];
     asmx::Assembler &Frag = *Frags[S];
@@ -616,7 +679,8 @@ private:
 
   ParallelCompileOptions Opts;
   std::vector<std::unique_ptr<Worker>> Workers;
-  /// Per-shard output snapshots, indexed by shard — the schedule-proof
+  /// Per-shard fragments, indexed by shard: a run's output lands in the
+  /// fragment of its first shard (the others stay unused) — the
   /// staging area between parallel compilation and the ordered merge.
   std::vector<std::unique_ptr<asmx::Assembler>> Frags;
   asmx::Assembler GlobalsFrag;
@@ -627,16 +691,21 @@ private:
   /// retained across compiles (docs/PERF.md).
   std::vector<u32> ShardBounds;
   u32 NumShards = 0;
-  /// Per-shard failure flag. Each shard has exactly one writer (the
-  /// queue's exactly-once pop) and the Pending==0 barrier publishes
+  /// Per-shard failure flag: set for every shard of a discarded run. Each
+  /// shard has exactly one writer (the worker whose run claimed it, by
+  /// the queue's exactly-once pop) and the Pending==0 barrier publishes
   /// the flags to the calling thread, so no atomics are needed and the
   /// recovery pass walks failures in shard order, never thread arrival.
   /// Capacity is retained across compiles (docs/PERF.md).
   std::vector<u8> ShardFailed;
+  /// RunEnd[S]: one past the last shard of the run starting at shard S
+  /// (valid only at run starts); written like ShardFailed. The runs tile
+  /// [0, NumShards), so S = RunEnd[S] walks them in shard order.
+  std::vector<u32> RunEnd;
   /// In-place emission scratch: the compile's output assembler, and,
-  /// capacity-retained across compiles (docs/PERF.md), shard S's slice
-  /// plan and whether its slice was reserved (0 = unplanned, skip
-  /// placement/stitch).
+  /// capacity-retained across compiles (docs/PERF.md), the slice plan of
+  /// the run starting at shard S and whether its slice was reserved
+  /// (0 = unplanned or no run starts there, skip placement/stitch).
   asmx::Assembler *PlaceOut = nullptr;
   std::vector<asmx::MergePlan> Plans;
   std::vector<u8> Planned;
@@ -651,8 +720,8 @@ private:
   support::CompileStatus Unstored;
 
   /// The one-mutex job handshake. Everything below is GUARDED_BY(Mtx);
-  /// the per-shard result slots (ShardFailed, Frags, PlaceOut, Plans,
-  /// Planned) deliberately are NOT: they are published to workers by the
+  /// the per-shard result slots (ShardFailed, RunEnd, Frags, PlaceOut,
+  /// Plans, Planned) deliberately are NOT: they are published to workers by the
   /// JobSeq bump under Mtx and read back by the caller only after the
   /// Pending==0 barrier, so each slot is exclusively owned by one shard's
   /// worker between those two fences. The annotations cannot express that

@@ -3,6 +3,7 @@
 #include "service/CodeCache.h"
 
 #include <cassert>
+#include <new>
 
 namespace tpde::service {
 
@@ -22,14 +23,17 @@ CodeCache::Claim CodeCache::claim(const support::Fp128 &Fp,
     HitCode = E.Code;
     return Claim::Hit;
   }
-  stats().Coalesced.fetch_add(1, std::memory_order_relaxed);
+  // Counted only once attached: a push_back that runs out of memory
+  // throws out of submit() with nothing counted.
   E.Waiters.push_back(Res);
+  stats().Coalesced.fetch_add(1, std::memory_order_relaxed);
   return Claim::Waiter;
 }
 
 void CodeCache::publish(const support::Fp128 &Fp,
                         std::shared_ptr<CachedCode> Code,
-                        std::vector<ResultPtr> &Waiters) {
+                        std::vector<ResultPtr> &Waiters,
+                        std::vector<std::shared_ptr<CachedCode>> &Evicted) {
   LockGuard L(Mtx);
   auto It = Map.find(Fp);
   assert(It != Map.end() && It->second.St == State::Building &&
@@ -42,7 +46,7 @@ void CodeCache::publish(const support::Fp128 &Fp,
   E.Waiters.clear();
   stats().CachedBytes.fetch_add(E.Code->bytes(), std::memory_order_relaxed);
   stats().CachedEntries.fetch_add(1, std::memory_order_relaxed);
-  evictLocked(Fp);
+  evictLocked(Fp, Evicted);
 }
 
 void CodeCache::fail(const support::Fp128 &Fp,
@@ -55,7 +59,8 @@ void CodeCache::fail(const support::Fp128 &Fp,
   Map.erase(It);
 }
 
-void CodeCache::evictLocked(const support::Fp128 &Keep) {
+void CodeCache::evictLocked(const support::Fp128 &Keep,
+                            std::vector<std::shared_ptr<CachedCode>> &Evicted) {
   while (stats().CachedBytes.load(std::memory_order_relaxed) > Budget) {
     auto Victim = Map.end();
     for (auto It = Map.begin(); It != Map.end(); ++It) {
@@ -70,6 +75,14 @@ void CodeCache::evictLocked(const support::Fp128 &Keep) {
                                   std::memory_order_relaxed);
     stats().CachedEntries.fetch_sub(1, std::memory_order_relaxed);
     stats().Evictions.fetch_add(1, std::memory_order_relaxed);
+    // The entry may hold the code's last reference, and releasing the
+    // mapping takes the JIT page pool's lock and makes syscalls: hand it
+    // to the caller, to drop outside this lock. Out of memory it is
+    // released by the erase, under the lock.
+    try {
+      Evicted.push_back(std::move(Victim->second.Code));
+    } catch (const std::bad_alloc &) {
+    }
     Map.erase(Victim);
   }
 }

@@ -222,8 +222,8 @@ using ResultPtr = std::shared_ptr<ServiceResult>;
 /// Fingerprint -> mapped code, with single-flight claim semantics.
 /// Thread-safe; all state behind one mutex (operations are O(1) map
 /// probes except the eviction scan, see evictLocked()). Waiter
-/// completion always happens *outside* the lock: publish()/fail() hand
-/// the waiter list back to the caller.
+/// completion and the release of evicted code always happen *outside*
+/// the lock: publish()/fail() hand both back to the caller.
 class CodeCache {
 public:
   explicit CodeCache(u64 BudgetBytes)
@@ -248,9 +248,12 @@ public:
 
   /// Publishes the owner's compiled code for \p Fp, evicts down to the
   /// byte budget, and moves the entry's waiters into \p Waiters for the
-  /// caller to complete outside the lock.
+  /// caller to complete outside the lock. The evicted entries' code is
+  /// appended to \p Evicted, for the caller to release outside the lock.
   void publish(const support::Fp128 &Fp, std::shared_ptr<CachedCode> Code,
-               std::vector<ResultPtr> &Waiters) TPDE_EXCLUDES(Mtx);
+               std::vector<ResultPtr> &Waiters,
+               std::vector<std::shared_ptr<CachedCode>> &Evicted)
+      TPDE_EXCLUDES(Mtx);
 
   /// Removes the in-flight entry for \p Fp after a failed compile — the
   /// cache is never poisoned by failures; a later submit of the same
@@ -277,9 +280,12 @@ private:
 
   /// Evicts the lowest-LastUse Ready entries (never the one named by
   /// \p Keep, never Building entries) until CachedBytes <= Budget or
-  /// nothing evictable remains. O(entries) scan per eviction — fine at
-  /// cache sizes where eviction is rare; called with Mtx held.
-  void evictLocked(const support::Fp128 &Keep) TPDE_REQUIRES(Mtx);
+  /// nothing evictable remains, moving their code into \p Evicted.
+  /// O(entries) scan per eviction — fine at cache sizes where eviction
+  /// is rare; called with Mtx held.
+  void evictLocked(const support::Fp128 &Keep,
+                   std::vector<std::shared_ptr<CachedCode>> &Evicted)
+      TPDE_REQUIRES(Mtx);
 
   const u64 Budget;
   mutable Mutex Mtx;

@@ -146,6 +146,13 @@ public:
   /// submit owns the compile (a miss): a hit, a coalesced waiter and a
   /// verifier rejection never copy it, and the caller may reuse or
   /// destroy it as soon as submit() returns.
+  ///
+  /// Out of memory, submit() may throw std::bad_alloc — from the handle's
+  /// allocation, the verifier, the cache entry or attaching a waiter —
+  /// but only before it counts the submission in any stat, so Hits +
+  /// Misses + Coalesced + VerifyRejected stays the number of submits that
+  /// returned a handle. Past that point a lack of memory fails the job
+  /// (OutOfMemory) instead.
   ResultPtr submit(const ModuleT &Mod, SubmitOptions SO = {}) {
     return admit(Mod, SO, /*NonBlocking=*/false);
   }
@@ -197,6 +204,8 @@ private:
     ModuleT Mod;
     core::ParallelModuleCompiler<CompilerT> PC;
     std::vector<ResultPtr> Waiters; ///< Publish scratch, reused per job.
+    /// Publish scratch: code the cache evicted, released outside its lock.
+    std::vector<std::shared_ptr<CachedCode>> Evicted;
     tpde::Thread Thread;
   };
 
@@ -333,11 +342,13 @@ private:
   }
 
   /// Publishes a compiled job's code and completes its submitter and
-  /// every waiter that coalesced onto it.
+  /// every waiter that coalesced onto it. Code the publish evicted is
+  /// released last, outside the cache lock: unmapping the last reference
+  /// to it takes the JIT page pool's lock and makes syscalls.
   void publish(WorkerState &WS, PendingJob &Job,
                const std::shared_ptr<CachedCode> &CC) {
     WS.Waiters.clear();
-    Cache.publish(Job.Fp, CC, WS.Waiters);
+    Cache.publish(Job.Fp, CC, WS.Waiters, WS.Evicted);
     u64 Now = tpde::nowNs();
     support::CompileStatus Ok;
     if (Job.Res->complete(CC, Ok, /*WasHit=*/false, Now))
@@ -345,6 +356,7 @@ private:
     for (ResultPtr &W : WS.Waiters)
       if (W->complete(CC, Ok, /*WasHit=*/false, Now))
         Cache.stats().MissNs.record(W->latencyNs());
+    WS.Evicted.clear();
   }
 
   /// Completes \p R with the failure \p St and counts it in Failed. The

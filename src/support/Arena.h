@@ -23,6 +23,7 @@
 #include <memory>
 #include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace tpde::support {
@@ -33,6 +34,17 @@ public:
 
   Arena(const Arena &) = delete;
   Arena &operator=(const Arena &) = delete;
+  /// Moving hands the slabs over whole (what is allocated stays where it
+  /// is); the source is left empty and usable.
+  Arena(Arena &&O) noexcept { *this = std::move(O); }
+  Arena &operator=(Arena &&O) noexcept {
+    Slabs = std::exchange(O.Slabs, {});
+    SlabBytes = O.SlabBytes;
+    CurSlab = std::exchange(O.CurSlab, 0);
+    CurOff = std::exchange(O.CurOff, 0);
+    Allocated = std::exchange(O.Allocated, 0);
+    return *this;
+  }
 
   /// Allocates \p Size bytes with \p Align alignment (power of two).
   void *alloc(size_t Size, size_t Align = alignof(std::max_align_t)) {

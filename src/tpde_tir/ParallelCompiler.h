@@ -3,8 +3,8 @@
 /// \file
 /// Instantiates the backend-agnostic parallel module compile driver
 /// (core/ParallelCompiler.h) for the TIR back-ends. All driver logic —
-/// worker pool, deterministic weighted sharding, fragment snapshots,
-/// ordered merge — lives in the shared core template, which takes the
+/// worker pool, deterministic weighted sharding, one fragment per run
+/// of consecutive shards, ordered merge — lives in the shared core template, which takes the
 /// compilers as they are; this file only names the instantiations and
 /// the one-shot convenience entry points.
 ///

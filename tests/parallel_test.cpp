@@ -192,6 +192,46 @@ tir::Module makeSimModule(u64 Seed, u32 NumFuncs, bool WithFloat) {
   return M;
 }
 
+/// Eight f64(f64) functions g0..g7, each using two FP constants of its
+/// own and one all of them share, and each calling g[(i+5) % 8] — forward
+/// and backward calls that cross every cut. Every fragment boundary then
+/// falls between constant-pool entries and named symbols, where a merge
+/// that orders the two kinds apart would reorder the symbol table.
+tir::Module makeFpCallModule() {
+  constexpr u32 N = 8;
+  tir::Module M;
+  for (u32 I = 0; I < N; ++I) {
+    tir::FunctionBuilder B(M, "g" + std::to_string(I), tir::Type::F64,
+                           {tir::Type::F64});
+    B.setInsertPoint(B.addBlock());
+    auto A = B.binop(tir::Op::FAdd, B.arg(0), B.constF64(I + 0.5));
+    auto Mul = B.binop(tir::Op::FMul, A, B.constF64(I + 0.25));
+    auto Sub = B.binop(tir::Op::FSub, Mul, B.constF64(1.0));
+    B.ret(B.call((I + 5) % N, tir::Type::F64, {Sub}));
+    B.finish();
+  }
+  return M;
+}
+
+/// Compiles makeFpCallModule() with every thread count and shard size of
+/// the cut matrix through \p PoolT and expects each merged in-memory
+/// image — symbols in table order, relocations with their symbol
+/// indices, all sections — to equal \p Serial's.
+template <typename PoolT>
+void expectEveryCutImagesSerial(tir::Module &M,
+                                const asmx::Assembler &Serial) {
+  const ModuleImage Want = imageOf(Serial);
+  for (unsigned Threads : {1u, 2u, 3u, 8u}) {
+    for (u32 PerShard : {1u, 2u, 4u, 64u}) {
+      PoolT PC(M, {.NumThreads = Threads, .FuncsPerShard = PerShard});
+      asmx::Assembler Out;
+      ASSERT_TRUE(PC.compile(Out)) << PC.status().Message;
+      EXPECT_EQ(imageOf(Out), Want) << "threads=" << Threads
+                                    << " funcs/shard=" << PerShard;
+    }
+  }
+}
+
 } // namespace
 
 /// The tentpole property: one module, compiled with 1, 2, 4, and 8
@@ -265,6 +305,28 @@ TEST(ParallelDeterminism, FpPoolMatchesSerialAcrossShards) {
       << "cross-shard FP-pool dedup did not restore the serial pool size";
   EXPECT_TRUE(std::equal(MergedRO.Data.begin(), MergedRO.Data.end(),
                          SerialRO.Data.begin(), SerialRO.Data.end()));
+}
+
+/// Where fragments are cut depends on the schedule (a worker's run ends
+/// where it claims a non-consecutive shard), so the merged in-memory
+/// image must not depend on the cut: for every thread count and shard
+/// size it equals the serial compile's — the symbol table order and the
+/// relocation symbol indices included, which the ELF writer's canonical
+/// symbol order would hide.
+TEST(ParallelDeterminism, MergedImageEqualsSerialForEveryCut) {
+  tir::Module M = makeFpCallModule();
+  asmx::Assembler Serial;
+  ASSERT_TRUE(tpde_tir::compileModuleX64(M, Serial));
+  ASSERT_GT(Serial.section(asmx::SecKind::ROData).size(), 0u);
+  expectEveryCutImagesSerial<tpde_tir::ParallelModuleCompiler>(M, Serial);
+}
+
+TEST(A64ParallelDeterminism, MergedImageEqualsSerialForEveryCut) {
+  tir::Module M = makeFpCallModule();
+  asmx::Assembler Serial;
+  ASSERT_TRUE(tpde_tir::compileModuleA64(M, Serial));
+  ASSERT_GT(Serial.section(asmx::SecKind::ROData).size(), 0u);
+  expectEveryCutImagesSerial<tpde_tir::ParallelModuleCompilerA64>(M, Serial);
 }
 
 /// Repeated compiles through one reused pipeline must also be identical —
@@ -353,6 +415,65 @@ TEST(ParallelReuse, SteadyStateConvergesMultiWorker) {
     Last = W.newCalls();
   }
   EXPECT_EQ(Last, 0u) << "multi-worker pipeline never reached steady state";
+}
+
+// --- Runs: consecutive shards share a fragment -----------------------------
+
+/// One worker claims every shard in order, so the whole module is one
+/// run: compiled like a serial compile and stitched once.
+TEST(ParallelRuns, OneWorkerStitchesOneFragment) {
+  tir::Module M = makeModule(7, 63, true); // + main_entry = 64 functions
+  ASSERT_EQ(M.Funcs.size(), 64u);
+  tpde_tir::ParallelModuleCompiler PC(M, {.NumThreads = 1,
+                                          .FuncsPerShard = 4});
+  asmx::Assembler Out;
+  ASSERT_TRUE(PC.compile(Out));
+  EXPECT_EQ(PC.shardCount(), 16u);
+  EXPECT_EQ(PC.emitStats().Fragments, 1u);
+}
+
+/// A bad function in shard 9 discards the run that reached it (shards
+/// 0-9); recovery recompiles shards 0-8 whole, one fragment each, and
+/// shard 9 function by function into its own. The worker's next run
+/// (shards 10-15) is untouched. The one diagnostic names shard 9 and the
+/// bad function, and the output is the serial compile of the good subset.
+TEST(ParallelRuns, FailedRunIsCutAtTheBadShard) {
+  tir::Module M = makeModule(7, 63, true); // + main_entry = 64 functions
+  ASSERT_EQ(M.Funcs.size(), 64u);
+  tpde_tir::ParallelModuleCompiler PC(M, {.NumThreads = 1,
+                                          .FuncsPerShard = 4});
+  asmx::Assembler Out;
+  ASSERT_TRUE(PC.compile(Out));
+  ASSERT_EQ(PC.shardCount(), 16u);
+  u32 Bad = ~0u;
+  for (u32 F = PC.shardBounds()[9]; F < PC.shardBounds()[10] && Bad == ~0u;
+       ++F) {
+    for (tir::Value &V : M.Funcs[F].Values) {
+      if (V.Kind == tir::ValKind::Inst && V.Opcode == tir::Op::Add) {
+        V.Opcode = tir::Op::None; // no instruction compiler for None
+        Bad = F;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(Bad, ~0u) << "shard 9 has no Add to sabotage";
+  const std::string Name = M.Funcs[Bad].Name;
+
+  EXPECT_FALSE(PC.compile(Out));
+  ASSERT_EQ(PC.diagnostics().size(), 1u);
+  const support::CompileStatus &D = PC.diagnostics()[0];
+  EXPECT_EQ(D.Err, support::CompileErr::UnsupportedInst);
+  EXPECT_EQ(D.Shard, 9u);
+  EXPECT_EQ(D.Func, Bad);
+  EXPECT_EQ(D.Symbol, Name);
+  EXPECT_EQ(D.Message, "unsupported instruction in function '" + Name + "'");
+  EXPECT_EQ(PC.emitStats().Fragments, 9u + 1u + 1u);
+
+  tir::Module Subset = M;
+  Subset.Funcs[Bad].IsDeclaration = true;
+  asmx::Assembler SubsetAsm;
+  ASSERT_TRUE(tpde_tir::compileModuleX64(Subset, SubsetAsm));
+  EXPECT_EQ(imageOf(Out), imageOf(SubsetAsm));
 }
 
 // --- Deterministic size-weighted shard sizing ------------------------------

@@ -883,6 +883,47 @@ TEST(ServiceRobustness, OutOfMemoryAdmittingAMissReleasesTheClaim) {
   EXPECT_TRUE(R3->ok()) << R3->status().Message;
 }
 
+TEST(ServiceRobustness, OutOfMemoryInSubmitCountsNothing) {
+  // submit() may throw bad_alloc, but only before it counts the
+  // submission. A paused worker holds the owner of one module with 1 to
+  // 64 waiters coalesced onto it; further submits of that module then
+  // run under every FailFromBytes threshold from 1 to 4096 bytes, so that
+  // growing the entry's waiter list sometimes throws. Each returns a
+  // handle or throws, and once the compile is published the stats must
+  // account for exactly the submits that returned.
+  uir::UModule M = makeQueryModule("oom_submit", 0);
+  for (u32 Held = 1; Held <= 64; ++Held) {
+    uir::UirCompileService Svc({.NumWorkers = 1, .StartPaused = true});
+    std::vector<service::ResultPtr> Handles;
+    for (u32 I = 0; I <= Held; ++I)
+      Handles.push_back(Svc.submit(M));
+    u64 Threw = 0;
+    for (u64 T = 1; T <= 4096; ++T) {
+      service::ResultPtr R;
+      support::AllocCounter::FailFromBytes.store(T);
+      try {
+        R = Svc.submit(M);
+      } catch (const std::bad_alloc &) {
+        ++Threw;
+      }
+      support::AllocCounter::FailFromBytes.store(0);
+      if (R)
+        Handles.push_back(std::move(R));
+    }
+    Svc.resume();
+    for (const service::ResultPtr &R : Handles) {
+      R->wait();
+      ASSERT_TRUE(R->ok()) << R->status().Message;
+    }
+    auto S = Svc.stats();
+    EXPECT_GT(Threw, 0u) << "held=" << Held;
+    EXPECT_EQ(S.Misses, 1u);
+    EXPECT_EQ(S.Hits + S.Misses + S.Coalesced + S.VerifyRejected,
+              Handles.size())
+        << "held=" << Held << ": a submit that threw was counted";
+  }
+}
+
 TEST(ServiceRobustness, OutOfMemoryOnTheWorkerFailsOnlyThatJob) {
   // From the moment the worker starts a job until the job completes,
   // every allocation of at least From bytes fails, for every From from 1
