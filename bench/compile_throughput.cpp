@@ -605,11 +605,9 @@ int main(int argc, char **argv) {
                "  \"uir_large_module_functions\": %u,\n"
                "  \"iterations\": %u,\n"
                "  \"repeat\": %u,\n  \"hardware_concurrency\": %u,\n"
-               "  \"fault_injection\": %s,\n"
                "  \"results\": [\n",
                NumFuncs, ParFuncs, LargeFuncs, UirFuncs, UirLargeFuncs, Iters,
-               Repeat, HwThreads,
-               support::faultInjectionEnabled() ? "true" : "false");
+               Repeat, HwThreads);
   for (size_t I = 0; I < Results.size(); ++I) {
     const Result &R = Results[I];
     std::fprintf(F,

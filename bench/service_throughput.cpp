@@ -38,7 +38,6 @@
 ///   * warm hits == warm jobs      (when nothing was evicted),
 ///   * the stream's miss/hit p99 vs the committed baseline (generous
 ///     relative floor),
-///   * fault_injection == false    (hooks compiled out in default builds),
 ///   * overload: hung == 0, other_failed == 0, shed_rate > 0.
 ///
 /// Flags: --jobs=N --distinct=D --workers=W --rate=R (jobs/sec, 0 = no
@@ -46,7 +45,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/FaultInjector.h"
 #include "support/Histogram.h"
 #include "support/Timer.h"
 #include "uir/Service.h"
@@ -336,7 +334,6 @@ int main(int argc, char **argv) {
                "  \"jobs\": %u,\n  \"distinct_modules\": %u,\n"
                "  \"workers\": %u,\n  \"rate_jobs_per_sec\": %.1f,\n"
                "  \"hardware_concurrency\": %u,\n"
-               "  \"fault_injection\": %s,\n"
                "  \"service\": {\n"
                "    \"hit_ratio\": %.4f,\n"
                "    \"hits\": %llu,\n    \"misses\": %llu,\n"
@@ -367,8 +364,7 @@ int main(int argc, char **argv) {
                "    \"queue_wait_p99_ns\": %llu\n"
                "  }\n}\n",
                O.Jobs, O.Distinct, O.Workers, O.Rate,
-               std::thread::hardware_concurrency(),
-               support::faultInjectionEnabled() ? "true" : "false", HitRatio,
+               std::thread::hardware_concurrency(), HitRatio,
                (unsigned long long)S.Hits, (unsigned long long)S.Misses,
                (unsigned long long)S.Coalesced,
                (unsigned long long)S.Evictions,

@@ -56,7 +56,6 @@ mostly *absolute*, so they hold on any hardware without a baseline:
     hit_speedup_p50      >= --min-hit-speedup (when the stream recorded
                                                a true hit)
     failed               == 0
-    fault_injection      == false             (same hygiene rule as above)
     misses               == distinct_modules  (when evictions == 0: exact
                                                single flight)
     warm.hits            == warm.jobs         (when evictions == 0)
@@ -149,14 +148,6 @@ def service_gate(base_path, new_path, opts):
     latency_floor = float(opts.get("latency-floor", 2.0))
 
     failed = False
-    if new_doc.get("fault_injection", False):
-        print("FAIL: candidate service run was built with "
-              "TPDE_FAULT_INJECTION=ON")
-        failed = True
-    if base_doc.get("fault_injection", False):
-        print("FAIL: committed service baseline was built with "
-              "TPDE_FAULT_INJECTION=ON; re-record it from a default build")
-        failed = True
 
     s = new_doc.get("service", {})
     w = new_doc.get("warm", {})
@@ -271,23 +262,8 @@ def main(argv):
     rel_floor = float(opts.get("rel-floor", 0.30))
     require_speedup = float(opts["require-speedup"]) if "require-speedup" in opts else None
 
-    base_doc, base = load(args[0])
+    _, base = load(args[0])
     new_doc, new = load(args[1])
-
-    # Fault-injection hygiene: the default build must carry the hooks
-    # compiled out (docs/ROBUSTNESS.md). A candidate measured with
-    # TPDE_FAULT_INJECTION=ON is not a valid throughput sample — fail
-    # fast instead of letting instrumented numbers pass the gate or get
-    # committed as a baseline. (Older baselines without the field are
-    # treated as uninstrumented.)
-    if new_doc.get("fault_injection", False):
-        print("FAIL: candidate run was built with TPDE_FAULT_INJECTION=ON; "
-              "throughput must be measured with the hooks compiled out")
-        return 1
-    if base_doc.get("fault_injection", False):
-        print("FAIL: committed baseline was built with "
-              "TPDE_FAULT_INJECTION=ON; re-record it from a default build")
-        return 1
 
     # Cross-machine normalization: rescale the baseline into the new
     # machine's terms using the Baseline-O0/fresh anchor of each run.

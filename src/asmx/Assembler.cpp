@@ -2,8 +2,6 @@
 
 #include "asmx/Assembler.h"
 
-#include "support/FaultInjector.h"
-
 #include <cstring>
 
 using namespace tpde;
@@ -22,11 +20,6 @@ u64 roContentHash(const u8 *Bytes, u64 Size) {
 } // namespace
 
 SymRef Assembler::createSymbol(std::string_view Name, Linkage L, bool IsFunc) {
-  // Fault site: record the error but still create the symbol so table
-  // invariants hold; the module driver picks the error up at the boundary.
-  if (support::faultPoint(support::FaultSite::SymbolCreate))
-    setError(support::CompileErr::FaultInjected,
-             "fault injected: symbol-create");
   if (!Name.empty()) {
     support::StringPool::StrId Id = Names.intern(Name);
     if (SymOfName.size() < Names.count())
@@ -45,10 +38,14 @@ SymRef Assembler::createSymbol(std::string_view Name, Linkage L, bool IsFunc) {
       S.IsFunc |= IsFunc;
       return SymRef{Existing};
     }
+    // Map the name only once the symbol exists: a push_back that throws
+    // bad_alloc must not leave a mapping that reset() cannot find (it
+    // clears the names of the symbols in the table) and a later compile
+    // into this assembler would follow past the table's end.
     u32 Idx = static_cast<u32>(Syms.size());
-    Existing = Idx;
     Syms.push_back(Symbol{Names.str(Id), Id, L, false, IsFunc, SecKind::Text,
                           0, 0});
+    Existing = Idx;
     return SymRef{Idx};
   }
   // Anonymous symbols (constant pool entries) are never looked up by name.
@@ -100,13 +97,6 @@ bool Assembler::roDedupEligible(const Assembler &Src) {
 }
 
 void Assembler::mergeFrom(const Assembler &Src) {
-  // Fault site: refuse the merge outright — the destination stays in a
-  // consistent (pre-merge) state and carries the structured error.
-  if (support::faultPoint(support::FaultSite::SectionMerge)) {
-    setError(support::CompileErr::FaultInjected,
-             "fault injected: section-merge");
-    return;
-  }
   // The copy merge is the two-pass merge with no concurrency: reserve the
   // slice, fill it immediately, stitch. One implementation — the in-place
   // driver path cannot drift from this one.

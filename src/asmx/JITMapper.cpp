@@ -2,7 +2,6 @@
 
 #include "asmx/JITMapper.h"
 #include "support/DenseMap.h"
-#include "support/FaultInjector.h"
 #include "support/Sync.h"
 
 #include <algorithm>
@@ -123,10 +122,6 @@ bool JITMapper::map(const Assembler &A, const Resolver &Resolve,
     Status.Message = std::move(Msg);
     return false;
   };
-  // Fault site: mapping refused before any system resources are taken.
-  if (support::faultPoint(support::FaultSite::JitMap))
-    return fail(support::CompileErr::FaultInjected, {},
-                "fault injected: jit-map");
   const u64 Page = static_cast<u64>(::sysconf(_SC_PAGESIZE));
 
   // Host symbols can be farther than +-2 GiB from the JIT mapping, which a

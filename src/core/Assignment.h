@@ -79,9 +79,13 @@ public:
     Top = FirstFree;
     Free8.clear();
     Free16.clear();
+    Bumped8 = Bumped16 = 0;
   }
 
   /// Allocates a slot of \p Size bytes (8 or 16); returns its offset.
+  /// A new slot first makes room in its free list for its own release,
+  /// so release() never allocates: it runs in the destructors of value
+  /// references, where a bad_alloc would end the process.
   i32 alloc(u32 Size) {
     assert((Size == 8 || Size == 16) && "unsupported spill slot size");
     std::vector<i32> &FreeList = Size == 8 ? Free8 : Free16;
@@ -90,6 +94,10 @@ public:
       FreeList.pop_back();
       return Off;
     }
+    u32 &Bumped = Size == 8 ? Bumped8 : Bumped16;
+    if (FreeList.capacity() <= Bumped)
+      FreeList.reserve(2 * Bumped + 8);
+    ++Bumped;
     Top -= static_cast<i32>(Size);
     return Top;
   }
@@ -109,6 +117,9 @@ private:
   i32 Top = 0;
   std::vector<i32> Free8;
   std::vector<i32> Free16;
+  /// Slots of each size handed out since reset(): no free list can hold
+  /// more, so each list's capacity is kept at least this large.
+  u32 Bumped8 = 0, Bumped16 = 0;
 };
 
 } // namespace tpde::core

@@ -80,7 +80,6 @@
 #include "asmx/Assembler.h"
 #include "core/CompilerBase.h"
 #include "support/Diag.h"
-#include "support/FaultInjector.h"
 #include "support/Sync.h"
 #include "support/Timer.h"
 #include "support/WorkQueue.h"
@@ -176,10 +175,11 @@ public:
   /// everything else (byte-identical to a serial compile of the good
   /// subset) and reports exactly K diagnostics, ordered by shard then
   /// function index — independent of thread count and schedule
-  /// (first-error-wins keyed by shard order, never thread arrival). Merge
-  /// and stitch failures also land in diagnostics(), attributed to the
-  /// first shard of the run that surfaced them; with several workers,
-  /// where that run starts depends on the schedule.
+  /// (first-error-wins keyed by shard order, never thread arrival). A
+  /// module-level assembler error, such as two strong definitions of one
+  /// name, is reported as the serial compile reports it: only when
+  /// nothing else failed, with no shard or function, wherever the cut
+  /// made the two definitions meet.
   ///
   /// Out of memory, compile() still returns: a bad_alloc anywhere in it
   /// becomes an OutOfMemory diagnostic, and a diagnostic that cannot be
@@ -210,8 +210,6 @@ public:
     u64 T = nowNs();
     try {
       Out.mergeFrom(GlobalsFrag);
-      if (Out.hasError())
-        noteMergeError(Out, ~0u);
       for (u32 S = 0; S < NumShards; S = RunEnd[S])
         reserveRun(Out, S);
     } catch (...) {
@@ -234,18 +232,21 @@ public:
       for (u32 S = 0; S < NumShards; S = RunEnd[S]) {
         if (!Planned[S])
           continue;
-        bool PrevErr = Out.hasError();
         Stats.StitchRelocs += Frags[S]->relocs().size();
         Out.stitchFrom(*Frags[S], Plans[S]);
         ++Stats.Fragments;
-        if (!PrevErr && Out.hasError())
-          noteMergeError(Out, S);
       }
     } catch (...) {
       addDiag(support::CompileErr::OutOfMemory,
               "allocation failed merging the module", ~0u);
     }
     Stats.StitchNs += nowNs() - T;
+    // An assembler error a fragment carried in, or one the stitch itself
+    // recorded (a strong definition that meets another), is the serial
+    // compile's module-level error, so it is reported like it: when no
+    // function failed, with no shard or function.
+    if (Out.hasError() && !anyDiag())
+      addDiag(Out.errorCode(), Out.errorMessage(), ~0u);
 
     // Every failure above also produced a diagnostic, so a compile without
     // one compiled cleanly.
@@ -379,23 +380,6 @@ private:
   /// Whether the last compile() produced a diagnostic, stored or not.
   bool anyDiag() const { return !Diags.empty() || !Unstored.ok(); }
 
-  /// The code of a merge-stage error \p A recorded: an injected fault stays
-  /// FaultInjected, anything else is a MergeError.
-  static support::CompileErr mergeErr(const asmx::Assembler &A) {
-    return A.errorCode() == support::CompileErr::FaultInjected
-               ? support::CompileErr::FaultInjected
-               : support::CompileErr::MergeError;
-  }
-
-  /// A merge/stitch-stage inconsistency that \p Out just recorded,
-  /// surfaced by shard \p S (~0u: the globals fragment). It becomes a
-  /// diagnostic only when nothing earlier did, so each quarantined
-  /// function still owns exactly one diagnostic.
-  void noteMergeError(const asmx::Assembler &Out, u32 S) {
-    if (!anyDiag())
-      addDiag(mergeErr(Out), Out.errorMessage(), S);
-  }
-
   /// Deterministic shard decomposition: ceil(Funcs / FuncsPerShard)
   /// shards, each boundary placed where the accumulated function weight
   /// reaches the next 1/Shards slice of the module's total, so skewed
@@ -527,10 +511,9 @@ private:
     const u32 Begin = ShardBounds[Shard], End = ShardBounds[Shard + 1];
     bool OK = false;
     try {
-      OK = !support::faultPoint(support::FaultSite::ShardCompile) &&
-           (Append ? W.Compiler.appendRange(Begin, End)
-                   : W.Compiler.compileRange(Begin, End));
-    } catch (...) { // e.g. an injected arena-growth failure
+      OK = Append ? W.Compiler.appendRange(Begin, End)
+                  : W.Compiler.compileRange(Begin, End);
+    } catch (...) { // an allocation failed
     }
     if (OK) {
       W.RunNext = Shard + 1;
@@ -570,22 +553,21 @@ private:
       retryShard(S);
   }
 
-  /// (Re)builds the module-level fragment on the calling thread. Returns
-  /// false when the compile or the snapshot merge failed; the fragment is
-  /// left reset in that case, and GlobalsThrew says whether it threw.
+  /// (Re)builds the module-level fragment on the calling thread, in the
+  /// fragment's own storage swapped into worker 0's assembler like a run.
+  /// Returns false when the compile failed; the fragment is left reset in
+  /// that case, and GlobalsThrew says whether it threw.
   bool compileGlobalsFrag() {
     Worker &W0 = *Workers[0];
-    GlobalsFrag.reset();
+    std::swap(W0.Asm, GlobalsFrag);
     bool OK = false;
     GlobalsThrew = false;
     try {
-      if (W0.Compiler.compileGlobals()) {
-        GlobalsFrag.mergeFrom(W0.Asm);
-        OK = !GlobalsFrag.hasError();
-      }
+      OK = W0.Compiler.compileGlobals();
     } catch (...) { // an allocation failed
       GlobalsThrew = true;
     }
+    std::swap(W0.Asm, GlobalsFrag);
     if (!OK)
       GlobalsFrag.reset();
     return OK;
@@ -599,11 +581,8 @@ private:
     if (GlobalsThrew)
       addDiag(support::CompileErr::OutOfMemory,
               "allocation failed compiling module-level data", ~0u);
-    else if (!WS.ok())
-      addDiag(WS.Err, WS.Message, ~0u);
     else
-      addDiag(support::CompileErr::AssemblerError,
-              "module-level fragment compile failed", ~0u);
+      addDiag(WS.Err, WS.Message, ~0u);
   }
 
   /// Last-resort recovery for a shard that failed whole: recompiles its
@@ -613,7 +592,9 @@ private:
   /// merged in function order reproduce the range compile byte for byte
   /// (16-byte function alignment, by-name relocations, content-deduped
   /// constant pool), so the good subset stays identical to a serial
-  /// compile of that subset.
+  /// compile of that subset. A merge that records an assembler error (a
+  /// second strong definition of a name) keeps the function: the error
+  /// stays in the fragment and compile() reports it after the stitch.
   void retryShard(u32 S) {
     Worker &W0 = *Workers[0];
     asmx::Assembler &Frag = *Frags[S];
@@ -627,21 +608,15 @@ private:
         Threw = true;
       }
       if (OK) {
-        bool MergeThrew = false;
         try {
           Frag.mergeFrom(W0.Asm);
-        } catch (...) { // arena-backed name interning in the merge
-          MergeThrew = true;
-        }
-        if (!MergeThrew && !Frag.hasError())
           continue;
-        // The merge itself failed; quarantine this function and rebuild
+        } catch (...) { // arena-backed name interning in the merge
+        }
+        // The merge threw part way; quarantine this function and rebuild
         // the fragment so earlier good functions are not lost.
-        if (MergeThrew)
-          addDiag(support::CompileErr::OutOfMemory,
-                  "allocation failed merging function", S, F);
-        else
-          addDiag(mergeErr(Frag), Frag.errorMessage(), S, F);
+        addDiag(support::CompileErr::OutOfMemory,
+                "allocation failed merging function", S, F);
         rebuildShardFragment(S, F);
         continue;
       }
@@ -656,8 +631,8 @@ private:
   }
 
   /// Rebuilds shard \p S's fragment from scratch up to (excluding) the
-  /// quarantined function \p Skip after a poisoned merge. Rare (an
-  /// injected merge fault); correctness over speed.
+  /// quarantined function \p Skip after a merge that threw. Rare (memory
+  /// ran out mid-merge); correctness over speed.
   void rebuildShardFragment(u32 S, u32 Skip) {
     Worker &W0 = *Workers[0];
     asmx::Assembler &Frag = *Frags[S];
@@ -667,8 +642,8 @@ private:
       try {
         OK = W0.Compiler.compileRange(F, F + 1);
         // These functions compiled and merged cleanly moments ago; a
-        // repeat failure (compile or merge) means a second independent
-        // fault — give up on the function silently (its diagnostic would
+        // repeat failure (compile or merge) means memory ran out again —
+        // give up on the function silently (its diagnostic would
         // duplicate the merge one).
         if (OK)
           Frag.mergeFrom(W0.Asm);

@@ -18,7 +18,6 @@
 #define TPDE_SUPPORT_ARENA_H
 
 #include "support/Common.h"
-#include "support/FaultInjector.h"
 
 #include <memory>
 #include <new>
@@ -113,10 +112,6 @@ private:
   };
 
   void *allocSlow(size_t Size, size_t Align) {
-    // Fault site: simulates allocation failure on slab growth. Callers on
-    // the compile path treat the resulting bad_alloc as a poisoned shard.
-    if (faultPoint(FaultSite::ArenaGrow))
-      throw std::bad_alloc();
     // Move to the next slab that fits; allocate one only if none does.
     // (Oversized requests get a dedicated slab of exactly the right size.)
     size_t Next = CurSlab < Slabs.size() ? CurSlab + 1 : CurSlab;

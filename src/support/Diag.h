@@ -28,30 +28,29 @@
 namespace tpde::support {
 
 /// Pipeline-wide error codes. Keep stable: tests and external tooling key
-/// off these values.
+/// off these values, so a retired code leaves a gap (4 and 5) rather than
+/// renumbering the codes after it.
 enum class CompileErr : u8 {
   Ok = 0,
   /// The verifier pre-pass rejected the module before codegen.
-  VerifyFailed,
+  VerifyFailed = 1,
   /// A function contained an instruction the back-end cannot compile.
-  UnsupportedInst,
-  /// The assembler reported an error (bad fixup, duplicate symbol, ...).
-  AssemblerError,
-  /// A registered fault-injection site fired (test builds only).
-  FaultInjected,
-  /// Merging a worker fragment into the output assembler failed.
-  MergeError,
+  UnsupportedInst = 2,
+  /// The assembler reported an error (bad fixup, duplicate strong
+  /// definition, ...). A duplicate names no function, serial or parallel:
+  /// it is a conflict between two.
+  AssemblerError = 3,
   /// Mapping the compiled module for execution failed.
-  JitMapFailed,
-  /// An allocation failed (or a fault-injected arena growth threw).
-  OutOfMemory,
+  JitMapFailed = 6,
+  /// An allocation failed.
+  OutOfMemory = 7,
   /// The compile service refused admission: its queue was full.
-  Overloaded,
+  Overloaded = 8,
   /// The job's deadline expired: shed at dequeue before compilation, or
   /// the waiter timed out on an in-flight fingerprint.
-  DeadlineExceeded,
+  DeadlineExceeded = 9,
   /// The compile service is shut down; the job was never compiled.
-  ServiceShutdown,
+  ServiceShutdown = 10,
 };
 
 inline const char *compileErrName(CompileErr E) {
@@ -60,8 +59,6 @@ inline const char *compileErrName(CompileErr E) {
   case CompileErr::VerifyFailed: return "verify-failed";
   case CompileErr::UnsupportedInst: return "unsupported-inst";
   case CompileErr::AssemblerError: return "assembler-error";
-  case CompileErr::FaultInjected: return "fault-injected";
-  case CompileErr::MergeError: return "merge-error";
   case CompileErr::JitMapFailed: return "jit-map-failed";
   case CompileErr::OutOfMemory: return "out-of-memory";
   case CompileErr::Overloaded: return "overloaded";

@@ -44,14 +44,22 @@ public:
         return Id;
       I = (I + 1) & (Table.size() - 1);
     }
-    // New string: copy the bytes into stable slab storage.
+    // New string. Everything that can throw comes before the table takes
+    // the entry: a growth that fails past that point would leave the
+    // table fuller than its load factor, and a full table makes every
+    // probe for an absent string loop forever.
+    if ((Entries.size() + 2) * 4 > Table.size() * 3) {
+      growTable(Table.size() * 2);
+      I = H & (Table.size() - 1);
+      while (Table[I] != 0)
+        I = (I + 1) & (Table.size() - 1);
+    }
+    // Copy the bytes into stable slab storage.
     char *Mem = static_cast<char *>(Bytes.alloc(S.size() ? S.size() : 1, 1));
     std::memcpy(Mem, S.data(), S.size());
     StrId Id = static_cast<StrId>(Entries.size());
     Entries.push_back(Entry{Mem, static_cast<u32>(S.size()), H});
     Table[I] = Id + 1;
-    if ((Entries.size() + 1) * 4 > Table.size() * 3)
-      growTable(Table.size() * 2);
     return Id;
   }
 

@@ -1,32 +1,29 @@
-//===- tests/robustness_test.cpp - Fault injection & graceful degradation -===//
+//===- tests/robustness_test.cpp - Failure paths & graceful degradation ---===//
 ///
-/// The robustness suite for the compilation pipeline (docs/ROBUSTNESS.md):
+/// The robustness suite for the compilation pipeline (docs/ROBUSTNESS.md).
+/// Every failure it drives is a real one — an uncompilable function, a
+/// duplicate strong definition, an allocation that throws — so every
+/// test runs in the default build:
 ///
 ///  * Structured diagnostics: serial and parallel compiles of the same bad
 ///    module report the SAME first error (code, function index, symbol,
-///    message) — deterministically, for every thread count.
+///    message) — deterministically, for every thread count and shard cut.
 ///  * Graceful degradation: a module with K bad functions still compiles
 ///    every good function (byte-identical to a serial compile of the good
 ///    subset), with exactly K precise diagnostics, and the pipeline stays
 ///    reusable and allocation-free afterwards. Out of memory at any
-///    allocation size, a recompile still returns with a diagnostic instead
-///    of throwing.
+///    allocation size, on any thread, a compile still returns with a
+///    diagnostic instead of throwing, and every out-of-memory handler of
+///    the parallel driver is reached.
 ///  * Verifier gate: the adversarial genMalformed corpus is rejected by
 ///    the tir/uir verifier pre-pass on every entry point (serial and
 ///    parallel, x64 and a64) and never reaches the emitter.
-///  * Fault sweep (only in TPDE_FAULT_INJECTION builds): every registered
-///    fault site, across thread counts {1,2,4,8}, either fully recovers
-///    (byte-identical output) or fails with one clean structured error —
-///    never a crash — and the pool compiles cleanly once disarmed.
 ///
-/// The ASan/UBSan and TSan CI jobs run this binary with fault injection
-/// compiled in.
+/// The ASan/UBSan and TSan CI jobs run this binary too.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "asmx/JITMapper.h"
 #include "support/AllocCounter.h"
-#include "support/FaultInjector.h"
 #include "tir/Verifier.h"
 #include "tpde_tir/ParallelCompiler.h"
 #include "uir/ParallelCompiler.h"
@@ -34,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -42,8 +40,6 @@ TPDE_INSTALL_ALLOC_COUNTER
 using namespace tpde;
 using support::CompileErr;
 using support::CompileStatus;
-using support::FaultInjector;
-using support::FaultSite;
 
 namespace {
 
@@ -55,6 +51,15 @@ tir::Module makeModule(u64 Seed, u32 NumFuncs) {
   P.SSAForm = true;
   P.CallPct = 12; // cross-shard references under failure
   workloads::genModule(M, P);
+  return M;
+}
+
+uir::UModule makeQueryModule(u64 Seed, u32 NumQueries) {
+  workloads::QueryProfile P;
+  P.Seed = Seed;
+  P.NumQueries = NumQueries;
+  uir::UModule M;
+  workloads::genQueryModule(M, P);
   return M;
 }
 
@@ -145,6 +150,39 @@ TEST(StructuredDiag, FirstErrorIsDeterministicAcrossThreadCounts) {
         expectSameDiagnostic(PC.diagnostics()[I], RefDiags[I]);
         EXPECT_EQ(PC.diagnostics()[I].Shard, RefDiags[I].Shard)
             << "threads=" << Threads;
+      }
+    }
+  }
+}
+
+/// Two strong definitions of one name are a module-level assembler error,
+/// which the serial compile reports once every function compiled: the
+/// assembler's code and message, no function, no symbol. Every parallel
+/// cut must report exactly that — both definitions in one shard, in one
+/// run, or in runs of their own.
+TEST(StructuredDiag, DuplicateDefinitionReportsTheSerialFirstError) {
+  for (u32 Dup : {6u, 9u}) {
+    tir::Module M = makeModule(31, 16);
+    M.Funcs[Dup].Name = M.Funcs[5].Name;
+    asmx::Assembler SerialAsm;
+    CompileStatus SerialSt;
+    ASSERT_FALSE(
+        tpde_tir::compileModuleX64(M, SerialAsm, /*Verify=*/false, &SerialSt));
+    ASSERT_EQ(SerialSt.Err, CompileErr::AssemblerError);
+    ASSERT_EQ(SerialSt.Func, ~0u);
+
+    for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+      for (u32 PerShard : {1u, 4u, 64u}) {
+        SCOPED_TRACE("dup=" + std::to_string(Dup) +
+                     " threads=" + std::to_string(Threads) +
+                     " funcs/shard=" + std::to_string(PerShard));
+        tpde_tir::ParallelModuleCompiler PC(
+            M, {.NumThreads = Threads, .FuncsPerShard = PerShard});
+        asmx::Assembler Out;
+        EXPECT_FALSE(PC.compile(Out));
+        EXPECT_EQ(PC.diagnostics().size(), 1u);
+        expectSameDiagnostic(PC.status(), SerialSt);
+        EXPECT_EQ(PC.status().Shard, ~0u) << "a module-level error";
       }
     }
   }
@@ -241,38 +279,127 @@ TEST(GracefulDegradation, PoolStaysReusableAndAllocationFreeAfterFailure) {
          "failed compile (" << W.newBytes() << " bytes)";
 }
 
-/// Out of memory, compile() still returns. A warm one-thread pool
-/// recompiles a module with one bad function while every allocation of at
-/// least FailFromBytes bytes throws, for every threshold from 1 to 4096
-/// bytes and each power of two up to 1 MiB: no exception may escape, and
-/// the compile reports either the bad function or the lack of memory.
-/// The same pool then compiles the healed module to the serial bytes. A
-/// fresh pool's first compile, which also sizes its scratch and builds
-/// its module-level fragment for the first time, reports the lack of
-/// memory as OutOfMemory too.
-TEST(GracefulDegradation, OutOfMemoryNeverEscapesCompile) {
-  tir::Module M = makeModule(59, 10);
-  tpde_tir::ParallelModuleCompiler PC(M, {.NumThreads = 1});
+namespace {
+
+/// The sizes an out-of-memory sweep fails allocations from, up to 1 MiB:
+/// each size up to \p Dense bytes (a power of two), then eight steps per
+/// doubling, each power of two among them.
+std::vector<u64> oomThresholds(u64 Dense) {
+  std::vector<u64> T;
+  for (u64 B = 1; B <= Dense; ++B)
+    T.push_back(B);
+  for (u64 P = Dense; P < (u64{1} << 20); P *= 2)
+    for (u64 Step = 1; Step <= 8; ++Step)
+      T.push_back(P + P * Step / 8);
+  return T;
+}
+
+/// What the out-of-memory sweeps observed: every diagnostic message, and
+/// whether status() was ever the message-less OutOfMemory that stands in
+/// for a first diagnostic the driver could not store.
+struct OomSeen {
+  std::set<std::string> Messages;
+  bool Unstored = false;
+
+  template <typename PoolT> void note(const PoolT &PC) {
+    for (const CompileStatus &D : PC.diagnostics())
+      Messages.insert(D.Message);
+    Unstored |= PC.diagnostics().empty() && !PC.status().ok();
+  }
+};
+
+/// Makes query \p FuncIdx uncompilable (the UIR back-end has no lowering
+/// for Or) while keeping it structurally valid. Returns the value index.
+u32 sabotageQuery(uir::UModule &M, u32 FuncIdx) {
+  uir::UFunc &F = M.Funcs[FuncIdx];
+  for (u32 V = 0; V < F.Vals.size(); ++V) {
+    if (F.Vals[V].Op == uir::UOp::Add) {
+      F.Vals[V].Op = uir::UOp::Or;
+      return V;
+    }
+  }
+  ADD_FAILURE() << "query " << FuncIdx << " has no Add to sabotage";
+  return ~0u;
+}
+
+/// Compiles with every allocation of at least \p From bytes throwing, on
+/// every thread. Sets \p Threw when an exception escaped compile().
+template <typename PoolT>
+bool compileFailingFrom(PoolT &PC, asmx::Assembler &Out, u64 From,
+                        bool &Threw) {
+  bool OK = false;
+  Threw = false;
+  support::AllocCounter::FailFromBytes.store(From);
+  try {
+    OK = PC.compile(Out);
+  } catch (...) {
+    Threw = true;
+  }
+  support::AllocCounter::FailFromBytes.store(0);
+  return OK;
+}
+
+/// One driver at \p Threads workers under OutOfMemoryNeverEscapesCompile,
+/// sweeping the recompile of a module with a bad function over
+/// \p Thresholds. \p Serial compiles a module serially; \p Break(M, F)
+/// makes function F of \p M uncompilable and returns a callable that
+/// heals it again. \p M has \p Funcs functions.
+template <typename PoolT, typename ModuleT, typename SerialFn,
+          typename BreakFn>
+void sweepOutOfMemory(ModuleT &M, u32 Funcs, unsigned Threads,
+                      const std::vector<u64> &Thresholds,
+                      const SerialFn &Serial, const BreakFn &Break,
+                      OomSeen &Seen) {
+  SCOPED_TRACE("threads=" + std::to_string(Threads));
+  asmx::Assembler SerialAsm;
+  ASSERT_TRUE(Serial(M, SerialAsm));
+  PoolT PC(M, {.NumThreads = Threads});
   asmx::Assembler Out;
   for (int I = 0; I < 2; ++I)
     ASSERT_TRUE(PC.compile(Out)) << PC.status().Message;
-  u32 Sabotaged = sabotage(M, 6);
-  ASSERT_NE(Sabotaged, ~0u);
+  bool Threw;
 
-  std::vector<u64> Thresholds;
-  for (u64 B = 1; B <= 4096; ++B)
-    Thresholds.push_back(B);
-  for (u64 B = 8192; B <= (u64{1} << 20); B *= 2)
-    Thresholds.push_back(B);
-  for (u64 From : Thresholds) {
-    bool OK = true, Threw = false;
-    support::AllocCounter::FailFromBytes.store(From);
-    try {
-      OK = PC.compile(Out);
-    } catch (...) {
-      Threw = true;
+  // A compile that fails for want of memory reports OutOfMemory; one that
+  // succeeds produces the serial bytes.
+  auto ExpectSerialOrOom = [&](const PoolT &P, const asmx::Assembler &A,
+                               bool OK, const std::string &Cell) {
+    if (OK) {
+      EXPECT_EQ(textOf(A), textOf(SerialAsm)) << Cell;
+      EXPECT_EQ(roOf(A), roOf(SerialAsm)) << Cell;
+    } else {
+      EXPECT_EQ(P.status().Err, CompileErr::OutOfMemory)
+          << Cell << ": " << support::compileErrName(P.status().Err) << " ("
+          << P.status().Message << ")";
     }
-    support::AllocCounter::FailFromBytes.store(0);
+  };
+
+  // The warm pool into a new output assembler, as the compile service
+  // compiles every job: the compile itself allocates nothing, the merge
+  // into the output does.
+  for (u64 From = 1; From <= (u64{1} << 20); From *= 2) {
+    const std::string Cell = "new output, FailFromBytes=" +
+                             std::to_string(From);
+    asmx::Assembler NewOut;
+    bool OK = compileFailingFrom(PC, NewOut, From, Threw);
+    ASSERT_FALSE(Threw) << Cell;
+    ExpectSerialOrOom(PC, NewOut, OK, Cell);
+    Seen.note(PC);
+  }
+
+  // The pool recovers once from a bad function in its first shard, which
+  // leaves the scratch assembler of the function-by-function retry warm.
+  // Then it recompiles, for each threshold, a module whose bad function
+  // is its last: with one worker, that shard's fragment has never held
+  // code, so a retry merge into it runs out before the retry compiles do.
+  {
+    auto HealFirst = Break(M, 1);
+    ASSERT_FALSE(PC.compile(Out));
+    ASSERT_EQ(PC.status().Err, CompileErr::UnsupportedInst);
+    HealFirst();
+  }
+  auto Heal = Break(M, Funcs - 1);
+  for (u64 From : Thresholds) {
+    bool OK = compileFailingFrom(PC, Out, From, Threw);
     ASSERT_FALSE(Threw) << "an exception escaped compile() at FailFromBytes="
                         << From;
     ASSERT_FALSE(OK) << "FailFromBytes=" << From;
@@ -280,34 +407,82 @@ TEST(GracefulDegradation, OutOfMemoryNeverEscapesCompile) {
     ASSERT_TRUE(E == CompileErr::UnsupportedInst ||
                 E == CompileErr::OutOfMemory)
         << "FailFromBytes=" << From << ": " << support::compileErrName(E);
+    Seen.note(PC);
   }
-
-  M.Funcs[6].Values[Sabotaged].Opcode = tir::Op::Add;
-  asmx::Assembler SerialAsm;
-  ASSERT_TRUE(tpde_tir::compileModuleX64(M, SerialAsm));
+  Heal();
   ASSERT_TRUE(PC.compile(Out)) << PC.status().Message;
   EXPECT_EQ(textOf(Out), textOf(SerialAsm));
   EXPECT_EQ(roOf(Out), roOf(SerialAsm));
 
+  // Fresh pools, whose first compile also sizes their scratch and builds
+  // their module-level fragment.
   for (u64 From = 1; From <= (u64{1} << 20); From *= 2) {
-    tpde_tir::ParallelModuleCompiler Fresh(M, {.NumThreads = 1});
+    const std::string Cell = "fresh pool, FailFromBytes=" +
+                             std::to_string(From);
+    PoolT Fresh(M, {.NumThreads = Threads});
     asmx::Assembler FreshOut;
-    bool OK = true, Threw = false;
-    support::AllocCounter::FailFromBytes.store(From);
-    try {
-      OK = Fresh.compile(FreshOut);
-    } catch (...) {
-      Threw = true;
-    }
-    support::AllocCounter::FailFromBytes.store(0);
-    ASSERT_FALSE(Threw) << "fresh pool, FailFromBytes=" << From;
-    if (!OK) {
-      EXPECT_EQ(Fresh.status().Err, CompileErr::OutOfMemory)
-          << "fresh pool, FailFromBytes=" << From << ": "
-          << support::compileErrName(Fresh.status().Err) << " ("
-          << Fresh.status().Message << ")";
-    }
+    bool OK = compileFailingFrom(Fresh, FreshOut, From, Threw);
+    ASSERT_FALSE(Threw) << Cell;
+    ExpectSerialOrOom(Fresh, FreshOut, OK, Cell);
+    Seen.note(Fresh);
   }
+}
+
+} // namespace
+
+/// Out of memory, compile() still returns. Every allocation of at least
+/// FailFromBytes bytes throws, on every thread, the calling thread's final
+/// merge included. A warm pool compiles into a new output assembler, then
+/// recompiles a module with one bad function for each threshold, then
+/// compiles the healed module to the serial bytes; fresh pools compile
+/// for the first time. No exception may escape: a compile produces the
+/// serial bytes, or reports the bad function or the lack of memory. This
+/// runs for the TIR and the UIR driver at threads {1, 2, 4, 8}; the
+/// one-worker TIR recompile takes every size up to 4096 bytes, the other
+/// inputs every size up to 64 bytes (at more than one worker, which
+/// thread an allocation fails on follows the schedule, so repeated runs
+/// explore more than denser thresholds would). Together the cells must
+/// reach every OutOfMemory diagnostic the driver records, and the
+/// message-less status that stands in for one it could not store: a
+/// handler no failure reaches fails this test instead of going dead
+/// unnoticed.
+TEST(GracefulDegradation, OutOfMemoryNeverEscapesCompile) {
+  OomSeen Seen;
+  const std::vector<u64> Every = oomThresholds(4096);
+  const std::vector<u64> Coarse = oomThresholds(64);
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+    tir::Module M = makeModule(59, 10);
+    sweepOutOfMemory<tpde_tir::ParallelModuleCompiler>(
+        M, 10, Threads, Threads == 1 ? Every : Coarse,
+        [](tir::Module &Mod, asmx::Assembler &A) {
+          return tpde_tir::compileModuleX64(Mod, A);
+        },
+        [](tir::Module &Mod, u32 F) {
+          u32 V = sabotage(Mod, F);
+          return [&Mod, F, V] { Mod.Funcs[F].Values[V].Opcode = tir::Op::Add; };
+        },
+        Seen);
+
+    uir::UModule Q = makeQueryModule(19, 12);
+    sweepOutOfMemory<uir::ParallelModuleCompilerUir>(
+        Q, 12, Threads, Coarse,
+        [](uir::UModule &Mod, asmx::Assembler &A) {
+          return uir::compileTpdeUir(Mod, A);
+        },
+        [](uir::UModule &Mod, u32 F) {
+          u32 V = sabotageQuery(Mod, F);
+          return [&Mod, F, V] { Mod.Funcs[F].Vals[V].Op = uir::UOp::Add; };
+        },
+        Seen);
+  }
+
+  for (const char *What :
+       {"sizing the compile", "compiling module-level data",
+        "compiling function", "merging function", "merging the module"})
+    EXPECT_TRUE(Seen.Messages.count(std::string("allocation failed ") + What))
+        << "no failure reached \"allocation failed " << What << "\"";
+  EXPECT_TRUE(Seen.Unstored)
+      << "no failure reached the message-less OutOfMemory status";
 }
 
 // --- Verifier gate + adversarial corpus (satellite 3) ----------------------
@@ -387,15 +562,6 @@ TEST(VerifierGate, ValidModulePassesWithVerifyOn) {
 // --- UIR verifier ----------------------------------------------------------
 
 namespace {
-
-uir::UModule makeQueryModule(u64 Seed, u32 NumQueries) {
-  workloads::QueryProfile P;
-  P.Seed = Seed;
-  P.NumQueries = NumQueries;
-  uir::UModule M;
-  workloads::genQueryModule(M, P);
-  return M;
-}
 
 /// Asserts that the mutated module is rejected by uir::verifyModule and by
 /// the Verify-gated serial and parallel entry points before any codegen.
@@ -477,162 +643,3 @@ TEST(UirVerifier, ValidQueryModulePassesWithVerifyOn) {
   EXPECT_TRUE(St.ok());
   EXPECT_EQ(textOf(Par), textOf(Plain));
 }
-
-// --- Fault sweep (TPDE_FAULT_INJECTION builds only) ------------------------
-
-#if TPDE_FAULT_INJECTION
-
-namespace {
-
-/// RAII guard: no test leaves a site armed behind, even on assertion exit.
-struct DisarmOnExit {
-  ~DisarmOnExit() { FaultInjector::disarmAll(); }
-};
-
-} // namespace
-
-/// The acceptance sweep: every compile-path fault site, for thread counts
-/// {1,2,4,8} and two different hit positions, must either fully recover
-/// (clean success, byte-identical output) or fail with one structured
-/// diagnostic — and the pool must produce the reference bytes on the next
-/// clean compile either way.
-TEST(FaultSweep, EverySiteEveryThreadCountRecoversOrFailsCleanly) {
-  DisarmOnExit Guard;
-  tir::Module M = makeModule(31, 16);
-  asmx::Assembler SerialAsm;
-  ASSERT_TRUE(tpde_tir::compileModuleX64(M, SerialAsm));
-  std::vector<u8> RefText = textOf(SerialAsm);
-
-  const FaultSite CompileSites[] = {FaultSite::ArenaGrow,
-                                    FaultSite::ShardCompile,
-                                    FaultSite::SymbolCreate,
-                                    FaultSite::SectionMerge};
-  for (FaultSite Site : CompileSites) {
-    for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-      for (u64 Nth : {u64(1), u64(5)}) {
-        SCOPED_TRACE(std::string(support::faultSiteName(Site)) +
-                     " threads=" + std::to_string(Threads) +
-                     " nth=" + std::to_string(Nth));
-        FaultInjector::disarmAll();
-        tpde_tir::ParallelCompileOptions Opts;
-        Opts.NumThreads = Threads;
-        tpde_tir::ParallelModuleCompiler PC(M, Opts);
-        asmx::Assembler Out;
-        FaultInjector::arm(Site, Nth);
-        bool OK = PC.compile(Out);
-        FaultInjector::disarmAll();
-        if (OK) {
-          // Recovered: the fault was absorbed by the retry pass and the
-          // output is indistinguishable from an unfaulted compile.
-          EXPECT_TRUE(PC.status().ok());
-          EXPECT_TRUE(PC.diagnostics().empty());
-          EXPECT_EQ(textOf(Out), RefText);
-        } else {
-          // Clean structured error; nothing crashed, nothing leaked (the
-          // sanitizer jobs enforce the latter).
-          EXPECT_NE(PC.status().Err, CompileErr::Ok);
-          EXPECT_FALSE(PC.status().Message.empty());
-          EXPECT_FALSE(PC.diagnostics().empty());
-        }
-        // The pool must be reusable after the fault, with clean output.
-        ASSERT_TRUE(PC.compile(Out));
-        EXPECT_TRUE(PC.status().ok());
-        EXPECT_EQ(textOf(Out), RefText) << "post-fault recompile diverged";
-      }
-    }
-  }
-}
-
-/// The shard-compile site is always recoverable by construction: the
-/// retry pass recompiles the poisoned shard serially, so the compile must
-/// SUCCEED with byte-identical output — full graceful degradation.
-TEST(FaultSweep, ShardCompileFaultFullyRecovers) {
-  DisarmOnExit Guard;
-  tir::Module M = makeModule(37, 12);
-  asmx::Assembler SerialAsm;
-  ASSERT_TRUE(tpde_tir::compileModuleX64(M, SerialAsm));
-
-  for (unsigned Threads : {1u, 4u}) {
-    tpde_tir::ParallelCompileOptions Opts;
-    Opts.NumThreads = Threads;
-    tpde_tir::ParallelModuleCompiler PC(M, Opts);
-    asmx::Assembler Out;
-    FaultInjector::arm(FaultSite::ShardCompile);
-    ASSERT_TRUE(PC.compile(Out)) << "threads=" << Threads;
-    FaultInjector::disarmAll();
-    EXPECT_TRUE(PC.diagnostics().empty());
-    EXPECT_EQ(textOf(Out), textOf(SerialAsm)) << "threads=" << Threads;
-  }
-}
-
-/// After a fault + recovery the pool must return to the zero-allocation
-/// steady state: the error paths may allocate, the clean path never.
-TEST(FaultSweep, SteadyStateIsAllocationFreeAfterRecovery) {
-  DisarmOnExit Guard;
-  tir::Module M = makeModule(41, 10);
-  tpde_tir::ParallelCompileOptions Opts;
-  Opts.NumThreads = 1;
-  tpde_tir::ParallelModuleCompiler PC(M, Opts);
-  asmx::Assembler Out;
-  ASSERT_TRUE(PC.compile(Out));
-  FaultInjector::arm(FaultSite::ShardCompile);
-  ASSERT_TRUE(PC.compile(Out)); // recovers via the retry pass
-  FaultInjector::disarmAll();
-  for (int I = 0; I < 3; ++I)
-    ASSERT_TRUE(PC.compile(Out));
-  support::AllocWatch W;
-  ASSERT_TRUE(PC.compile(Out));
-  EXPECT_EQ(W.newCalls(), 0u)
-      << "recovery left the pool off the allocation-free steady state ("
-      << W.newBytes() << " bytes)";
-}
-
-/// The JIT-mapping site: map() must refuse with a structured JitMapFailed/
-/// FaultInjected status before taking any system resources, and succeed
-/// on the next attempt.
-TEST(FaultSweep, JitMapFaultIsACleanErrorAndRetrySucceeds) {
-  DisarmOnExit Guard;
-  tir::Module M = makeModule(47, 6);
-  asmx::Assembler Asm;
-  ASSERT_TRUE(tpde_tir::compileModuleX64(M, Asm));
-
-  asmx::JITMapper JIT;
-  FaultInjector::arm(FaultSite::JitMap);
-  EXPECT_FALSE(JIT.map(Asm));
-  FaultInjector::disarmAll();
-  EXPECT_EQ(JIT.status().Err, CompileErr::FaultInjected);
-  EXPECT_FALSE(JIT.status().Message.empty());
-
-  ASSERT_TRUE(JIT.map(Asm));
-  EXPECT_TRUE(JIT.status().ok());
-  auto *Fn = reinterpret_cast<u64 (*)(u64, u64)>(JIT.address("main_entry"));
-  ASSERT_NE(Fn, nullptr);
-  (void)Fn(1, 2); // executable after the faulted attempt
-}
-
-/// The UIR instantiation goes through the same driver, so a shard fault
-/// must recover there too — the framework property, not a TIR one.
-TEST(FaultSweep, UirShardFaultRecovers) {
-  DisarmOnExit Guard;
-  uir::UModule M = makeQueryModule(19, 24);
-  asmx::Assembler SerialAsm;
-  ASSERT_TRUE(uir::compileTpdeUir(M, SerialAsm));
-
-  uir::ParallelCompileOptions Opts;
-  Opts.NumThreads = 4;
-  uir::ParallelModuleCompilerUir PC(M, Opts);
-  asmx::Assembler Out;
-  FaultInjector::arm(FaultSite::ShardCompile);
-  ASSERT_TRUE(PC.compile(Out));
-  FaultInjector::disarmAll();
-  EXPECT_EQ(textOf(Out), textOf(SerialAsm));
-}
-
-#else // !TPDE_FAULT_INJECTION
-
-TEST(FaultSweep, RequiresFaultInjectionBuild) {
-  GTEST_SKIP() << "configure with -DTPDE_FAULT_INJECTION=ON to run the "
-                  "fault sweep";
-}
-
-#endif // TPDE_FAULT_INJECTION

@@ -19,12 +19,11 @@
 ///  * Robustness: a malformed job is rejected at admission with a
 ///    structured diagnostic; an uncompilable job fails alone while the
 ///    jobs queued beside it are served; a self-conflicting job fails with
-///    its solo compile's status; the fault-injection shard-compile site
-///    inside the service path recovers (fault builds); a failed job is
-///    compiled once (an unresolved symbol, or an injected map fault in
-///    fault builds); an owner that runs out of memory admitting its job
-///    releases its claim, a job that runs out of memory on the worker
-///    fails alone with OutOfMemory while the worker goes on serving, and a
+///    its solo compile's status; a job that fails to map is compiled once
+///    per submit and never cached; an owner that runs out of memory
+///    admitting its job releases its claim, a job that runs out of memory
+///    on the worker fails alone with OutOfMemory while the worker goes on
+///    serving (and every job it serves matches its solo compile), and a
 ///    completion that cannot copy its diagnostic's text keeps the code.
 ///  * Support primitives: latency histogram quantiles; hasher length
 ///    and boundary cases.
@@ -35,15 +34,15 @@
 ///    bounded-wait admission), structured Overloaded / ServiceShutdown /
 ///    DeadlineExceeded errors, deadline shed for queued jobs and
 ///    independent waiter timeout, and a flooded service across worker
-///    counts, with a fault site armed in fault builds: every submission
-///    completes with one label, the counters conserve jobs, and served
-///    code matches its module's solo compile.
+///    counts — with one producer, with self-conflicting jobs among the
+///    good ones, and with four producers: every submission completes with
+///    one label, the counters conserve jobs, and served code matches its
+///    module's solo compile.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "service/Admission.h"
 #include "support/AllocCounter.h"
-#include "support/FaultInjector.h"
 #include "support/Histogram.h"
 #include "support/Rng.h"
 #include "tir/Builder.h"
@@ -760,56 +759,11 @@ TEST(ServiceRobustness, SelfConflictingJobFailsLikeItsSoloCompile) {
   EXPECT_TRUE(Next->ok()) << Next->status().Message;
 }
 
-TEST(ServiceRobustness, ShardFaultInServiceCompileRecoversAllJobs) {
-  if (!support::faultInjectionEnabled())
-    GTEST_SKIP() << "needs -DTPDE_FAULT_INJECTION=ON";
-  std::vector<u8> SoloA = soloTirMappedText(makeTirJob(51, 5, "fa"));
-  std::vector<u8> SoloB = soloTirMappedText(makeTirJob(52, 5, "fb"));
-
-  tpde_tir::TirCompileServiceX64 Svc({.NumWorkers = 1, .StartPaused = true});
-  auto RA = Svc.submit(makeTirJob(51, 5, "fa"));
-  auto RB = Svc.submit(makeTirJob(52, 5, "fb"));
-  support::FaultInjector::arm(support::FaultSite::ShardCompile, 1);
-  Svc.resume();
-  RA->wait();
-  RB->wait();
-  support::FaultInjector::disarm(support::FaultSite::ShardCompile);
-
-  // The injected shard failure is absorbed by the driver's recovery pass
-  // (function-by-function retry): both jobs are served, byte-identical.
-  ASSERT_TRUE(RA->ok()) << RA->status().Message;
-  ASSERT_TRUE(RB->ok()) << RB->status().Message;
-  EXPECT_EQ(mappedText(*RA->code()), SoloA);
-  EXPECT_EQ(mappedText(*RB->code()), SoloB);
-}
-
-TEST(ServiceRobustness, MapFaultFailsTheJobOnce) {
-  if (!support::faultInjectionEnabled())
-    GTEST_SKIP() << "needs -DTPDE_FAULT_INJECTION=ON";
-  std::atomic<int> Compiles{0};
-  tpde_tir::TirCompileServiceX64 Svc(
-      {.NumWorkers = 1, .TestHookPreCompile = [&] { Compiles.fetch_add(1); }});
-  support::FaultInjector::arm(support::FaultSite::JitMap, 1);
-  auto R = Svc.submit(makeTirJob(72, 5, "rz"));
-  R->wait();
-  support::FaultInjector::disarm(support::FaultSite::JitMap);
-  EXPECT_FALSE(R->ok());
-  EXPECT_EQ(R->status().Err, CompileErr::FaultInjected);
-  EXPECT_EQ(Compiles.load(), 1) << "a failed job is compiled once";
-  auto S = Svc.stats();
-  EXPECT_EQ(S.Failed, 1u);
-  EXPECT_EQ(S.CachedEntries, 0u) << "the failed fingerprint is never cached";
-  // Not poisoned: the same module compiles again once the fault is gone.
-  auto R2 = Svc.submit(makeTirJob(72, 5, "rz"));
-  R2->wait();
-  EXPECT_TRUE(R2->ok()) << R2->status().Message;
-  EXPECT_EQ(Compiles.load(), 2);
-}
-
 TEST(ServiceRobustness, UnresolvedSymbolFailsAfterOneCompile) {
   // The service maps without a symbol resolver, so a call to a declared
   // function fails to map on every attempt. The job fails after one
-  // compile, and nothing is cached.
+  // compile, and nothing is cached: a resubmit compiles again and fails
+  // the same way.
   tir::Module M;
   u32 Ext = tir::declareFunc(M, "svc_ext", tir::Type::I64, {tir::Type::I64});
   {
@@ -832,6 +786,17 @@ TEST(ServiceRobustness, UnresolvedSymbolFailsAfterOneCompile) {
   auto S = Svc.stats();
   EXPECT_EQ(S.Misses, 1u);
   EXPECT_EQ(S.Failed, 1u);
+  EXPECT_EQ(S.CachedEntries, 0u);
+
+  auto R2 = Svc.submit(M);
+  R2->wait();
+  EXPECT_FALSE(R2->ok());
+  EXPECT_EQ(R2->status().Err, CompileErr::JitMapFailed)
+      << support::compileErrName(R2->status().Err);
+  EXPECT_EQ(Compiles.load(), 2) << "failures are never cached";
+  S = Svc.stats();
+  EXPECT_EQ(S.Misses, 2u);
+  EXPECT_EQ(S.Failed, 2u);
   EXPECT_EQ(S.CachedEntries, 0u);
 }
 
@@ -929,8 +894,8 @@ TEST(ServiceRobustness, OutOfMemoryOnTheWorkerFailsOnlyThatJob) {
   // every allocation of at least From bytes fails, for every From from 1
   // to 4096 bytes and each power of two up to 1 MiB. Nothing above the
   // worker catches, so an exception there would end the process: each
-  // job must end with its code or OutOfMemory, and the worker must go on
-  // to the next.
+  // job must be served, byte-identical to its solo compile, or fail with
+  // OutOfMemory, and the worker must go on to the next.
   std::atomic<u64> From{0};
   uir::UirCompileService Svc(
       {.NumWorkers = 1, .TestHookPreCompile = [&] {
@@ -952,6 +917,8 @@ TEST(ServiceRobustness, OutOfMemoryOnTheWorkerFailsOnlyThatJob) {
     support::AllocCounter::FailFromBytes.store(0);
     if (R->ok()) {
       ++Served;
+      EXPECT_EQ(mappedText(*R->code()), soloUirMappedText(M))
+          << "FailFromBytes=" << T;
       continue;
     }
     ASSERT_EQ(R->status().Err, CompileErr::OutOfMemory)
@@ -1156,94 +1123,140 @@ TEST(ServiceDeadline, WaiterTimesOutIndependentlyOfOwner) {
   EXPECT_TRUE(Hit->hit());
 }
 
-// --- liveness under overload + faults --------------------------------------
+// --- liveness under overload -----------------------------------------------
 
 TEST(ServiceFaultSweep, FloodedServiceStaysLiveAcrossWorkerCounts) {
   // 2x-overload flood: far more arrivals than a small queue can hold,
-  // with deadlines — under an armed jit-map fault where fault builds
-  // allow. Each module is submitted twice in a row, so the second submit
-  // coalesces onto a queued or compiling first one, hits its published
-  // code, or (when the first was refused) owns a compile of its own, and
-  // every compile is delayed by a random 0-200 us to shuffle the
+  // with deadlines. Each module is submitted twice in a row, so the
+  // second submit coalesces onto a queued or compiling first one, hits its
+  // published code, or (when the first was refused) owns a compile of its
+  // own, and every compile is delayed by a random 0-200 us to shuffle the
   // schedule. Every job must complete with code or a *labelled*
   // structured error; nothing may hang. Once all have completed, each
   // module with a served handle is submitted once more and must be a
   // cache hit. The counters must conserve jobs, and every served handle,
   // hits included, must carry its module's solo-compiled bytes. Run at 1,
-  // 2, and 4 workers.
+  // 2, and 4 workers, in three cells:
+  //  * one producer;
+  //  * one producer, the verifier off, and every fifth module defining one
+  //    query name twice: those jobs are never served, and each one that
+  //    is compiled fails with its solo compile's code and message;
+  //  * four producers submitting the same module sequence.
+  enum Cell { OneProducer, Conflicting, FourProducers };
   constexpr u32 NumModules = 80;
-  std::vector<int> Sites = {-1}; // -1 = no fault armed
-  if (support::faultInjectionEnabled())
-    Sites.push_back(static_cast<int>(support::FaultSite::JitMap));
   for (unsigned Workers : {1u, 2u, 4u}) {
-    for (int Site : Sites) {
+    for (Cell C : {OneProducer, Conflicting, FourProducers}) {
+      const std::string Where = "workers=" + std::to_string(Workers) +
+                                " cell=" + std::to_string(C);
       std::vector<uir::UModule> Mods;
       std::vector<std::vector<u8>> Solo;
+      std::vector<support::CompileStatus> SoloSt; // Ok: the module compiles
       for (u32 I = 0; I < NumModules; ++I) {
-        Mods.push_back(makeQueryModule("fl" + std::to_string(Workers) + "_" +
-                                           std::to_string(Site) + "_" +
-                                           std::to_string(I),
-                                       I));
-        Solo.push_back(soloUirMappedText(Mods.back()));
+        const std::string Name = "fl" + std::to_string(Workers) + "_" +
+                                 std::to_string(C) + "_" + std::to_string(I);
+        uir::UModule M = makeQueryModule(Name, I);
+        support::CompileStatus St;
+        if (C == Conflicting && I % 5 == 0) {
+          M.Funcs.push_back(makeQueryModule(Name, NumModules + I).Funcs[0]);
+          uir::UModule Copy = M;
+          asmx::Assembler Asm;
+          EXPECT_FALSE(uir::compileTpdeUir(Copy, Asm, /*Verify=*/false, &St));
+        }
+        Solo.push_back(St.ok() ? soloUirMappedText(M) : std::vector<u8>{});
+        SoloSt.push_back(St);
+        Mods.push_back(std::move(M));
       }
       std::atomic<u64> Compiles{0};
       uir::UirCompileService Svc(
           {.NumWorkers = Workers,
            .QueueCapacity = 8,
+           .Verify = C != Conflicting,
            .TestHookPreCompile = [&] {
              tpde::Rng R(Compiles.fetch_add(1));
              std::this_thread::sleep_for(
                  std::chrono::microseconds(R.below(201)));
            }});
-      if (Site >= 0)
-        support::FaultInjector::arm(static_cast<support::FaultSite>(Site), 3);
       const u64 Deadline = tpde::nowNs() + 2'000'000'000; // generous 2s
-      std::vector<service::ResultPtr> Rs;
-      for (u32 I = 0; I < 2 * NumModules; ++I)
-        Rs.push_back(Svc.trySubmit(Mods[I / 2], {.DeadlineNs = Deadline}));
-      unsigned Served = 0, Overloaded = 0;
-      for (u32 I = 0; I < Rs.size(); ++I) {
-        service::ResultPtr &R = Rs[I];
-        R->wait(); // deadline-bounded: liveness even if something wedged
-        ASSERT_TRUE(R->done());
-        if (R->ok()) {
-          ++Served;
-          EXPECT_EQ(mappedText(*R->code()), Solo[I / 2])
-              << "submission " << I << (R->hit() ? " (hit)" : "");
-          continue;
+      const unsigned NumProducers = C == FourProducers ? 4 : 1;
+      std::vector<std::vector<service::ResultPtr>> Rs(NumProducers);
+      auto Produce = [&](unsigned P) {
+        for (u32 I = 0; I < 2 * NumModules; ++I)
+          Rs[P].push_back(Svc.trySubmit(Mods[I / 2], {.DeadlineNs = Deadline}));
+      };
+      {
+        std::vector<std::thread> Producers;
+        for (unsigned P = 1; P < NumProducers; ++P)
+          Producers.emplace_back(Produce, P);
+        Produce(0);
+        for (auto &T : Producers)
+          T.join();
+      }
+      u64 Submissions = 0;
+      unsigned Served = 0, Overloaded = 0, FailedLikeSolo = 0;
+      std::vector<u8> WasServed(NumModules, 0);
+      for (const auto &PerProducer : Rs) {
+        for (u32 I = 0; I < PerProducer.size(); ++I) {
+          const service::ResultPtr &R = PerProducer[I];
+          const u32 Mod = I / 2;
+          ++Submissions;
+          R->wait(); // deadline-bounded: liveness even if something wedged
+          ASSERT_TRUE(R->done()) << Where;
+          if (R->ok()) {
+            ++Served;
+            WasServed[Mod] = 1;
+            EXPECT_TRUE(SoloSt[Mod].ok())
+                << Where << ": module " << Mod << " fails its solo compile";
+            EXPECT_EQ(mappedText(*R->code()), Solo[Mod])
+                << Where << ": submission " << I
+                << (R->hit() ? " (hit)" : "");
+            continue;
+          }
+          CompileErr E = R->status().Err;
+          Overloaded += E == CompileErr::Overloaded;
+          EXPECT_FALSE(R->status().Message.empty()) << Where;
+          if (!SoloSt[Mod].ok() && E == SoloSt[Mod].Err) {
+            ++FailedLikeSolo;
+            EXPECT_EQ(R->status().Message, SoloSt[Mod].Message) << Where;
+            continue;
+          }
+          EXPECT_TRUE(E == CompileErr::Overloaded ||
+                      E == CompileErr::DeadlineExceeded ||
+                      E == CompileErr::JitMapFailed ||
+                      E == CompileErr::OutOfMemory)
+              << Where << ": unlabelled failure: "
+              << support::compileErrName(E) << " (" << R->status().Message
+              << ")";
         }
-        CompileErr E = R->status().Err;
-        Overloaded += E == CompileErr::Overloaded;
-        EXPECT_TRUE(E == CompileErr::Overloaded ||
-                    E == CompileErr::DeadlineExceeded ||
-                    E == CompileErr::FaultInjected ||
-                    E == CompileErr::JitMapFailed ||
-                    E == CompileErr::OutOfMemory)
-            << "unlabelled failure: " << support::compileErrName(E) << " ("
-            << R->status().Message << ")";
-        EXPECT_FALSE(R->status().Message.empty());
       }
-      support::FaultInjector::disarmAll();
-      EXPECT_GT(Served, 0u)
-          << "workers=" << Workers << " site=" << Site
-          << ": overload must shed, not starve";
+      EXPECT_GT(Served, 0u) << Where << ": overload must shed, not starve";
+      if (C == Conflicting) {
+        EXPECT_GT(FailedLikeSolo, 0u)
+            << Where << ": the first module conflicts and is compiled";
+      }
       for (u32 I = 0; I < NumModules; ++I) {
-        if (!Rs[2 * I]->ok() && !Rs[2 * I + 1]->ok())
+        if (!WasServed[I])
           continue;
-        Rs.push_back(Svc.trySubmit(Mods[I]));
-        ASSERT_TRUE(Rs.back()->hit()) << "module " << I << " was served";
-        EXPECT_EQ(mappedText(*Rs.back()->code()), Solo[I])
-            << "module " << I << " (hit)";
+        service::ResultPtr R = Svc.trySubmit(Mods[I]);
+        ++Submissions;
+        ASSERT_TRUE(R->hit()) << Where << ": module " << I << " was served";
+        EXPECT_EQ(mappedText(*R->code()), Solo[I])
+            << Where << ": module " << I << " (hit)";
       }
-      // One producer: a refused owner has completed before the next
-      // submit, so nothing coalesces onto it and each Overloaded handle
-      // is one refused owner.
       auto S = Svc.stats();
-      EXPECT_EQ(S.Hits + S.Misses + S.Coalesced + S.VerifyRejected, Rs.size())
-          << "workers=" << Workers << " site=" << Site
-          << ": every submission is exactly one hit, miss or waiter";
-      EXPECT_EQ(S.Overloaded, Overloaded)
-          << "workers=" << Workers << " site=" << Site;
+      EXPECT_EQ(S.Hits + S.Misses + S.Coalesced + S.VerifyRejected,
+                Submissions)
+          << Where << ": every submission is exactly one hit, miss or waiter";
+      if (NumProducers == 1) {
+        // A refused owner has completed before the next submit, so
+        // nothing coalesces onto it and each Overloaded handle is one
+        // refused owner.
+        EXPECT_EQ(S.Overloaded, Overloaded) << Where;
+      } else {
+        // A waiter that coalesced onto an owner the queue then refused
+        // completes Overloaded but counts as Coalesced.
+        EXPECT_LE(S.Overloaded, Overloaded) << Where;
+        EXPECT_LE(Overloaded, S.Overloaded + S.Coalesced) << Where;
+      }
     }
   }
 }

@@ -218,6 +218,36 @@ TEST(StringPool, ReinterningIsAllocationFree) {
   EXPECT_EQ(W.newCalls(), 0u);
 }
 
+/// Out of memory, an intern either adds its string or leaves the pool as
+/// it was. While every allocation of at least 128 bytes throws, the
+/// 16-slot table cannot grow to 32 slots, but the entry list can still
+/// take four more names: no intern may then fill the table, or a probe
+/// for an absent name would never find an empty slot. Once memory is
+/// back, every name that was added is found and new ones intern.
+TEST(StringPool, InternThatThrowsLeavesThePoolUsable) {
+  StringPool P;
+  for (int I = 0; I < 11; ++I)
+    P.intern("n" + std::to_string(I));
+  std::vector<std::string> Added;
+  Added.reserve(9);
+  support::AllocCounter::FailFromBytes.store(128);
+  for (int I = 11; I < 20; ++I) {
+    std::string S = "n" + std::to_string(I);
+    try {
+      P.intern(S);
+      Added.push_back(S);
+    } catch (const std::bad_alloc &) {
+    }
+  }
+  EXPECT_EQ(P.lookup("absent"), StringPool::InvalidId);
+  support::AllocCounter::FailFromBytes.store(0);
+  for (const std::string &S : Added)
+    EXPECT_NE(P.lookup(S), StringPool::InvalidId) << S;
+  for (int I = 0; I < 64; ++I)
+    EXPECT_EQ(P.str(P.intern("m" + std::to_string(I))),
+              "m" + std::to_string(I));
+}
+
 // --- ByteBuffer ------------------------------------------------------------
 
 TEST(ByteBuffer, AppendAndCursor) {
