@@ -36,8 +36,8 @@
 ///   * misses == distinct_modules  (when nothing was evicted: exact
 ///                                  single flight),
 ///   * warm hits == warm jobs      (when nothing was evicted),
-///   * the stream's miss/hit p99 vs the committed baseline (generous
-///     relative floor),
+///   * the warm pass's hit p99 and the stream's miss p99 vs the committed
+///     baseline (generous relative floor),
 ///   * overload: hung == 0, other_failed == 0, shed_rate > 0.
 ///
 /// Flags: --jobs=N --distinct=D --workers=W --rate=R (jobs/sec, 0 = no
@@ -46,6 +46,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Histogram.h"
+#include "support/Sync.h"
 #include "support/Timer.h"
 #include "uir/Service.h"
 
@@ -364,7 +365,7 @@ int main(int argc, char **argv) {
                "    \"queue_wait_p99_ns\": %llu\n"
                "  }\n}\n",
                O.Jobs, O.Distinct, O.Workers, O.Rate,
-               std::thread::hardware_concurrency(), HitRatio,
+               tpde::hardwareConcurrency(), HitRatio,
                (unsigned long long)S.Hits, (unsigned long long)S.Misses,
                (unsigned long long)S.Coalesced,
                (unsigned long long)S.Evictions,

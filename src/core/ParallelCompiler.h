@@ -123,9 +123,14 @@ struct EmitStats {
 
 /// Reusable parallel compilation pipeline for one module. Construction
 /// spawns the worker pool; compile() may be called repeatedly (e.g. a JIT
-/// recompiling on deoptimization) and is allocation-free in steady state:
-/// workers reset their compiler/assembler state without freeing it, and
-/// all fragments retain their capacity.
+/// recompiling on deoptimization): workers reset their compiler/assembler
+/// state without freeing it, and all fragments retain their capacity.
+/// With one worker that makes compile() allocation-free in steady state.
+/// With several it is not: a run compiles in the storage of its first
+/// shard's fragment, and where steals cut runs follows the schedule, so a
+/// fragment can meet a longer run on any later compile (docs/PERF.md).
+/// That is why the bench gate's zero-allocation checks cover only the
+/// one-worker (@1) rows.
 template <typename CompilerT> class ParallelModuleCompiler {
 public:
   using AdapterT = typename CompilerT::AdapterT;

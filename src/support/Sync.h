@@ -28,6 +28,8 @@
 #include <mutex>
 #include <thread>
 
+#include <sched.h>
+
 //===----------------------------------------------------------------------===//
 // Thread-safety annotation macros (Clang attribute spellings).
 //
@@ -162,7 +164,14 @@ private:
 /// place.
 using Thread = std::thread;
 
+/// CPUs this thread may run on: the count in its affinity mask, so a
+/// process started under `taskset -c 0` sees 1. Falls back to
+/// std::thread::hardware_concurrency(), which counts every online CPU,
+/// when the mask cannot be read; never 0.
 inline unsigned hardwareConcurrency() {
+  cpu_set_t Set;
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0 && CPU_COUNT(&Set) > 0)
+    return static_cast<unsigned>(CPU_COUNT(&Set));
   unsigned N = std::thread::hardware_concurrency();
   return N ? N : 1;
 }

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <string>
 #include <vector>
 
@@ -450,4 +451,18 @@ TEST(Sync, CondVarWaitAndWaitFor) {
 
 TEST(Sync, HardwareConcurrencyIsPositive) {
   EXPECT_GE(tpde::hardwareConcurrency(), 1u);
+  // Pinned to one CPU (as under `taskset -c 0`), the count follows the
+  // affinity mask, not the machine's online CPUs.
+  cpu_set_t Saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Saved), &Saved), 0);
+  int First = 0;
+  while (!CPU_ISSET(First, &Saved))
+    ++First;
+  cpu_set_t One;
+  CPU_ZERO(&One);
+  CPU_SET(First, &One);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(One), &One), 0);
+  unsigned Pinned = tpde::hardwareConcurrency();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(Saved), &Saved), 0);
+  EXPECT_EQ(Pinned, 1u);
 }
