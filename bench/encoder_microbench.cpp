@@ -3,11 +3,13 @@
 /// google-benchmark micro-benchmarks for the direct x86-64 and AArch64
 /// encoders. The paper avoids LLVM-MC "due to its subpar performance"
 /// (§4.1.3); these numbers document what the in-house encoders achieve
-/// per instruction.
+/// per instruction. The JIT mapping rows time asmx::JITMapper::map() plus
+/// release of one image, the last step before compiled code is callable.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "a64/Encoder.h"
+#include "asmx/JITMapper.h"
 #include "x64/Encoder.h"
 
 #include <benchmark/benchmark.h>
@@ -134,5 +136,57 @@ static void BM_A64LogicalImm(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_A64LogicalImm);
+
+// --- JIT mapping --------------------------------------------------------------
+
+/// An image of \p Text bytes of `ret`, \p Ro bytes of rodata and \p Bss
+/// bytes of BSS.
+static void buildJitImage(asmx::Assembler &A, u64 Text, u64 Ro, u64 Bss) {
+  for (u64 I = 0; I < Text; ++I)
+    A.text().appendByte(0xC3);
+  for (u64 I = 0; I < Ro; ++I)
+    A.section(asmx::SecKind::ROData).appendByte(static_cast<u8>(I));
+  A.section(asmx::SecKind::BSS).BssSize = Bss;
+}
+
+/// map() plus release of \p A once per iteration.
+static void mapAndRelease(benchmark::State &State, const asmx::Assembler &A) {
+  for (auto _ : State) {
+    asmx::JITMapper JIT;
+    if (!JIT.map(A)) {
+      State.SkipWithError(JIT.status().Message.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(JIT.sectionBase(asmx::SecKind::Text));
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+
+/// A query-sized image of one text page. After the first iteration its run
+/// always comes from the pool: zeroing, copy, one W^X flip, one flip back.
+static void BM_JitMapRecycledText(benchmark::State &State) {
+  asmx::Assembler A;
+  buildJitImage(A, 1500, 0, 0);
+  mapAndRelease(State, A);
+}
+BENCHMARK(BM_JitMapRecycledText);
+
+/// As above with a rodata page, which is flipped too.
+static void BM_JitMapRecycledTextRodata(benchmark::State &State) {
+  asmx::Assembler A;
+  buildJitImage(A, 1500, 64, 0);
+  mapAndRelease(State, A);
+}
+BENCHMARK(BM_JitMapRecycledTextRodata);
+
+/// Its BSS keeps this image above JITMapper::MaxPooledBytes, so every map()
+/// creates its run (mmap, read+write flips, first-touch faults of the text
+/// and rodata pages) and every release unmaps it. No BSS page is touched.
+static void BM_JitMapFresh(benchmark::State &State) {
+  asmx::Assembler A;
+  buildJitImage(A, 1500, 64, asmx::JITMapper::MaxPooledBytes + 4096);
+  mapAndRelease(State, A);
+}
+BENCHMARK(BM_JitMapFresh);
 
 BENCHMARK_MAIN();

@@ -15,69 +15,117 @@ using namespace tpde::asmx;
 
 namespace {
 
+u64 pageSize() { return static_cast<u64>(::sysconf(_SC_PAGESIZE)); }
+
+} // namespace
+
+namespace tpde::asmx {
+
 /// Released page runs kept for reuse, oldest first. Reusing a run saves
 /// the mmap, the first-touch page faults and the munmap that a fresh
-/// mapping costs; the read+write flip at release is the one syscall left.
+/// mapping costs; the read+write flips at release are the syscalls left.
 /// Syscalls happen outside the lock.
 class RunPool {
 public:
-  /// Takes the most recently released run of exactly \p Size bytes, or
+  using Layout = JITMapper::Layout;
+  enum Range : unsigned { Text, RO, RW, NumRanges };
+
+  /// Where the ranges of a layout lie in its run. Text and rodata, when
+  /// non-empty, each sit between two PROT_NONE guard pages, and data with
+  /// BSS follows the last guard.
+  struct Shape {
+    u64 Off[NumRanges];
+    u64 Len[NumRanges];
+    /// The whole run, guard pages included.
+    u64 Size;
+  };
+
+  static Shape shapeOf(const Layout &L, u64 Page) {
+    Shape S{{}, {L.Text, L.RO, L.RW}, 0};
+    u64 Off = 0;
+    for (unsigned R : {Text, RO}) {
+      if (S.Len[R])
+        Off += Page; // the guard before; text and rodata share one
+      S.Off[R] = Off;
+      Off += S.Len[R];
+    }
+    if (L.Text || L.RO)
+      Off += Page; // the guard after
+    S.Off[RW] = Off;
+    S.Size = Off + L.RW;
+    return S;
+  }
+
+  /// Takes the most recently released run of exactly layout \p L, or
   /// returns nullptr when none is pooled.
-  u8 *take(u64 Size) TPDE_EXCLUDES(Mtx) {
-    LockGuard L(Mtx);
+  u8 *take(const Layout &L) TPDE_EXCLUDES(Mtx) {
+    LockGuard Lk(Mtx);
     for (unsigned I = NumRuns; I-- > 0;) {
-      if (Runs[I].Size != Size)
+      if (Runs[I].L != L)
         continue;
       u8 *Base = Runs[I].Base;
       std::copy(Runs + I + 1, Runs + NumRuns, Runs + I);
       --NumRuns;
-      Bytes -= Size;
+      Bytes -= bytes(L);
       return Base;
     }
     return nullptr;
   }
 
-  /// Flips the run back to read+write and pools it, unmapping the oldest
-  /// runs that no longer fit. A run larger than the bound, or one whose
-  /// flip failed, is unmapped instead.
-  void release(u8 *Base, u64 Size) TPDE_EXCLUDES(Mtx) {
-    if (Size > JITMapper::MaxPooledBytes ||
-        ::mprotect(Base, Size, PROT_READ | PROT_WRITE) != 0) {
-      ::munmap(Base, Size);
+  /// Flips each non-empty range of the run back to read+write and pools
+  /// it, unmapping the oldest runs that no longer fit. A run larger than
+  /// the bound, or one whose flip failed, is unmapped instead.
+  void release(u8 *Base, const Layout &L) TPDE_EXCLUDES(Mtx) {
+    const u64 Page = pageSize();
+    const Shape S = shapeOf(L, Page);
+    bool Poolable = bytes(L) <= JITMapper::MaxPooledBytes;
+    for (unsigned R = 0; Poolable && R < NumRanges; ++R)
+      Poolable = !S.Len[R] || ::mprotect(Base + S.Off[R], S.Len[R],
+                                         PROT_READ | PROT_WRITE) == 0;
+    if (!Poolable) {
+      ::munmap(Base, S.Size);
       return;
     }
     Run Evicted[MaxRuns];
     unsigned NumEvicted = 0;
     {
-      LockGuard L(Mtx);
+      LockGuard Lk(Mtx);
       while (NumRuns - NumEvicted == MaxRuns ||
-             Bytes + Size > JITMapper::MaxPooledBytes) {
-        Bytes -= Runs[NumEvicted].Size;
+             Bytes + bytes(L) > JITMapper::MaxPooledBytes) {
+        Bytes -= bytes(Runs[NumEvicted].L);
         Evicted[NumEvicted] = Runs[NumEvicted];
         ++NumEvicted;
       }
       std::copy(Runs + NumEvicted, Runs + NumRuns, Runs);
       NumRuns -= NumEvicted;
-      Runs[NumRuns++] = {Base, Size};
-      Bytes += Size;
+      Runs[NumRuns++] = {Base, L};
+      Bytes += bytes(L);
     }
     for (unsigned I = 0; I < NumEvicted; ++I)
-      ::munmap(Evicted[I].Base, Evicted[I].Size);
+      ::munmap(Evicted[I].Base, shapeOf(Evicted[I].L, Page).Size);
   }
 
 private:
   struct Run {
     u8 *Base;
-    u64 Size;
+    Layout L;
   };
-  /// Every run spans at least one 4 KiB page.
+  /// Every run spans at least one 4 KiB section page.
   static constexpr unsigned MaxRuns = JITMapper::MaxPooledBytes / 4096;
+
+  /// Section bytes of a run, which the pool bound counts; guard pages are
+  /// never resident.
+  static u64 bytes(const Layout &L) { return L.Text + L.RO + L.RW; }
 
   Mutex Mtx;
   Run Runs[MaxRuns] TPDE_GUARDED_BY(Mtx) = {};
   unsigned NumRuns TPDE_GUARDED_BY(Mtx) = 0;
   u64 Bytes TPDE_GUARDED_BY(Mtx) = 0;
 };
+
+} // namespace tpde::asmx
+
+namespace {
 
 // Constant-initialized and never destroyed, so a mapper that dies during
 // static destruction still finds a working pool.
@@ -90,8 +138,9 @@ JITMapper::~JITMapper() { release(); }
 
 void JITMapper::release() {
   if (MapBase)
-    Pool.release(MapBase, MapSize);
+    Pool.release(MapBase, Pages);
   MapBase = nullptr;
+  MapSize = 0;
 }
 
 JITMapper &JITMapper::operator=(JITMapper &&O) noexcept {
@@ -100,6 +149,7 @@ JITMapper &JITMapper::operator=(JITMapper &&O) noexcept {
   release();
   Asm = O.Asm;
   MapBase = O.MapBase;
+  Pages = O.Pages;
   MapSize = O.MapSize;
   for (unsigned I = 0; I < NumSections; ++I)
     SecBase[I] = O.SecBase[I];
@@ -122,7 +172,7 @@ bool JITMapper::map(const Assembler &A, const Resolver &Resolve,
     Status.Message = std::move(Msg);
     return false;
   };
-  const u64 Page = static_cast<u64>(::sysconf(_SC_PAGESIZE));
+  const u64 Page = pageSize();
 
   // Host symbols can be farther than +-2 GiB from the JIT mapping, which a
   // PC32 call cannot reach. Reserve one 16-byte stub (8-byte address slot +
@@ -134,50 +184,68 @@ bool JITMapper::map(const Assembler &A, const Resolver &Resolve,
       ++NumUndef;
   const u64 StubBytes = NumUndef * 16;
 
-  // Lay out all four sections in one mapping, each page-aligned so that
-  // permissions can be applied per section. Stubs live right after text so
-  // they share its execute permission.
-  u64 SecOff[NumSections];
+  // Give each section page-aligned bytes of its own, so that permissions
+  // can be applied per section. Stubs live right after text so they share
+  // its execute permission. An image with no bytes at all still maps one
+  // data page.
   u64 SecSize[NumSections];
-  u64 Off = 0;
+  u64 SecPages[NumSections];
   for (unsigned I = 0; I < NumSections; ++I) {
     const Section &S = A.section(static_cast<SecKind>(I));
-    SecOff[I] = Off;
     SecSize[I] = (static_cast<SecKind>(I) == SecKind::BSS) ? S.BssSize
                                                            : S.Data.size();
     if (static_cast<SecKind>(I) == SecKind::Text)
       SecSize[I] += StubBytes ? StubBytes + 16 : 0;
-    Off = alignTo(Off + SecSize[I], Page);
+    SecPages[I] = alignTo(SecSize[I], Page);
   }
-  MapSize = Off ? Off : Page;
+  const unsigned TextI = static_cast<unsigned>(SecKind::Text);
+  const unsigned RoI = static_cast<unsigned>(SecKind::ROData);
+  const unsigned DataI = static_cast<unsigned>(SecKind::Data);
+  const unsigned BssI = static_cast<unsigned>(SecKind::BSS);
+  if (!(SecPages[TextI] | SecPages[RoI] | SecPages[DataI] | SecPages[BssI]))
+    SecPages[DataI] = Page;
+  const Layout L{SecPages[TextI], SecPages[RoI],
+                 SecPages[DataI] + SecPages[BssI]};
+  const RunPool::Shape Shape = RunPool::shapeOf(L, Page);
   const u64 StubAreaOff = alignTo(A.text().Data.size(), 16);
 
-  MapBase = Pool.take(MapSize);
-  const bool Recycled = MapBase != nullptr;
+  u8 *Base = Pool.take(L);
+  const bool Recycled = Base != nullptr;
   if (!Recycled) {
-    void *Mem = ::mmap(nullptr, MapSize, PROT_READ | PROT_WRITE,
+    void *Mem = ::mmap(nullptr, Shape.Size, PROT_NONE,
                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (Mem == MAP_FAILED)
       return fail(support::CompileErr::JitMapFailed, {},
-                  "mmap of JIT image failed");
-    MapBase = static_cast<u8 *>(Mem);
+                  "mmap of the JIT run failed");
+    Base = static_cast<u8 *>(Mem);
+    static constexpr const char *RangeName[] = {"text", "rodata", "data"};
+    for (unsigned R = 0; R < RunPool::NumRanges; ++R) {
+      if (Shape.Len[R] && ::mprotect(Base + Shape.Off[R], Shape.Len[R],
+                                     PROT_READ | PROT_WRITE) != 0) {
+        ::munmap(Base, Shape.Size);
+        return fail(support::CompileErr::JitMapFailed, {},
+                    std::string("mprotect of the ") + RangeName[R] +
+                        " pages to read+write failed");
+      }
+    }
   }
+  MapBase = Base;
+  Pages = L;
+  MapSize = L.Text + L.RO + L.RW;
+  SecBase[TextI] = Base + Shape.Off[RunPool::Text];
+  SecBase[RoI] = Base + Shape.Off[RunPool::RO];
+  SecBase[DataI] = Base + Shape.Off[RunPool::RW];
+  SecBase[BssI] = SecBase[DataI] + SecPages[DataI];
   // A recycled run still holds its previous image: zero every byte the new
   // one does not write (section tails, stub slots, BSS).
-  u64 Written = 0;
   for (unsigned I = 0; I < NumSections; ++I) {
-    SecBase[I] = MapBase + SecOff[I];
     const Section &S = A.section(static_cast<SecKind>(I));
-    const u64 Bytes =
-        static_cast<SecKind>(I) == SecKind::BSS ? 0 : S.Data.size();
-    if (Recycled)
-      std::memset(MapBase + Written, 0, SecOff[I] - Written);
+    const u64 Bytes = I == BssI ? 0 : S.Data.size();
     if (Bytes)
       std::memcpy(SecBase[I], S.Data.data(), Bytes);
-    Written = SecOff[I] + Bytes;
+    if (Recycled)
+      std::memset(SecBase[I] + Bytes, 0, SecPages[I] - Bytes);
   }
-  if (Recycled)
-    std::memset(MapBase + Written, 0, MapSize - Written);
 
   // Resolve every relocation. Defined symbols resolve to their mapped
   // location; undefined ones are looked up through the resolver.
@@ -191,7 +259,7 @@ bool JITMapper::map(const Assembler &A, const Resolver &Resolve,
   };
 
   // Lazily build a jump stub for an out-of-range undefined symbol.
-  u8 *StubArea = SecBase[0] + StubAreaOff;
+  u8 *StubArea = SecBase[TextI] + StubAreaOff;
   support::DenseMap<u32, u8 *> StubFor;
   auto stubAddr = [&](SymRef Ref, u8 *Target) -> u8 * {
     if (u8 **Known = StubFor.find(Ref.Idx))
@@ -292,15 +360,16 @@ bool JITMapper::map(const Assembler &A, const Resolver &Resolve,
   // A recycled run may have held other code at these addresses; targets
   // without a coherent instruction cache must not run stale lines (a no-op
   // on x86-64).
-  __builtin___clear_cache(reinterpret_cast<char *>(SecBase[0]),
-                          reinterpret_cast<char *>(SecBase[0] + SecSize[0]));
-  // W^X: text and rodata become non-writable.
-  if (SecSize[0] && ::mprotect(SecBase[0], alignTo(SecSize[0], Page),
-                               PROT_READ | PROT_EXEC) != 0)
+  __builtin___clear_cache(reinterpret_cast<char *>(SecBase[TextI]),
+                          reinterpret_cast<char *>(SecBase[TextI] +
+                                                   SecSize[TextI]));
+  // W^X: text and rodata become non-writable, each one whole VMA between
+  // its guard pages.
+  if (L.Text &&
+      ::mprotect(SecBase[TextI], L.Text, PROT_READ | PROT_EXEC) != 0)
     return fail(support::CompileErr::JitMapFailed, {},
                 "mprotect of the text section to read+execute failed");
-  if (SecSize[1] &&
-      ::mprotect(SecBase[1], alignTo(SecSize[1], Page), PROT_READ) != 0)
+  if (L.RO && ::mprotect(SecBase[RoI], L.RO, PROT_READ) != 0)
     return fail(support::CompileErr::JitMapFailed, {},
                 "mprotect of the rodata section to read-only failed");
   return true;

@@ -29,18 +29,35 @@ namespace tpde::asmx {
 ///   auto *Fn = (int (*)(int))JIT.address("my_func");
 /// \endcode
 ///
-/// Images come from, and return to, a process-wide pool of released
-/// page runs. map() takes the most recently released run of exactly the
-/// image's page count and calls mmap only when none is free; a recycled
-/// run is zeroed wherever the new image writes nothing, so it reads
-/// exactly like a fresh mapping. The destructor, move-assignment and a
-/// later map() release the held image: its pages flip back to read+write
-/// and join the pool, whose oldest runs are unmapped to keep it within
-/// MaxPooledBytes. An address into an image is therefore valid only while
-/// its mapper lives: released pages may back a later image, where an
-/// unmapped run would fault. W^X is unchanged: text is read+execute,
-/// rodata read-only, data and BSS read+write, and no page is ever
-/// writable and executable at once.
+/// Every image lies in its own run of pages, laid out so that each section
+/// whose protection changes is a VMA of its own:
+///
+///   [guard] text + stubs [guard] rodata [guard] data BSS
+///
+/// A PROT_NONE guard page precedes and follows text (with its jump stubs)
+/// and rodata when they are non-empty; text and rodata share the guard
+/// between them. Data and BSS form one range that stays read+write. An
+/// image therefore takes at most six map entries (three guards, text,
+/// rodata, data with BSS), each W^X flip changes one whole VMA and never
+/// splits or merges one, and code or data access that overruns text or
+/// rodata faults on a guard page. mappedSize() counts section pages only,
+/// never guard pages.
+///
+/// Runs come from, and return to, a process-wide pool keyed on the page
+/// counts of text, rodata and data with BSS. map() takes the most recently
+/// released run of exactly the image's page counts and creates one only
+/// when none is free: one PROT_NONE mmap plus one read+write mprotect per
+/// non-empty range. A recycled run is zeroed wherever the new image writes
+/// nothing, so it reads exactly like a fresh mapping. The destructor,
+/// move-assignment and a later map() release the held image: each
+/// non-empty range flips back to read+write (a no-op for data and BSS
+/// that still fails on a hole) and the run joins the pool, whose oldest
+/// runs are unmapped to keep it within MaxPooledBytes; an image larger than
+/// that bound, or one whose flip failed, is unmapped instead. An address
+/// into an image is therefore valid only while its mapper lives: released
+/// pages may back a later image, where an unmapped run would fault. W^X
+/// holds throughout: text is read+execute, rodata read-only, data and BSS
+/// read+write, and no page is ever writable and executable at once.
 class JITMapper {
 public:
   using Resolver = std::function<void *(std::string_view)>;
@@ -85,14 +102,26 @@ public:
   u8 *sectionBase(SecKind K) const {
     return SecBase[static_cast<unsigned>(K)];
   }
+  /// Bytes of the image's section pages, guard pages excluded.
   u64 mappedSize() const { return MapSize; }
 
 private:
+  /// Bytes, each a whole number of pages, of an image's three protection
+  /// ranges: text with its stubs, rodata, and data with BSS. They key the
+  /// run pool.
+  struct Layout {
+    u64 Text = 0, RO = 0, RW = 0;
+    bool operator==(const Layout &) const = default;
+  };
+  friend class RunPool;
+
   /// Returns the held image, if any, to the pool.
   void release();
 
   const Assembler *Asm = nullptr;
+  /// Start of the held run, its leading guard page included.
   u8 *MapBase = nullptr;
+  Layout Pages;
   u64 MapSize = 0;
   u8 *SecBase[NumSections] = {};
   support::CompileStatus Status;

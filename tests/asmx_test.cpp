@@ -270,9 +270,15 @@ namespace {
 
 u64 pageSize() { return static_cast<u64>(::sysconf(_SC_PAGESIZE)); }
 
-/// Permissions ("r-x", "rw-", ...) of the mapping that contains \p P, read
-/// from /proc/self/maps; empty if no mapping contains it.
-std::string permsAt(const void *P) {
+/// One line of /proc/self/maps: the mapping [Lo, Hi) and its permissions
+/// ("r-xp", "---p", ...).
+struct MapEntry {
+  uintptr_t Lo = 0, Hi = 0;
+  std::string Perms;
+};
+
+/// The mapping that contains \p P; empty Perms if none does.
+MapEntry mappingAt(const void *P) {
   std::ifstream Maps("/proc/self/maps");
   std::string Line;
   const auto Addr = reinterpret_cast<uintptr_t>(P);
@@ -281,9 +287,23 @@ std::string permsAt(const void *P) {
     char Perms[5] = {};
     if (std::sscanf(Line.c_str(), "%lx-%lx %4s", &Lo, &Hi, Perms) == 3 &&
         Addr >= Lo && Addr < Hi)
-      return std::string(Perms, 3);
+      return {Lo, Hi, Perms};
   }
   return {};
+}
+
+/// Permissions ("r-x", "rw-", ...) of the mapping that contains \p P; empty
+/// if no mapping contains it.
+std::string permsAt(const void *P) { return mappingAt(P).Perms.substr(0, 3); }
+
+/// Number of mappings (VMAs) of this process.
+size_t mapCount() {
+  std::ifstream Maps("/proc/self/maps");
+  std::string Line;
+  size_t N = 0;
+  while (std::getline(Maps, Line))
+    ++N;
+  return N;
 }
 
 /// True while the page at \p P is mapped at all.
@@ -318,25 +338,81 @@ void buildImage(Assembler &A, u64 Text, u64 Ro, u64 Data, u64 Bss,
                    SecKind::BSS, 0, Bss);
 }
 
-/// Fails unless every byte of \p JIT's mapping outside \p A's section bytes
-/// is zero and every section byte matches \p A (a mapping without
-/// relocations or stubs must read exactly like its assembler).
+/// Fails unless every byte of each section's pages in \p JIT reads like
+/// \p A: the section's bytes, then zeros (a mapping without relocations or
+/// stubs must read exactly like its assembler). It walks the sections one
+/// by one, because the guard pages around text and rodata fault when read.
 void expectExactImage(const JITMapper &JIT, const Assembler &A) {
-  const u8 *Base = JIT.sectionBase(SecKind::Text);
-  u64 Bad = 0;
-  for (u64 Off = 0; Off < JIT.mappedSize(); ++Off) {
-    u8 Want = 0;
-    for (unsigned K = 0; K < NumSections; ++K) {
-      const SecKind S = static_cast<SecKind>(K);
-      const u8 *Sec = JIT.sectionBase(S);
-      if (S != SecKind::BSS && Base + Off >= Sec &&
-          Base + Off < Sec + A.section(S).Data.size())
-        Want = A.section(S).Data[Base + Off - Sec];
-    }
-    Bad += Base[Off] != Want;
+  u64 Bad = 0, Pages = 0;
+  for (unsigned K = 0; K < NumSections; ++K) {
+    const SecKind S = static_cast<SecKind>(K);
+    const Section &Sec = A.section(S);
+    const u64 Bytes = S == SecKind::BSS ? 0 : Sec.Data.size();
+    const u64 Span =
+        alignTo(S == SecKind::BSS ? Sec.BssSize : Bytes, pageSize());
+    const u8 *Base = JIT.sectionBase(S);
+    for (u64 Off = 0; Off < Span; ++Off)
+      Bad += Base[Off] != (Off < Bytes ? Sec.Data[Off] : 0);
+    Pages += Span;
   }
+  EXPECT_EQ(Pages, JIT.mappedSize()) << "mappedSize() counts section pages";
   EXPECT_EQ(Bad, 0u) << "bytes that differ from a fresh mapping";
 }
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define TPDE_TEST_SANITIZER_MAPS_ON_DEMAND 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define TPDE_TEST_SANITIZER_MAPS_ON_DEMAND 1
+#endif
+#endif
+
+/// vm.max_map_count if a test can exhaust it here; otherwise 0, with the
+/// reason in \p Why.
+long exhaustibleMapCount(std::string &Why) {
+#ifdef TPDE_TEST_SANITIZER_MAPS_ON_DEMAND
+  Why = "the sanitizer runtime maps shadow and allocator memory on demand "
+        "and aborts once vm.max_map_count is exhausted";
+  return 0;
+#endif
+  long MaxMaps = 0;
+  std::ifstream("/proc/sys/vm/max_map_count") >> MaxMaps;
+  if (MaxMaps > 0 && MaxMaps <= (1 << 18))
+    return MaxMaps;
+  Why = "vm.max_map_count " + std::to_string(MaxMaps) +
+        " is unreadable or too large to exhaust quickly";
+  return 0;
+}
+
+/// Keeps vm.max_map_count exhausted while it lives: maps single pages, with
+/// alternating protections so that neighbours never merge, until mmap
+/// fails, then hands one back so malloc can still grow. A split still needs
+/// a map count below the limit, which stays exhausted.
+class MapCountExhaustion {
+public:
+  explicit MapCountExhaustion(long MaxMaps) {
+    Probes.reserve(static_cast<size_t>(MaxMaps));
+    for (;;) {
+      void *P = ::mmap(nullptr, pageSize(),
+                       Probes.size() % 2 ? PROT_READ : PROT_NONE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (P == MAP_FAILED)
+        break;
+      Probes.push_back(P);
+    }
+    ::munmap(Probes.back(), pageSize());
+    Probes.pop_back();
+  }
+  ~MapCountExhaustion() {
+    for (void *P : Probes)
+      ::munmap(P, pageSize());
+  }
+  MapCountExhaustion(const MapCountExhaustion &) = delete;
+  MapCountExhaustion &operator=(const MapCountExhaustion &) = delete;
+
+private:
+  std::vector<void *> Probes;
+};
 
 } // namespace
 
@@ -433,7 +509,7 @@ TEST(JITMapper, ConcurrentMapCallRelease) {
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([T, &Wrong] {
       // mov eax, imm32; ret — half the images carry a data page as well,
-      // so runs of two sizes pass through the pool.
+      // so runs of two layouts pass through the pool.
       const u32 K = 0x1000 * (T + 1);
       Assembler A[2];
       for (unsigned V = 0; V < 2; ++V) {
@@ -498,55 +574,97 @@ TEST(JITMapper, FailedReleaseFlipUnmapsTheRun) {
   EXPECT_FALSE(pageMapped(Text)) << "a run whose flip failed was pooled";
 }
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define TPDE_TEST_SANITIZER_MAPS_ON_DEMAND 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define TPDE_TEST_SANITIZER_MAPS_ON_DEMAND 1
-#endif
-#endif
-
-TEST(JITMapper, ExhaustedMapCountFailsTheWXorXFlip) {
-#ifdef TPDE_TEST_SANITIZER_MAPS_ON_DEMAND
-  GTEST_SKIP() << "the sanitizer runtime maps shadow and allocator memory on "
-                  "demand and aborts once vm.max_map_count is exhausted";
-#endif
-  long MaxMaps = 0;
-  std::ifstream("/proc/sys/vm/max_map_count") >> MaxMaps;
-  if (MaxMaps <= 0 || MaxMaps > (1 << 18))
-    GTEST_SKIP() << "vm.max_map_count " << MaxMaps
-                 << " is unreadable or too large to exhaust quickly";
+TEST(JITMapper, MapAndReleaseNeverSplitAVMA) {
   const u64 Page = pageSize();
   Assembler A;
-  buildImage(A, 16, 0, 16, 0, 0x66);
-  // Pool a run of this size, so the map below needs no mmap: its first
-  // new mapping is the split that makes text read+execute.
+  for (u64 Ro : {u64(100), u64(0)}) {
+    SCOPED_TRACE(Ro ? "text+rodata image" : "text-only image");
+    buildImage(A, Page + 100, Ro, 100, 100, 0x77);
+    {
+      JITMapper Warm; // pools a run of this image's page counts
+      ASSERT_TRUE(Warm.map(A));
+    }
+    const size_t Before = mapCount();
+    JITMapper JIT;
+    ASSERT_TRUE(JIT.map(A));
+    const size_t Mapped = mapCount();
+    // Each flipped section is one whole VMA with a guard page on each side.
+    auto expectOwnVMA = [&](SecKind K, u64 Bytes, const char *Perms) {
+      const u8 *Lo = JIT.sectionBase(K);
+      const MapEntry E = mappingAt(Lo);
+      EXPECT_EQ(E.Perms, Perms);
+      EXPECT_EQ(E.Lo, reinterpret_cast<uintptr_t>(Lo));
+      EXPECT_EQ(E.Hi, reinterpret_cast<uintptr_t>(Lo + Bytes));
+      EXPECT_EQ(mappingAt(Lo - Page).Perms, "---p");
+      EXPECT_EQ(mappingAt(Lo + Bytes).Perms, "---p");
+    };
+    expectOwnVMA(SecKind::Text, 2 * Page, "r-xp");
+    if (Ro)
+      expectOwnVMA(SecKind::ROData, Page, "r--p");
+    JIT = JITMapper();
+    EXPECT_EQ(Mapped, Before) << "map() split a VMA";
+    EXPECT_EQ(mapCount(), Before) << "release changed the VMA count";
+  }
+}
+
+TEST(JITMapper, RecycledRunMapsWithTheMapCountExhausted) {
+  std::string Why;
+  const long MaxMaps = exhaustibleMapCount(Why);
+  if (!MaxMaps)
+    GTEST_SKIP() << Why;
+  Assembler A;
+  buildImage(A, 16, 16, 16, 0, 0x66);
+  u8 *Text;
   {
     JITMapper Warm;
     ASSERT_TRUE(Warm.map(A));
+    Text = Warm.sectionBase(SecKind::Text);
   }
-  std::vector<void *> Probes;
-  Probes.reserve(static_cast<size_t>(MaxMaps));
-  // Alternating protections keep neighbouring probes from merging.
-  for (;;) {
-    void *P = ::mmap(nullptr, Page, Probes.size() % 2 ? PROT_READ : PROT_NONE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (P == MAP_FAILED)
-      break;
-    Probes.push_back(P);
+  // Nothing below needs a new VMA: the run is pooled, and each flip, at
+  // map() and at release, changes one whole VMA. No gtest assertion runs
+  // while the map count is exhausted.
+  bool OK, SameRun;
+  std::string Message;
+  {
+    MapCountExhaustion Exhausted(MaxMaps);
+    JITMapper JIT; // released before the probes go
+    OK = JIT.map(A);
+    SameRun = JIT.sectionBase(SecKind::Text) == Text;
+    if (!OK)
+      Message = JIT.status().Message;
   }
-  // Hand one mapping back so malloc can still grow; a split still needs a
-  // map count below the limit, which stays exhausted.
-  ::munmap(Probes.back(), Page);
-  Probes.pop_back();
+  EXPECT_TRUE(OK) << Message;
+  EXPECT_TRUE(SameRun) << "the pooled run was not reused";
+  JITMapper Again;
+  ASSERT_TRUE(Again.map(A));
+  EXPECT_EQ(Again.sectionBase(SecKind::Text), Text)
+      << "the release with the map count exhausted did not pool the run";
+}
+
+TEST(JITMapper, FreshRunFailsCleanlyWithTheMapCountExhausted) {
+  std::string Why;
+  const long MaxMaps = exhaustibleMapCount(Why);
+  if (!MaxMaps)
+    GTEST_SKIP() << Why;
+  Assembler A;
+  // Larger than the pool's bound, so no pooled run can serve it.
+  buildImage(A, 16, 16, 16, JITMapper::MaxPooledBytes + pageSize(), 0x67);
   JITMapper JIT;
-  const bool OK = JIT.map(A);
-  for (void *P : Probes)
-    ::munmap(P, Page);
+  bool OK;
+  u64 VmBefore, VmAfter;
+  {
+    MapCountExhaustion Exhausted(MaxMaps);
+    VmBefore = vmSizeBytes();
+    OK = JIT.map(A);
+    VmAfter = vmSizeBytes();
+  }
   EXPECT_FALSE(OK);
   EXPECT_EQ(JIT.status().Err, support::CompileErr::JitMapFailed);
-  EXPECT_NE(JIT.status().Message.find("text"), std::string::npos)
-      << JIT.status().Message;
+  const std::string &Msg = JIT.status().Message;
+  EXPECT_TRUE(Msg.starts_with("mmap of") || Msg.starts_with("mprotect of"))
+      << Msg;
+  EXPECT_EQ(JIT.mappedSize(), 0u);
+  EXPECT_EQ(VmAfter, VmBefore) << "the failed map left its run mapped";
 }
 
 // --- Merging (parallel shard fragments) ------------------------------------
